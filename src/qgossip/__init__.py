@@ -18,12 +18,11 @@ from .errors import (CertificateError, ConsistencyError, DimensionError,
                      ValidationError)
 from .gossip import (ConvergenceExperiment, GossipConfig, InteractionGraph,
                      SpectralCertificate, Superoperator, TrajectoryRecord,
-                     build_superoperator, commutant_dimension, cycle_map,
+                     build_superoperator, commutant_dimension,
                      cycle_superoperator, dual_fixed_point_check, evolve,
-                     fixed_point_space, gossip_channel,
+                     fixed_point_space, gossip_channel, gossip_update,
                      probability_one_convergence_experiment, s_average_check,
-                     spectral_certificate, synchronous_channel,
-                     synchronous_superoperator)
+                     spectral_certificate, synchronous_superoperator)
 from .linalg import (NetworkShape, eigh, frobenius_distance, kron, kron_all,
                      partial_trace, unvectorize, vectorize)
 from .scenario import RunManifest, Scenario, load_scenario
@@ -31,7 +30,6 @@ from .states import (DensityOperator, KrausChannel, Observable, Permutation,
                      PAULI, apply_channel, basis_ket, dual_apply, lift_local,
                      named_state, permutation_unitary, random_density,
                      random_hermitian, rho_g, site_average, swap_unitary,
-                     twirl, twirl_matrix, twirl_observable,
-                     von_neumann_entropy)
+                     twirl, twirl_matrix, von_neumann_entropy)
 
 __version__ = "0.1.0"

@@ -4,18 +4,23 @@ A single gossip interaction on edge (j, k) applies the channel
 
     E_jk(rho) = (1 - alpha) rho + alpha U_jk rho U_jk^dagger,
 
-with swap unitary ``U_jk`` and mixing parameter ``alpha`` in (0, 1); its
-Kraus form is ``{sqrt(1-alpha) I, sqrt(alpha) U_jk}``, unital and self-adjoint
-as a map. Edge schedules: one random edge per step (weights q), a fixed
-cyclic order, or the synchronous/expected map
-``E(rho) = sum q_jk E_jk(rho)``. On a connected graph every schedule drives
-rho to the permutation twirl of the initial state; fixed points of the
-expected map are exactly the operators commuting with every edge swap.
+with swap unitary ``U_jk`` and mixing parameter ``alpha`` in (0, 1). Edge
+schedules: one random edge per step (weights q), a fixed cyclic order, or the
+synchronous/expected map ``E(rho) = sum q_jk E_jk(rho)``. On a connected
+graph every schedule drives rho to the permutation twirl of the initial
+state; fixed points of the expected map are exactly the operators commuting
+with every edge swap.
+
+A swap only relabels computational basis indices, so the map is applied by
+relabelling: :func:`gossip_update` is the one step kernel, and the
+superoperators permute the d**2 entries of ``vec(rho)``. The Kraus form
+``{sqrt(1-alpha) I, sqrt(alpha) U_jk}`` (:func:`gossip_channel`), the dense
+swap unitaries and :func:`commutant_dimension` are kept as independent
+references for tests and cross-checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -23,20 +28,17 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (CertificateError, ConsistencyError, ResourceLimitError,
-                     ValidationError)
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .linalg import (MAX_SUPEROP_DIM, NetworkShape, as_operator,
-                     frobenius_distance, kron, require_hermitian, unvectorize,
-                     vectorize)
+                     require_hermitian, unvectorize, vectorize)
 from .rng import draw_index, make_rng, trial_rng
 from .states import (DensityOperator, KrausChannel, Observable, Permutation,
                      basis_index_map, conjugate_by_basis_map, dual_apply,
                      is_permutation_invariant, lift_local,
-                     local_hermitian_basis, site_average, twirl_matrix,
-                     twirl_observable)
+                     local_hermitian_basis, site_average, swap_unitary,
+                     twirl_matrix)
 
 STRATEGIES = ("random", "cyclic", "synchronous", "expected")
-MAX_CYCLE_KRAUS = 2 ** 12
 CONSERVATION_TOL = 1e-10
 
 
@@ -139,17 +141,29 @@ class GossipConfig:
             raise ValidationError("cycle_order is only meaningful for the cyclic strategy")
 
     def resolved_cycle_order(self, graph: InteractionGraph) -> tuple[int, ...]:
-        order = self.cycle_order
-        if order is None:
-            order = tuple(range(len(graph.edges)))
-        order = tuple(int(i) for i in order)
-        if not order:
-            raise ValidationError("cycle order must not be empty")
-        if any(i < 0 or i >= len(graph.edges) for i in order):
-            raise ValidationError("cycle order indexes a nonexistent edge")
-        if set(order) != set(range(len(graph.edges))):
-            raise ValidationError("cycle order must cover every edge at least once")
-        return order
+        if self.cycle_order is None:
+            return _check_cycle_order(range(len(graph.edges)), graph)
+        return _check_cycle_order(self.cycle_order, graph)
+
+
+def _check_cycle_order(order, graph: InteractionGraph) -> tuple[int, ...]:
+    """Validate a sweep of 0-based edge indices that covers every edge.
+
+    Entries must be integers (bools and integral floats or strings are
+    rejected, never truncated).
+    """
+    order = tuple(order)
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in order):
+        raise ValidationError(
+            f"cycle order must contain 0-based edge indices, got {list(order)!r}")
+    order = tuple(int(i) for i in order)
+    if not order:
+        raise ValidationError("cycle order must not be empty")
+    if any(i < 0 or i >= len(graph.edges) for i in order):
+        raise ValidationError("cycle order indexes a nonexistent edge")
+    if set(order) != set(range(len(graph.edges))):
+        raise ValidationError("cycle order must cover every edge at least once")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -162,65 +176,29 @@ def _edge_basis_map(edge, shape: NetworkShape) -> np.ndarray:
 
 
 def gossip_channel(edge, alpha: float, shape: NetworkShape) -> KrausChannel:
-    """Kraus form of one pairwise gossip interaction."""
+    """Kraus form of one pairwise gossip interaction (the dense reference)."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
     j, k = (int(v) for v in edge)
     if not (1 <= j <= shape.m and 1 <= k <= shape.m and j != k):
         raise ValidationError(f"edge ({j}, {k}) invalid for m={shape.m}")
     d = shape.total_dim
-    u = np.zeros((d, d), dtype=np.complex128)
-    bmap = _edge_basis_map((j, k), shape)
-    u[bmap, np.arange(d)] = 1.0
     ops = [np.sqrt(1.0 - alpha) * np.eye(d, dtype=np.complex128),
-           np.sqrt(alpha) * u]
+           np.sqrt(alpha) * swap_unitary(j, k, shape)]
     return KrausChannel(ops, shape)
 
 
-def synchronous_channel(graph: InteractionGraph, alpha: float) -> KrausChannel:
-    """Kraus form of the expected map ``sum_e q_e E_e``."""
-    if not graph.edges:
-        raise ValidationError("the synchronous map needs at least one edge")
-    d = graph.shape.total_dim
-    ops = [np.sqrt(1.0 - alpha) * np.eye(d, dtype=np.complex128)]
-    for (edge, q) in zip(graph.edges, graph.weights):
-        u = np.zeros((d, d), dtype=np.complex128)
-        u[_edge_basis_map(edge, graph.shape), np.arange(d)] = 1.0
-        ops.append(np.sqrt(alpha * q) * u)
-    return KrausChannel(ops, graph.shape)
+def gossip_update(x: np.ndarray, bmaps, weights, alpha: float) -> np.ndarray:
+    """One gossip step ``(1 - alpha) x + alpha sum_e q_e U_e x U_e^dagger``.
 
-
-def cycle_map(graph: InteractionGraph, order: Sequence[int], alpha: float) -> KrausChannel:
-    """Kraus form of one full cyclic sweep ``E_e_T o ... o E_e_1``.
-
-    The operator-sum expansion has 2**T terms; sweeps longer than
-    ``log2(MAX_CYCLE_KRAUS)`` edges must use superoperator composition
-    instead (see :func:`cycle_superoperator`).
+    Each ``U_e`` is given by its basis map, so every edge costs one O(d^2)
+    relabelling. A single edge of weight 1.0 gives exactly
+    ``(1 - alpha) x + alpha U x U^dagger``.
     """
-    order = list(order)
-    if not order:
-        raise ValidationError("cycle order must not be empty")
-    if set(order) != set(range(len(graph.edges))):
-        raise ValidationError("cycle order must cover every edge at least once")
-    if 2 ** len(order) > MAX_CYCLE_KRAUS:
-        raise ResourceLimitError(
-            f"cycle of length {len(order)} expands to 2**{len(order)} Kraus terms "
-            f"(cap {MAX_CYCLE_KRAUS}); compose superoperators instead")
-    shape = graph.shape
-    d = shape.total_dim
-    eye = np.eye(d, dtype=np.complex128)
-    step_ops = []
-    for idx in order:
-        u = np.zeros((d, d), dtype=np.complex128)
-        u[_edge_basis_map(graph.edges[idx], shape), np.arange(d)] = 1.0
-        step_ops.append((np.sqrt(1.0 - alpha) * eye, np.sqrt(alpha) * u))
-    ops = []
-    for combo in itertools.product((0, 1), repeat=len(order)):
-        acc = eye
-        for choice, pair in zip(combo, step_ops):
-            acc = pair[choice] @ acc
-        ops.append(acc)
-    return KrausChannel(ops, shape)
+    out = (1.0 - alpha) * x
+    for bmap, q in zip(bmaps, weights):
+        out += alpha * q * conjugate_by_basis_map(x, bmap)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +245,8 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
 
     Records, for t = 0..steps: the local expectations
     ``z_l(t) = Tr[sigma^(l) rho_t]``, the conserved site average
-    ``Tr[S rho_t]``, the SSC gap, and the sigma-SMC defect. Single-edge
-    steps use index relabelling rather than dense matrix products, so the
-    cost per step is O(d^2).
+    ``Tr[S rho_t]``, the SSC gap, and the sigma-SMC defect. Every step is one
+    :func:`gossip_update`, so it costs O(d^2) per edge touched.
     """
     from .consensus import ssc_gap as _ssc_gap  # local import avoids a cycle
     from .consensus import sym_projector
@@ -319,10 +296,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
             termination = f"converged_at_step_{t}"
             break
         if config.strategy in ("synchronous", "expected"):
-            new = (1.0 - alpha) * mat
-            for bmap, q in zip(bmaps, graph.weights):
-                new += alpha * q * conjugate_by_basis_map(mat, bmap)
-            mat = new
+            mat = gossip_update(mat, bmaps, graph.weights, alpha)
             edges_used.append(None)
         elif not graph.edges:
             edges_used.append(None)  # m=1 degenerate network: nothing to do
@@ -331,7 +305,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
                 idx = draw_index(rng, cum)
             else:
                 idx = order[t % len(order)]
-            mat = (1.0 - alpha) * mat + alpha * conjugate_by_basis_map(mat, bmaps[idx])
+            mat = gossip_update(mat, [bmaps[idx]], [1.0], alpha)
             edges_used.append(graph.edges[idx])
         performed += 1
         record(performed)
@@ -355,7 +329,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Column-stacking matrix form of a channel: ``sum_k conj(A_k) (x) A_k``."""
+    """Column-stacking matrix form of a channel, ``vec(E(X)) = matrix @ vec(X)``."""
 
     matrix: np.ndarray
     provenance: dict = field(default_factory=dict)
@@ -368,49 +342,64 @@ class Superoperator:
         return unvectorize(self.matrix @ vectorize(x))
 
 
-def build_superoperator(channel: KrausChannel, provenance: dict | None = None) -> Superoperator:
-    """Assemble the dense superoperator of a channel (dim cap applies)."""
-    d = channel.shape.total_dim
+def _check_superop_dim(shape: NetworkShape) -> int:
+    d = shape.total_dim
     if d > MAX_SUPEROP_DIM:
         raise ResourceLimitError(
             f"superoperator work limited to total dimension {MAX_SUPEROP_DIM}, got {d}")
+    return d
+
+
+def build_superoperator(channel: KrausChannel, provenance: dict | None = None) -> Superoperator:
+    """Assemble the dense superoperator of a channel (the Kraus reference)."""
+    d = _check_superop_dim(channel.shape)
     acc = np.zeros((d * d, d * d), dtype=np.complex128)
     for a in channel.ops:
         acc += np.kron(a.conj(), a)
     return Superoperator(acc, dict(provenance or {}))
 
 
+def _vec_permutation(edge, shape: NetworkShape) -> np.ndarray:
+    """``perm`` with ``vec(U_e X U_e) == vec(X)[perm]`` for the swap on ``edge``.
+
+    A transposition's basis map is its own inverse, so entry ``(i, j)`` of
+    ``U_e X U_e`` is ``X[b[i], b[j]]``; column stacking puts it at ``i + d j``.
+    """
+    b = _edge_basis_map(edge, shape)
+    return (b[:, None] + shape.total_dim * b[None, :]).ravel(order="F")
+
+
 def synchronous_superoperator(graph: InteractionGraph, alpha: float) -> Superoperator:
-    ch = synchronous_channel(graph, alpha)
-    return build_superoperator(ch, {
+    """``(1 - alpha) I + alpha sum_e q_e P_e`` with ``P_e`` the entry permutations."""
+    if not graph.edges:
+        raise ValidationError("the synchronous map needs at least one edge")
+    d = _check_superop_dim(graph.shape)
+    acc = np.zeros((d * d, d * d), dtype=np.complex128)
+    rows = np.arange(d * d)
+    acc[rows, rows] = 1.0 - alpha
+    for edge, q in zip(graph.edges, graph.weights):
+        acc[rows, _vec_permutation(edge, graph.shape)] += alpha * q
+    return Superoperator(acc, {
         "kind": "synchronous", "alpha": alpha, "identity_weight": 1.0 - alpha,
         "edges": list(graph.edges), "weights": list(graph.weights)})
 
 
 def cycle_superoperator(graph: InteractionGraph, order: Sequence[int],
                         alpha: float) -> Superoperator:
-    """Superoperator of one cyclic sweep, composed edge by edge."""
-    shape = graph.shape
-    d = shape.total_dim
-    if d > MAX_SUPEROP_DIM:
-        raise ResourceLimitError(
-            f"superoperator work limited to total dimension {MAX_SUPEROP_DIM}, got {d}")
-    try:
-        order = [int(i) for i in order]
-    except (TypeError, ValueError):
-        raise ValidationError("cycle order must contain 0-based edge indices") from None
-    if not order:
-        raise ValidationError("cycle order must not be empty")
-    if set(order) != set(range(len(graph.edges))):
-        raise ValidationError("cycle order must cover every edge at least once")
+    """Superoperator of one cyclic sweep, composed edge by edge.
+
+    Each edge multiplies from the left by ``(1 - alpha) I + alpha P_e``,
+    i.e. mixes the accumulated matrix with a row gather: O(d^4) per edge.
+    """
+    d = _check_superop_dim(graph.shape)
+    order = _check_cycle_order(order, graph)
     acc = np.eye(d * d, dtype=np.complex128)
     for idx in order:
-        sop = build_superoperator(gossip_channel(graph.edges[idx], alpha, shape))
-        acc = sop.matrix @ acc
+        perm = _vec_permutation(graph.edges[idx], graph.shape)
+        acc = (1.0 - alpha) * acc + alpha * acc[perm]
     return Superoperator(acc, {
         "kind": "cycle", "alpha": alpha,
-        "identity_weight": (1.0 - alpha) ** len(list(order)),
-        "order": [int(i) for i in order]})
+        "identity_weight": (1.0 - alpha) ** len(order), "order": list(order)})
 
 
 @dataclass(frozen=True)
@@ -467,18 +456,13 @@ def commutant_dimension(graph: InteractionGraph) -> int:
     through the nullity of the positive semidefinite normal matrix. This is
     the independent oracle for :func:`fixed_point_space`.
     """
-    shape = graph.shape
-    d = shape.total_dim
-    if d > MAX_SUPEROP_DIM:
-        raise ResourceLimitError(
-            f"commutant computation limited to total dimension {MAX_SUPEROP_DIM}")
+    d = _check_superop_dim(graph.shape)
     if not graph.edges:
         return d * d
     eye = np.eye(d, dtype=np.complex128)
     normal = np.zeros((d * d, d * d), dtype=np.complex128)
     for edge in graph.edges:
-        u = np.zeros((d, d), dtype=np.complex128)
-        u[_edge_basis_map(edge, shape), np.arange(d)] = 1.0
+        u = swap_unitary(*edge, graph.shape)
         c = np.kron(eye, u) - np.kron(u.T, eye)
         normal += c.conj().T @ c
     evals = np.linalg.eigvalsh((normal + normal.conj().T) / 2.0)
@@ -589,10 +573,7 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
         target = float(np.einsum("ij,ji->", s_mat, rho0.matrix).real)
         mat = rho0.matrix.copy()
         for _ in range(steps):
-            new = (1.0 - alpha) * mat
-            for bmap, q in zip(bmaps, graph.weights):
-                new += alpha * q * conjugate_by_basis_map(mat, bmap)
-            mat = new
+            mat = gossip_update(mat, bmaps, graph.weights, alpha)
             drift = max(drift, abs(
                 float(np.einsum("ij,ji->", s_mat, mat).real) - target))
         star = twirl_matrix(rho0.matrix, shape)
@@ -627,7 +608,7 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
 
     Every per-edge dual leaves a permutation-invariant S exactly invariant
     (defect below 1e-12). When ``sigma`` is given, the iterated cyclic dual
-    of ``sigma^(1)`` must approach ``twirl_observable`` of the lift, i.e.
+    of ``sigma^(1)`` must approach ``twirl_matrix`` of the lift, i.e.
     ``(1/m) sum_i sigma^(i)``, within 1e-8 after ``steps`` sweep steps.
     """
     shape = graph.shape
@@ -642,7 +623,7 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
     if sigma is not None:
         obs = sigma if isinstance(sigma, Observable) else Observable(as_operator(sigma))
         x = lift_local(obs.matrix, 1, shape)
-        target = twirl_observable(x, shape)
+        target = twirl_matrix(x, shape)
         channels = [gossip_channel(e, alpha, shape) for e in graph.edges]
         for t in range(steps):
             x = channels[t % len(channels)].dual_matrix(x)
@@ -704,7 +685,7 @@ def probability_one_convergence_experiment(
         dist = float(np.sum(np.abs(diff) ** 2))
         for _ in range(horizon):
             idx = draw_index(rng, cum)
-            mat = (1.0 - alpha) * mat + alpha * conjugate_by_basis_map(mat, bmaps[idx])
+            mat = gossip_update(mat, [bmaps[idx]], [1.0], alpha)
             diff = mat - star
             new_dist = float(np.sum(np.abs(diff) ** 2))
             if new_dist > dist + 1e-12:

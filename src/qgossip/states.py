@@ -337,7 +337,11 @@ class Observable:
 # ---------------------------------------------------------------------------
 
 def twirl_matrix(x: np.ndarray, shape: NetworkShape) -> np.ndarray:
-    """``(1/m!) sum_pi U_pi x U_pi^dagger`` via basis relabelling."""
+    """``(1/m!) sum_pi U_pi x U_pi^dagger`` via basis relabelling.
+
+    The sum runs over the whole group, so this is also the Heisenberg-picture
+    twirl ``(1/m!) sum_pi U_pi^dagger x U_pi`` of an observable.
+    """
     a = as_operator(x)
     if a.shape[0] != shape.total_dim:
         raise DimensionError("operator does not match the network shape")
@@ -358,20 +362,6 @@ def twirl(rho: DensityOperator) -> DensityOperator:
     and positivity, and is idempotent.
     """
     return DensityOperator.trusted(twirl_matrix(rho.matrix, rho.shape), rho.shape)
-
-
-def twirl_observable(q, shape: NetworkShape) -> np.ndarray:
-    """``(1/m!) sum_pi U_pi^dagger q U_pi`` for a Hermitian joint operator."""
-    a = require_hermitian(q, what="observable to twirl")
-    if a.shape[0] != shape.total_dim:
-        raise DimensionError("operator does not match the network shape")
-    acc = np.zeros_like(a)
-    count = 0
-    for perm in all_permutations(shape.m):
-        bmap = basis_index_map(perm.inverse(), shape)
-        acc += conjugate_by_basis_map(a, bmap)
-        count += 1
-    return acc / count
 
 
 def is_permutation_invariant(x: np.ndarray, shape: NetworkShape, tol: float = 1e-10) -> bool:

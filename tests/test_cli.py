@@ -137,6 +137,8 @@ def test_evolve_missing_scenario(tmp_path):
 def test_evolve_invalid_scenario(tmp_path):
     scn = write_scenario(tmp_path, gossip={"alpha": 2.0})
     assert cli.main(["evolve", scn]) == 1
+    scn = write_scenario(tmp_path, gossip={"cycle_order": [[1, 2], [2, 3]]})
+    assert cli.main(["evolve", scn]) == 1
 
 
 # ---------------------------------------------------------------------------

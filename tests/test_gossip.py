@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgossip as qg
 from qgossip.rng import make_rng, trial_rng
-from qgossip.states import Observable, is_permutation_invariant
+from qgossip.states import basis_index_map, conjugate_by_basis_map
 
 SZ = qg.PAULI["z"]
 
@@ -105,33 +107,15 @@ def test_gossip_channel_validates_inputs():
         qg.gossip_channel((2, 2), 0.5, shape)
 
 
-def test_synchronous_channel_structure():
-    g = path_graph(3)
-    ch = qg.synchronous_channel(g, 0.4)
-    assert len(ch.ops) == 3  # identity plus one unitary per edge
-    assert ch.unital
-    with pytest.raises(qg.ValidationError):
-        qg.synchronous_channel(qg.InteractionGraph(qg.NetworkShape(2, 2), []), 0.4)
-
-
 def test_cycle_map_equals_sequential_application():
     g = path_graph(3)
     alpha = 0.35
-    sweep = qg.cycle_map(g, [0, 1], alpha)
-    assert len(sweep.ops) == 4
+    sweep = qg.cycle_superoperator(g, [0, 1], alpha)
     rho = qg.random_density(g.shape, 77)
     step1 = qg.apply_channel(qg.gossip_channel(g.edges[0], alpha, g.shape), rho)
     step2 = qg.apply_channel(qg.gossip_channel(g.edges[1], alpha, g.shape), step1)
-    np.testing.assert_allclose(qg.apply_channel(sweep, rho).matrix, step2.matrix,
+    np.testing.assert_allclose(sweep.apply_to_matrix(rho.matrix), step2.matrix,
                                atol=1e-12)
-
-
-def test_cycle_map_kraus_cap():
-    shape = qg.NetworkShape(6, 2)
-    complete = qg.InteractionGraph(
-        shape, [(a, b) for a in range(1, 7) for b in range(a + 1, 7)])
-    with pytest.raises(qg.ResourceLimitError):
-        qg.cycle_map(complete, range(15), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +275,13 @@ def test_disconnected_graph_warns_and_misses_global_twirl():
 
 def test_superoperator_matches_channel_action():
     g = path_graph(3)
-    ch = qg.synchronous_channel(g, 0.5)
-    sop = qg.build_superoperator(ch)
+    sop = qg.synchronous_superoperator(g, 0.5)
+    channels = [qg.gossip_channel(e, 0.5, g.shape) for e in g.edges]
     rng = make_rng(61)
     for _ in range(20):
         x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        np.testing.assert_allclose(sop.apply_to_matrix(x), ch.apply_matrix(x),
-                                   atol=1e-10)
+        expected = sum(q * ch.apply_matrix(x) for q, ch in zip(g.weights, channels))
+        np.testing.assert_allclose(sop.apply_to_matrix(x), expected, atol=1e-10)
 
 
 def test_superoperator_dimension_cap():
@@ -315,25 +299,83 @@ def test_synchronous_superoperator_is_real_symmetric():
 
 def test_gossip_maps_are_frobenius_contractions():
     g = path_graph(3)
-    ch = qg.synchronous_channel(g, 0.3)
+    sop = qg.synchronous_superoperator(g, 0.3)
     rng = make_rng(63)
     for _ in range(15):
         a = qg.random_density(g.shape, int(rng.integers(0, 10 ** 6))).matrix
         b = qg.random_density(g.shape, int(rng.integers(0, 10 ** 6))).matrix
         before = qg.frobenius_distance(a, b)
-        after = qg.frobenius_distance(ch.apply_matrix(a), ch.apply_matrix(b))
+        after = qg.frobenius_distance(sop.apply_to_matrix(a), sop.apply_to_matrix(b))
         assert after <= before + 1e-12
 
 
 def test_cycle_superoperator_composition():
     g = path_graph(3)
     sweep = qg.cycle_superoperator(g, [0, 1], 0.35)
-    dense = qg.build_superoperator(qg.cycle_map(g, [0, 1], 0.35))
-    np.testing.assert_allclose(sweep.matrix, dense.matrix, atol=1e-12)
-    with pytest.raises(qg.ValidationError):
-        qg.cycle_superoperator(g, [0], 0.35)
-    with pytest.raises(qg.ValidationError):
-        qg.cycle_superoperator(g, [(1, 2), (2, 3)], 0.35)
+    first, second = (qg.build_superoperator(qg.gossip_channel(e, 0.35, g.shape)).matrix
+                     for e in g.edges)
+    np.testing.assert_allclose(sweep.matrix, second @ first, atol=1e-12)
+    for bad in ([0], [(1, 2), (2, 3)], [0, 1.0], [True, 1], ["0", 1]):
+        with pytest.raises(qg.ValidationError):
+            qg.cycle_superoperator(g, bad, 0.35)
+
+
+# ---------------------------------------------------------------------------
+# permutation-native maps against the Kraus oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def weighted_graphs(draw, shapes):
+    """A random connected graph with random positive weights summing to one."""
+    m, n = draw(st.sampled_from(shapes))
+    shape = qg.NetworkShape(m, n)
+    tree = {(draw(st.integers(1, k - 1)), k) for k in range(2, m + 1)}
+    pairs = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
+    edges = sorted(tree | draw(st.sets(st.sampled_from(pairs), max_size=2)))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(edges), max_size=len(edges)))
+    return qg.InteractionGraph(shape, edges, [w / sum(raw) for w in raw])
+
+
+def edge_bmap(edge, shape):
+    return basis_index_map(qg.Permutation.transposition(shape.m, *edge), shape)
+
+
+@settings(max_examples=15, deadline=None)
+@given(g=weighted_graphs([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]),
+       alpha=st.floats(0.01, 0.99), data=st.data())
+def test_permutation_superoperators_match_kraus_oracle(g, alpha, data):
+    per_edge = [qg.build_superoperator(qg.gossip_channel(e, alpha, g.shape)).matrix
+                for e in g.edges]
+    sync = qg.synchronous_superoperator(g, alpha)
+    oracle = sum(q * s for q, s in zip(g.weights, per_edge))
+    np.testing.assert_allclose(sync.matrix, oracle, rtol=0, atol=1e-14)
+
+    order = data.draw(st.permutations(range(len(g.edges))))
+    order += data.draw(st.lists(st.integers(0, len(g.edges) - 1), max_size=2))
+    product = np.eye(sync.dim, dtype=complex)
+    for idx in order:
+        product = per_edge[idx] @ product
+    sweep = qg.cycle_superoperator(g, order, alpha)
+    np.testing.assert_allclose(sweep.matrix, product, rtol=0, atol=1e-14)
+
+    d = g.shape.total_dim
+    rng = make_rng(5)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    bmaps = [edge_bmap(e, g.shape) for e in g.edges]
+    np.testing.assert_allclose(qg.gossip_update(x, bmaps, g.weights, alpha),
+                               sync.apply_to_matrix(x), rtol=0, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=weighted_graphs([(m, 2) for m in range(2, 7)] + [(2, 3), (3, 3)]),
+       alpha=st.floats(0.01, 0.99), data=st.data())
+def test_single_edge_update_is_bitwise_the_step(g, alpha, data):
+    b = edge_bmap(data.draw(st.sampled_from(g.edges)), g.shape)
+    rng = make_rng(data.draw(st.integers(0, 2 ** 31)))
+    d = g.shape.total_dim
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert np.array_equal(qg.gossip_update(x, [b], [1.0], alpha),
+                          (1 - alpha) * x + alpha * conjugate_by_basis_map(x, b))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,10 @@ def test_schema_version_is_enforced(tmp_path):
     (lambda d: d["gossip"].update(steps=True), r"gossip\.steps"),
     (lambda d: d["gossip"].update(strategy="random"), "gossip:"),  # seed missing
     (lambda d: d["gossip"].update(cycle_order=[0]), "gossip:"),
+    (lambda d: d["gossip"].update(cycle_order=[[1, 2], [2, 3]]), "gossip:"),
+    (lambda d: d["gossip"].update(cycle_order=["0", 1.7]), "gossip:"),
+    (lambda d: d["gossip"].update(cycle_order=[0, 1.5]), "gossip:"),
+    (lambda d: d["gossip"].update(cycle_order=[True, 0]), "gossip:"),
     (lambda d: d.update(initial_state="210"), "initial_state:"),
     (lambda d: d.update(sigma="w"), "sigma:"),
     (lambda d: d.update(sigma=17), r"\$\.sigma"),

@@ -303,16 +303,16 @@ def test_twirl_factorial_cap():
 def test_twirl_observable_of_lift_is_site_average():
     shape = qg.NetworkShape(3, 2)
     sig = qg.random_hermitian(2, 107)
-    got = qg.twirl_observable(qg.lift_local(sig, 1, shape), shape)
+    got = qg.twirl_matrix(qg.lift_local(sig, 1, shape), shape)
     np.testing.assert_allclose(got, qg.site_average(sig, shape), atol=1e-13)
 
 
 def test_twirl_observable_duality():
-    # Tr[twirl_observable(Q) rho] == Tr[Q twirl(rho)]
+    # Tr[T(Q) rho] == Tr[Q T(rho)]: the twirl of an observable is twirl_matrix
     shape = qg.NetworkShape(3, 2)
     rho = qg.random_density(shape, 108)
     q = qg.random_hermitian(8, 109)
-    lhs = np.trace(qg.twirl_observable(q, shape) @ rho.matrix)
+    lhs = np.trace(qg.twirl_matrix(q, shape) @ rho.matrix)
     rhs = np.trace(q @ qg.twirl(rho).matrix)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
