@@ -27,9 +27,8 @@ import numpy as np
 from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .linalg import NetworkShape, as_operator, eigh, frobenius_distance, kron_all
-from .states import (DensityOperator, Observable, Permutation, PAULI,
-                     basis_index_map, conjugate_by_basis_map, lift_local,
-                     local_hermitian_basis, twirl_matrix, MAX_FACTORIAL_M)
+from .states import (DensityOperator, Observable, PAULI, lift_local,
+                     local_expectations, local_hermitian_basis, twirl_matrix)
 
 DEFAULT_TOL = 1e-8
 
@@ -56,14 +55,11 @@ class ConsensusReport:
 def check_sigma_ec(rho: DensityOperator, sigma, tol: float = DEFAULT_TOL):
     """Return (flag, gap) with gap = max pairwise |z_j - z_k|.
 
-    ``z_i = Tr[sigma^(i) rho] = Tr[sigma rho_bar_i]`` is computed through the
-    reduced states, which is exact and keeps the cost at one partial trace
-    per site.
+    ``z_i = Tr[sigma^(i) rho]`` comes from :func:`local_expectations`.
     """
     mat = sigma.matrix if isinstance(sigma, Observable) else as_operator(sigma)
-    z = [np.einsum("ij,ji->", rho.reduced_state(i), mat).real
-         for i in rho.shape.sites()]
-    gap = float(max(z) - min(z)) if len(z) > 1 else 0.0
+    z = local_expectations(rho.matrix, rho.shape, mat)
+    gap = float(z.max() - z.min())
     return gap <= tol, gap
 
 
@@ -82,22 +78,13 @@ def check_rsc(rho: DensityOperator, tol: float = DEFAULT_TOL):
 
 
 def ssc_gap(rho: DensityOperator) -> float:
-    """Frobenius distance from the permutation-invariant subspace.
+    """Frobenius distance ``||rho - twirl(rho)||_F`` from the
+    permutation-invariant subspace.
 
-    For m <= 8 this is the exact distance ``||rho - twirl(rho)||_F``. Beyond
-    the factorial cap it falls back to the maximum deviation under adjacent
-    transpositions, which vanishes exactly when the twirl distance does
-    (adjacent transpositions generate the full symmetric group).
+    The twirl is the exact group average (see :func:`twirl_matrix`), so this
+    is the same quantity at every m.
     """
-    m = rho.shape.m
-    if m <= MAX_FACTORIAL_M:
-        return frobenius_distance(rho.matrix, twirl_matrix(rho.matrix, rho.shape))
-    gap = 0.0
-    for j in range(1, m):
-        bmap = basis_index_map(Permutation.transposition(m, j, j + 1), rho.shape)
-        gap = max(gap, frobenius_distance(rho.matrix,
-                                          conjugate_by_basis_map(rho.matrix, bmap)))
-    return gap
+    return frobenius_distance(rho.matrix, twirl_matrix(rho.matrix, rho.shape))
 
 
 def check_ssc(rho: DensityOperator, tol: float = DEFAULT_TOL):

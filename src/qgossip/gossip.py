@@ -34,7 +34,7 @@ from .linalg import (MAX_SUPEROP_DIM, NetworkShape, as_operator,
 from .rng import draw_index, make_rng, trial_rng
 from .states import (DensityOperator, KrausChannel, Observable, Permutation,
                      basis_index_map, conjugate_by_basis_map, dual_apply,
-                     is_permutation_invariant, lift_local,
+                     is_permutation_invariant, lift_local, local_expectations,
                      local_hermitian_basis, site_average, swap_unitary,
                      twirl_matrix)
 
@@ -49,10 +49,11 @@ CONSERVATION_TOL = 1e-10
 class InteractionGraph:
     """Undirected interaction graph on sites 1..m with positive edge weights.
 
-    Edges are stored as sorted (j, k) pairs without duplicates; weights
-    default to uniform and must sum to one within 1e-12. A graph may be
-    disconnected (evolution then only symmetrizes within components) but
-    consumers that need global consensus warn or reject accordingly.
+    Edges are pairs of integer sites (bools, floats and strings are rejected,
+    never truncated), stored sorted without duplicates. Weights are real
+    numbers in (0, 1] that default to uniform and sum to one within 1e-12. A
+    graph may be disconnected (evolution then only symmetrizes within
+    components) but consumers that need global consensus warn or reject.
     """
 
     __slots__ = ("shape", "edges", "weights")
@@ -62,8 +63,12 @@ class InteractionGraph:
         norm_edges = []
         seen = set()
         for e in edges:
+            if (not isinstance(e, (list, tuple, np.ndarray)) or len(e) != 2
+                    or any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                           for v in e)):
+                raise ValidationError(f"edge {e!r} must be a pair of integer site labels")
             pair = tuple(sorted(int(v) for v in e))
-            if len(pair) != 2 or pair[0] == pair[1]:
+            if pair[0] == pair[1]:
                 raise ValidationError(f"edge {e!r} must join two distinct sites")
             if not (1 <= pair[0] < pair[1] <= shape.m):
                 raise ValidationError(f"edge {e!r} outside sites 1..{shape.m}")
@@ -74,12 +79,15 @@ class InteractionGraph:
         if weights is None:
             w = [1.0 / len(norm_edges)] * len(norm_edges) if norm_edges else []
         else:
+            if any(isinstance(x, bool)
+                   or not isinstance(x, (int, float, np.integer, np.floating))
+                   or not 0.0 < x <= 1.0 for x in weights):
+                raise ValidationError(
+                    f"edge weights must be real numbers in (0, 1], got {list(weights)!r}")
             w = [float(x) for x in weights]
             if len(w) != len(norm_edges):
                 raise ValidationError(
                     f"{len(w)} weights for {len(norm_edges)} edges")
-            if any(x <= 0.0 for x in w):
-                raise ValidationError("edge weights must be positive")
             if norm_edges and abs(sum(w) - 1.0) > 1e-12:
                 raise ValidationError(f"edge weights sum to {sum(w)!r}, not 1")
         object.__setattr__(self, "shape", shape)
@@ -230,15 +238,6 @@ class TrajectoryRecord:
         return len(self.edges)
 
 
-def _local_expectations(rho_mat: np.ndarray, shape: NetworkShape,
-                        sigma_mat: np.ndarray) -> np.ndarray:
-    z = np.empty(shape.m)
-    for i in shape.sites():
-        red = linalg.partial_trace(rho_mat, shape, {i})
-        z[i - 1] = np.einsum("ij,ji->", red, sigma_mat).real
-    return z
-
-
 def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
            sigma) -> tuple[TrajectoryRecord, DensityOperator]:
     """Run a gossip trajectory, recording consensus diagnostics at every step.
@@ -283,7 +282,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     mat = rho0.matrix.copy()
 
     def record(t: int):
-        z[t] = _local_expectations(mat, shape, obs.matrix)
+        z[t] = local_expectations(mat, shape, obs.matrix)
         s_expect[t] = np.einsum("ij,ji->", s_mat, mat).real
         gap_arr[t] = _ssc_gap(DensityOperator.trusted(mat, shape))
         defect_arr[t] = max(1.0 - np.einsum("ij,ji->", proj_sym, mat).real, 0.0)
@@ -577,8 +576,8 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
             drift = max(drift, abs(
                 float(np.einsum("ij,ji->", s_mat, mat).real) - target))
         star = twirl_matrix(rho0.matrix, shape)
-        z_final = _local_expectations(mat, shape, probe)
-        z_star = _local_expectations(star, shape, probe)
+        z_final = local_expectations(mat, shape, probe)
+        z_star = local_expectations(star, shape, probe)
         if decomposable:
             limit_dev = max(limit_dev,
                             float(np.max(np.abs(z_final - target))),
@@ -647,7 +646,7 @@ class ConvergenceExperiment:
     successes: int
     empirical_probability: float
     max_final_sq_distance: float
-    monotone: bool
+    max_distance_increase: float
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -663,7 +662,8 @@ def probability_one_convergence_experiment(
     ``rho* = twirl(rho_0)``. The distance must never increase along any
     trajectory; an increase beyond 1e-12 raises ConsistencyError (hard
     failure, since every gossip channel fixes rho* and contracts Frobenius
-    distances). Per-trial randomness comes from the documented sub-seed
+    distances); ``max_distance_increase`` is the largest rise observed (0.0
+    if none). Per-trial randomness comes from the documented sub-seed
     splitting rule, so results are reproducible and trials independent.
     """
     shape = rho0.shape
@@ -678,6 +678,7 @@ def probability_one_convergence_experiment(
     cum = np.cumsum(graph.weights)
     successes = 0
     worst_final = 0.0
+    worst_rise = 0.0
     for trial in range(num_trials):
         rng = trial_rng(seed, trial)
         mat = rho0.matrix.copy()
@@ -692,6 +693,7 @@ def probability_one_convergence_experiment(
                 raise ConsistencyError(
                     f"squared distance to the twirl increased by "
                     f"{new_dist - dist:.3e} in trial {trial}")
+            worst_rise = max(worst_rise, new_dist - dist)
             dist = new_dist
         worst_final = max(worst_final, dist)
         if dist <= eps:
@@ -699,4 +701,4 @@ def probability_one_convergence_experiment(
     return ConvergenceExperiment(
         num_trials=num_trials, horizon=horizon, eps=eps, successes=successes,
         empirical_probability=successes / num_trials,
-        max_final_sq_distance=worst_final, monotone=True)
+        max_final_sq_distance=worst_final, max_distance_increase=worst_rise)

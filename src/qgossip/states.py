@@ -11,15 +11,13 @@ convention under which
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import (ConsistencyError, DimensionError, ResourceLimitError,
-                     ValidationError)
+from .errors import ConsistencyError, DimensionError, ValidationError
 from .linalg import NetworkShape, as_operator, eigh, kron, kron_all, require_hermitian
 from .rng import complex_ginibre, make_rng
 
@@ -32,7 +30,6 @@ PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z, "identity": I2}
 
 TRACE_TOL = 1e-10
 KRAUS_TOL = 1e-10
-MAX_FACTORIAL_M = 8  # twirl enumerates m! permutations; 8! = 40320
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +92,6 @@ class Permutation:
         if self.m != other.m:
             raise DimensionError("permutation sizes differ")
         return Permutation([other(self(i)) for i in range(1, self.m + 1)])
-
-
-def all_permutations(m: int) -> Iterator[Permutation]:
-    """All m! permutations; refuses m beyond the factorial cap."""
-    if m > MAX_FACTORIAL_M:
-        raise ResourceLimitError(
-            f"enumerating {m}! permutations exceeds the cap {MAX_FACTORIAL_M}!")
-    for mp in itertools.permutations(range(1, m + 1)):
-        yield Permutation(mp)
 
 
 @lru_cache(maxsize=256)
@@ -263,6 +251,16 @@ class DensityOperator:
         return float(np.real(np.einsum("ij,ji->", self.matrix, self.matrix)))
 
 
+def local_expectations(x: np.ndarray, shape: NetworkShape,
+                       sigma: np.ndarray) -> np.ndarray:
+    """``z_i = Tr[sigma^(i) x] = Tr[sigma x_bar_i]``, one partial trace per site."""
+    z = np.empty(shape.m)
+    for i in shape.sites():
+        red = linalg.partial_trace(x, shape, {i})
+        z[i - 1] = np.einsum("ij,ji->", red, sigma).real
+    return z
+
+
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Base-e von Neumann entropy; zero eigenvalues contribute nothing."""
     evals = np.linalg.eigvalsh(rho.matrix)
@@ -337,7 +335,15 @@ class Observable:
 # ---------------------------------------------------------------------------
 
 def twirl_matrix(x: np.ndarray, shape: NetworkShape) -> np.ndarray:
-    """``(1/m!) sum_pi U_pi x U_pi^dagger`` via basis relabelling.
+    """``(1/m!) sum_pi U_pi x U_pi^dagger`` as a product of coset averages.
+
+    Every pi in S_k factors uniquely as ``sigma tau`` with sigma in S_(k-1)
+    and tau in {id, (1 k), ..., (k-1 k)}, so the group average is
+    ``C_2 o C_3 o ... o C_m`` with
+    ``C_k(X) = (X + sum_(j<k) U_(j k) X U_(j k)) / k``. That takes
+    m(m-1)/2 basis relabellings instead of m!, and the result is the exact
+    twirl at every m. The argument is never modified; the result is a new
+    array.
 
     The sum runs over the whole group, so this is also the Heisenberg-picture
     twirl ``(1/m!) sum_pi U_pi^dagger x U_pi`` of an observable.
@@ -345,13 +351,14 @@ def twirl_matrix(x: np.ndarray, shape: NetworkShape) -> np.ndarray:
     a = as_operator(x)
     if a.shape[0] != shape.total_dim:
         raise DimensionError("operator does not match the network shape")
-    acc = np.zeros_like(a)
-    count = 0
-    for perm in all_permutations(shape.m):
-        bmap = basis_index_map(perm, shape)
-        acc += conjugate_by_basis_map(a, bmap)
-        count += 1
-    return acc / count
+    for k in range(2, shape.m + 1):
+        acc = a.copy()
+        for j in range(1, k):
+            bmap = basis_index_map(Permutation.transposition(shape.m, j, k), shape)
+            acc += conjugate_by_basis_map(a, bmap)
+        acc /= k
+        a = acc
+    return a if shape.m > 1 else a.copy()
 
 
 def twirl(rho: DensityOperator) -> DensityOperator:

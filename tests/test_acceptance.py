@@ -102,7 +102,7 @@ def test_criterion_3_randomized_convergence_ensemble():
     rho0 = qg.random_density(shape, 2024)
     exp = qg.probability_one_convergence_experiment(
         graph, 0.5, rho0, eps=1e-10, num_trials=200, horizon=500, seed=777)
-    assert exp.monotone  # any distance increase raises inside the experiment
+    assert exp.max_distance_increase <= 1e-12
     assert exp.empirical_probability >= 0.99
     assert exp.max_final_sq_distance <= 1e-10
     elapsed = time.monotonic() - started

@@ -139,6 +139,9 @@ def test_evolve_invalid_scenario(tmp_path):
     assert cli.main(["evolve", scn]) == 1
     scn = write_scenario(tmp_path, gossip={"cycle_order": [[1, 2], [2, 3]]})
     assert cli.main(["evolve", scn]) == 1
+    scn = write_scenario(tmp_path, graph={"weights": [float("nan"), 0.5]},
+                         gossip={"strategy": "random", "seed": 3})
+    assert cli.main(["evolve", scn]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +243,7 @@ def test_ensemble_small_run(tmp_path):
     payload = json.loads((out / "scn_ensemble.json").read_text())
     assert payload["successes"] == 10
     assert payload["empirical_probability"] == 1.0
-    assert payload["monotone"] is True
+    assert payload["max_distance_increase"] <= 1e-12
 
 
 def test_ensemble_requires_seed(tmp_path):

@@ -571,7 +571,7 @@ def test_probability_one_convergence_small():
         g, 0.5, rho, eps=1e-10, num_trials=20, horizon=300, seed=2024)
     assert exp.successes == 20
     assert exp.empirical_probability == 1.0
-    assert exp.monotone
+    assert exp.max_distance_increase <= 1e-12
     assert exp.max_final_sq_distance <= 1e-10
 
 

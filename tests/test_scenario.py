@@ -84,6 +84,14 @@ def test_schema_version_is_enforced(tmp_path):
     (lambda d: d["shape"].pop("n"), r"shape\.n"),
     (lambda d: d["graph"].update(edges=[[1, 5]]), "graph:"),
     (lambda d: d["graph"].update(weights=[0.9, 0.9]), "graph:"),
+    (lambda d: d["graph"].update(edges=[[1.7, 2], [2, 3]]), "graph:"),
+    (lambda d: d["graph"].update(edges=[[True, 2], [2, 3]]), "graph:"),
+    (lambda d: d["graph"].update(edges=[["1", 2], [2, 3]]), "graph:"),
+    (lambda d: d["graph"].update(edges=[[[1], 2], [2, 3]]), "graph:"),
+    (lambda d: d["graph"].update(edges=[None, [2, 3]]), "graph:"),
+    (lambda d: d["graph"].update(weights=["0.5", "0.5"]), "graph:"),
+    (lambda d: d["graph"].update(weights=[True, 1e-13]), "graph:"),
+    (lambda d: d["graph"].update(weights=[float("nan"), 0.5]), "graph:"),
     (lambda d: d["gossip"].update(alpha=1.5), "gossip:"),
     (lambda d: d["gossip"].update(strategy="turbo"), "gossip:"),
     (lambda d: d["gossip"].update(steps=-2), "gossip:"),

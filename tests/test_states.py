@@ -1,19 +1,22 @@
 """Tests for states, observables, permutations, twirling, and channels."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import qgossip as qg
+from qgossip.consensus import ssc_gap
 from qgossip.rng import complex_ginibre, make_rng
-from qgossip.states import (Permutation, all_permutations, basis_index_map,
-                            conjugate_by_basis_map, is_permutation_invariant,
-                            local_hermitian_basis, parse_sigma)
+from qgossip.states import (Permutation, basis_index_map, conjugate_by_basis_map,
+                            is_permutation_invariant, local_hermitian_basis,
+                            parse_sigma)
 
 SZ = qg.PAULI["z"]
 SX = qg.PAULI["x"]
 SY = qg.PAULI["y"]
+S3 = [Permutation(mp) for mp in itertools.permutations((1, 2, 3))]
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +49,6 @@ def test_permutation_helpers():
     assert all(ident(i) == i for i in (1, 2, 3))
     tr = Permutation.transposition(3, 1, 3)
     assert tr(1) == 3 and tr(3) == 1 and tr(2) == 2
-    assert list(all_permutations(2)) == [Permutation([1, 2]), Permutation([2, 1])]
-    assert len(list(all_permutations(3))) == 6
 
 
 def test_permutation_unitary_relabels_sites():
@@ -56,7 +57,7 @@ def test_permutation_unitary_relabels_sites():
     shape = qg.NetworkShape(3, 2)
     xs = [complex_ginibre(rng, 2) for _ in range(3)]
     joint = qg.kron_all(xs)
-    for perm in all_permutations(3):
+    for perm in S3:
         u = qg.permutation_unitary(perm, shape)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
         expected = qg.kron_all([xs[perm(i) - 1] for i in (1, 2, 3)])
@@ -74,7 +75,7 @@ def test_permutation_unitary_qutrit_swap():
 def test_compose_matches_unitary_product():
     # compose is defined so that U_{p.compose(q)} == U_p @ U_q
     shape = qg.NetworkShape(3, 2)
-    for p, q in itertools.product(all_permutations(3), repeat=2):
+    for p, q in itertools.product(S3, repeat=2):
         up = qg.permutation_unitary(p, shape)
         uq = qg.permutation_unitary(q, shape)
         ur = qg.permutation_unitary(p.compose(q), shape)
@@ -85,7 +86,7 @@ def test_basis_index_map_consistent_with_unitary():
     shape = qg.NetworkShape(3, 2)
     rng = make_rng(33)
     x = complex_ginibre(rng, 8)
-    for perm in all_permutations(3):
+    for perm in S3:
         u = qg.permutation_unitary(perm, shape)
         bmap = basis_index_map(perm, shape)
         np.testing.assert_allclose(conjugate_by_basis_map(x, bmap),
@@ -293,11 +294,33 @@ def test_twirl_is_orthogonal_projection():
         assert qg.frobenius_distance(rho.matrix, star.matrix + 0.1 * pert) >= base - 1e-12
 
 
-def test_twirl_factorial_cap():
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3),
+                                 (2, 4)])
+def test_twirl_matches_permutation_enumeration(m, n):
+    # the coset product against the brute-force m! sum, on a non-Hermitian X
+    shape = qg.NetworkShape(m, n)
+    x = complex_ginibre(make_rng(1000 + 10 * m + n), shape.total_dim)
+    x_in = x.copy()
+    brute = np.zeros_like(x)
+    for mp in itertools.permutations(range(1, m + 1)):
+        brute += conjugate_by_basis_map(x, basis_index_map(Permutation(mp), shape))
+    brute /= math.factorial(m)
+    got = qg.twirl_matrix(x, shape)
+    np.testing.assert_allclose(got, brute, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(x, x_in)
+    assert not np.shares_memory(got, x)
+
+
+def test_twirl_is_exact_beyond_eight_sites():
+    # |101010101> twirls to the uniform mixture over its C(9,5) type class
     shape = qg.NetworkShape(9, 2)
-    rho = qg.DensityOperator.from_ket(qg.basis_ket("0" * 9, 2), shape)
-    with pytest.raises(qg.ResourceLimitError):
-        qg.twirl(rho)
+    rho = qg.DensityOperator.from_ket(qg.basis_ket("101010101", 2), shape)
+    type_class = [x for x in range(512) if bin(x).count("1") == 5]
+    expected = np.zeros((512, 512), dtype=np.complex128)
+    expected[type_class, type_class] = 1.0 / math.comb(9, 5)
+    np.testing.assert_allclose(qg.twirl(rho).matrix, expected, rtol=0, atol=1e-15)
+    assert ssc_gap(rho) == pytest.approx(
+        math.sqrt(1.0 - 1.0 / math.comb(9, 5)), abs=1e-14)
 
 
 def test_twirl_observable_of_lift_is_site_average():
