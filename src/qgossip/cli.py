@@ -2,7 +2,7 @@
 
 Subcommands: classify, evolve, spectrum, correspond, nogo, ensemble.
 Exit codes: 0 success, 1 validation error, 2 failed certificate or internal
-consistency fault, 3 resource cap exceeded.
+consistency fault, 3 resource cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -311,6 +311,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error (resource cap): {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error (resource cap): out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 3
     except (CertificateError, ConsistencyError) as exc:
         print(f"error (certificate): {exc}", file=sys.stderr)

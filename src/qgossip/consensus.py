@@ -27,8 +27,8 @@ import numpy as np
 from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .linalg import NetworkShape, as_operator, eigh, frobenius_distance, kron_all
-from .states import (DensityOperator, Observable, PAULI, lift_local,
-                     local_expectations, local_hermitian_basis, twirl_matrix)
+from .states import (DensityOperator, Observable, PAULI, local_expectations,
+                     local_hermitian_basis, twirl_matrix)
 
 DEFAULT_TOL = 1e-8
 
@@ -122,30 +122,35 @@ def smc_pairwise_gap(rho: DensityOperator, sigma: Observable) -> float:
 
     ``max_{j,k!=l} |Tr[Pi_j^(k) Pi_j^(l) rho] - Tr[Pi_j^(l) rho]|``, the
     definition the symmetrized projector criterion compresses.
+
+    Computed from reduced states, with no d x d lift: the single-site terms
+    are ``Tr[Pi_j rho_l]`` and, since ``Pi_j^(k)`` and ``Pi_j^(l)`` act on
+    different sites, the joint term is ``Tr[(Pi_j (x) Pi_j) rho_kl]``, which
+    is symmetric in (k, l). That is m one-site and m(m-1)/2 two-site partial
+    traces, O(m^2 d^2) in all.
     """
     shape = rho.shape
-    lifted = [[lift_local(p, i, shape) for i in shape.sites()]
-              for p in sigma.projectors]
+    singles = np.array([[np.einsum("ij,ji->", p, red).real
+                         for p in sigma.projectors]
+                        for red in reduced_states(rho)])
+    pair_projectors = [np.kron(p, p) for p in sigma.projectors]
     gap = 0.0
-    for j in range(len(sigma.projectors)):
-        for k in range(shape.m):
-            for l in range(shape.m):
-                if k == l:
-                    continue
-                joint = np.einsum("ij,jk,ki->", lifted[j][k], lifted[j][l],
-                                  rho.matrix).real
-                single = np.einsum("ij,ji->", lifted[j][l], rho.matrix).real
-                gap = max(gap, abs(joint - single))
+    for k, l in itertools.combinations(shape.sites(), 2):
+        rho_kl = linalg.partial_trace(rho.matrix, shape, {k, l})
+        for j, pp in enumerate(pair_projectors):
+            joint = np.einsum("ij,ji->", pp, rho_kl).real
+            gap = max(gap, abs(joint - singles[k - 1, j]),
+                      abs(joint - singles[l - 1, j]))
     return float(gap)
 
 
-def check_smc(rho: DensityOperator, sigma: Observable, tol: float = DEFAULT_TOL,
-              cross_validate: bool = True):
+def check_smc(rho: DensityOperator, sigma: Observable, tol: float = DEFAULT_TOL):
     """Return (flag, defect) with defect = 1 - Tr[Pi_sym rho] in [0, 1].
 
-    The verdict is cross-validated against the raw pairwise definition; a
-    disagreement at the same tolerance indicates an internal fault and raises
-    ConsistencyError.
+    The verdict is cross-validated against the raw pairwise definition, which
+    takes an independent route (partial traces instead of the Kronecker-built
+    ``Pi_sym``); a disagreement at the same tolerance indicates an internal
+    fault and raises ConsistencyError.
     """
     if sigma.dim != rho.shape.n:
         raise ValidationError("observable dimension does not match the network")
@@ -153,12 +158,11 @@ def check_smc(rho: DensityOperator, sigma: Observable, tol: float = DEFAULT_TOL,
     overlap = np.einsum("ij,ji->", proj.matrix, rho.matrix).real
     defect = float(max(1.0 - overlap, 0.0))
     flag = defect <= tol
-    if cross_validate:
-        pairwise = smc_pairwise_gap(rho, sigma)
-        if (pairwise <= tol) != flag:
-            raise ConsistencyError(
-                f"symmetrized-projector defect {defect:.3e} and pairwise gap "
-                f"{pairwise:.3e} disagree at tolerance {tol:.1e}")
+    pairwise = smc_pairwise_gap(rho, sigma)
+    if (pairwise <= tol) != flag:
+        raise ConsistencyError(
+            f"symmetrized-projector defect {defect:.3e} and pairwise gap "
+            f"{pairwise:.3e} disagree at tolerance {tol:.1e}")
     return flag, defect
 
 

@@ -32,11 +32,11 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .linalg import (MAX_SUPEROP_DIM, NetworkShape, as_operator,
                      require_hermitian, unvectorize, vectorize)
 from .rng import draw_index, make_rng, trial_rng
-from .states import (DensityOperator, KrausChannel, Observable, Permutation,
-                     basis_index_map, conjugate_by_basis_map, dual_apply,
+from .states import (DensityOperator, KrausChannel, Observable,
+                     conjugate_by_basis_map, dual_apply,
                      is_permutation_invariant, lift_local, local_expectations,
                      local_hermitian_basis, site_average, swap_unitary,
-                     twirl_matrix)
+                     transposition_maps, twirl_matrix)
 
 STRATEGIES = ("random", "cyclic", "synchronous", "expected")
 CONSERVATION_TOL = 1e-10
@@ -179,8 +179,8 @@ def _check_cycle_order(order, graph: InteractionGraph) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _edge_basis_map(edge, shape: NetworkShape) -> np.ndarray:
-    j, k = edge
-    return basis_index_map(Permutation.transposition(shape.m, j, k), shape)
+    """The shared read-only basis map of the swap on a normalized ``(j, k)`` edge."""
+    return transposition_maps(shape.m, shape.n)[edge]
 
 
 def gossip_channel(edge, alpha: float, shape: NetworkShape) -> KrausChannel:

@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -75,12 +75,11 @@ class Scenario:
     stem: str
     sha256: str
     path: str
+    rho0: DensityOperator = field(repr=False, compare=False)
 
     def initial_state(self) -> DensityOperator:
-        try:
-            return named_state(self.initial_state_spec, self.shape)
-        except ValidationError as exc:
-            raise ScenarioError(f"initial_state: {exc}") from exc
+        """The state built once by :func:`load_scenario` (immutable, shared)."""
+        return self.rho0
 
     def sigma(self) -> Observable:
         spec = self.sigma_spec
@@ -165,12 +164,15 @@ def load_scenario(path) -> Scenario:
     out_dir = _optional(outputs, "directory", str, "outputs", default=".")
     stem = _optional(outputs, "stem", str, "outputs", default=p.stem)
 
+    try:
+        rho0 = named_state(state_spec, shape)
+    except ValidationError as exc:
+        raise ScenarioError(f"initial_state: {exc}") from exc
     scenario = Scenario(shape=shape, graph=graph, config=config,
                         initial_state_spec=state_spec, sigma_spec=sigma_spec,
                         out_directory=out_dir, stem=stem, sha256=sha,
-                        path=str(p))
-    # fail fast on specs that cannot build
-    scenario.initial_state()
+                        path=str(p), rho0=rho0)
+    # fail fast on a sigma that cannot build
     scenario.sigma()
     return scenario
 

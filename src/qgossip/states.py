@@ -11,7 +11,9 @@ convention under which
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +104,22 @@ def _site_digits(m: int, n: int) -> np.ndarray:
     for i in range(m):
         digits[:, i] = (idx // n ** (m - 1 - i)) % n
     return digits
+
+
+@lru_cache(maxsize=16)
+def transposition_maps(m: int, n: int) -> MappingProxyType:
+    """Read-only ``{(j, k): basis_index_map((j k))}`` for all 1 <= j < k <= m.
+
+    Built once per shape and shared by every caller: m(m-1)/2 int64 arrays
+    of length n**m (2.2 MB at m=12, n=2).
+    """
+    shape = NetworkShape(m, n)
+    maps = {}
+    for j, k in itertools.combinations(shape.sites(), 2):
+        bmap = basis_index_map(Permutation.transposition(m, j, k), shape)
+        bmap.setflags(write=False)
+        maps[j, k] = bmap
+    return MappingProxyType(maps)
 
 
 def basis_index_map(perm: Permutation, shape: NetworkShape) -> np.ndarray:
@@ -351,11 +369,11 @@ def twirl_matrix(x: np.ndarray, shape: NetworkShape) -> np.ndarray:
     a = as_operator(x)
     if a.shape[0] != shape.total_dim:
         raise DimensionError("operator does not match the network shape")
+    maps = transposition_maps(shape.m, shape.n)
     for k in range(2, shape.m + 1):
         acc = a.copy()
         for j in range(1, k):
-            bmap = basis_index_map(Permutation.transposition(shape.m, j, k), shape)
-            acc += conjugate_by_basis_map(a, bmap)
+            acc += conjugate_by_basis_map(a, maps[j, k])
         acc /= k
         a = acc
     return a if shape.m > 1 else a.copy()
@@ -374,9 +392,9 @@ def twirl(rho: DensityOperator) -> DensityOperator:
 def is_permutation_invariant(x: np.ndarray, shape: NetworkShape, tol: float = 1e-10) -> bool:
     """Invariance under all adjacent transpositions (they generate S_m)."""
     a = as_operator(x)
+    maps = transposition_maps(shape.m, shape.n)
     for j in range(1, shape.m):
-        bmap = basis_index_map(Permutation.transposition(shape.m, j, j + 1), shape)
-        if np.max(np.abs(conjugate_by_basis_map(a, bmap) - a)) > tol:
+        if np.max(np.abs(conjugate_by_basis_map(a, maps[j, j + 1]) - a)) > tol:
             return False
     return True
 

@@ -130,6 +130,21 @@ def test_evolve_honors_env_out_dir(tmp_path, monkeypatch):
     assert (flag_dir / "scn_trajectory.csv").exists()
 
 
+def test_evolve_builds_random_initial_state_once(tmp_path, monkeypatch):
+    import qgossip.states as states
+    calls = []
+    original = states.random_density
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(states, "random_density", counting)
+    scn = write_scenario(tmp_path, initial_state="random:31",
+                         gossip={"strategy": "random", "seed": 4, "steps": 5})
+    assert cli.main(["evolve", scn, "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 def test_evolve_missing_scenario(tmp_path):
     assert cli.main(["evolve", str(tmp_path / "nope.json")]) == 1
 
@@ -169,6 +184,16 @@ def test_spectrum_resource_cap(tmp_path, capsys):
         initial_state="1000000")
     assert cli.main(["spectrum", scn]) == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+def test_memory_error_maps_to_exit_3(monkeypatch, capsys):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+    monkeypatch.setattr(cli, "classify", exhausted)
+    assert cli.main(["classify", "--state", "rhoB", "--sigma", "z"]) == 3
+    err = capsys.readouterr().err
+    assert "error (resource cap): out of memory" in err
+    assert "Traceback" not in err
 
 
 def test_certificate_failure_maps_to_exit_2(tmp_path, monkeypatch, capsys):

@@ -125,6 +125,62 @@ def test_smc_pairwise_gap_values():
                                Observable(SZ)) == pytest.approx(0.0, abs=1e-12)
 
 
+def dense_lift_pairwise_gap(rho, sigma):
+    """Brute-force oracle: the pairwise SMC gap from dense d x d lifts."""
+    shape = rho.shape
+    lifted = [[qg.lift_local(p, i, shape) for i in shape.sites()]
+              for p in sigma.projectors]
+    gap = 0.0
+    for j in range(len(sigma.projectors)):
+        for k in range(shape.m):
+            for l in range(shape.m):
+                if k == l:
+                    continue
+                joint = np.einsum("ij,jk,ki->", lifted[j][k], lifted[j][l],
+                                  rho.matrix).real
+                single = np.einsum("ij,ji->", lifted[j][l], rho.matrix).real
+                gap = max(gap, abs(joint - single))
+    return float(gap)
+
+
+def _oracle_sigmas(n):
+    sigmas = {"random": qg.random_hermitian(n, 17 + n),
+              "degenerate": np.diag([1.0, 1.0] + [0.0] * (n - 2))}
+    if n == 2:
+        sigmas.update((name, qg.PAULI[name]) for name in ("x", "y", "z"))
+    return sigmas
+
+
+@pytest.mark.parametrize("m,n,sigma_name", [
+    (m, n, name)
+    for m, n in [(2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (2, 4)]
+    for name in _oracle_sigmas(n)])
+def test_smc_pairwise_gap_matches_dense_lift_oracle(m, n, sigma_name):
+    shape = qg.NetworkShape(m, n)
+    obs = Observable(_oracle_sigmas(n)[sigma_name])
+    digits = "".join(str((i + 1) % n) for i in range(m))
+    states = [qg.random_density(shape, 100 * m + n),
+              qg.named_state(digits, shape),
+              qg.rho_g(0.3, m=m, n=n)]
+    for rho in states:
+        expected = dense_lift_pairwise_gap(rho, obs)
+        assert qg.smc_pairwise_gap(rho, obs) == pytest.approx(expected, abs=1e-13)
+
+
+def test_smc_pairwise_gap_allocates_no_joint_matrix():
+    import tracemalloc
+    rho = qg.random_density(qg.NetworkShape(8, 2), 5)
+    obs = Observable(SX)
+    qg.smc_pairwise_gap(rho, obs)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        qg.smc_pairwise_gap(rho, obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rho.matrix.nbytes // 16
+
+
 def test_smc_defect_equivalent_to_projector_invariance():
     # zero defect exactly when Pi_sym rho Pi_sym == rho, both ways
     obs = Observable(SZ)

@@ -11,7 +11,7 @@ from qgossip.consensus import ssc_gap
 from qgossip.rng import complex_ginibre, make_rng
 from qgossip.states import (Permutation, basis_index_map, conjugate_by_basis_map,
                             is_permutation_invariant, local_hermitian_basis,
-                            parse_sigma)
+                            parse_sigma, transposition_maps)
 
 SZ = qg.PAULI["z"]
 SX = qg.PAULI["x"]
@@ -49,6 +49,20 @@ def test_permutation_helpers():
     assert all(ident(i) == i for i in (1, 2, 3))
     tr = Permutation.transposition(3, 1, 3)
     assert tr(1) == 3 and tr(3) == 1 and tr(2) == 2
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (4, 2), (3, 3)])
+def test_transposition_maps_are_shared_read_only_basis_maps(m, n):
+    shape = qg.NetworkShape(m, n)
+    maps = transposition_maps(m, n)
+    assert transposition_maps(m, n) is maps
+    assert sorted(maps) == list(itertools.combinations(range(1, m + 1), 2))
+    for (j, k), bmap in maps.items():
+        np.testing.assert_array_equal(
+            bmap, basis_index_map(Permutation.transposition(m, j, k), shape))
+        assert not bmap.flags.writeable
+    with pytest.raises(TypeError):
+        maps[1, 1] = None
 
 
 def test_permutation_unitary_relabels_sites():
