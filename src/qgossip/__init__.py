@@ -19,8 +19,9 @@ from .errors import (CertificateError, ConsistencyError, DimensionError,
 from .gossip import (ConvergenceExperiment, GossipConfig, InteractionGraph,
                      SpectralCertificate, Superoperator, TrajectoryRecord,
                      build_superoperator, commutant_dimension,
-                     cycle_superoperator, dual_fixed_point_check, evolve,
-                     fixed_point_space, gossip_channel, gossip_update,
+                     cycle_superoperator, dual_fixed_point_check,
+                     edge_schedule, evolve, fixed_point_space,
+                     gossip_channel, gossip_update,
                      probability_one_convergence_experiment, s_average_check,
                      spectral_certificate, synchronous_superoperator)
 from .linalg import (NetworkShape, eigh, frobenius_distance, kron, kron_all,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import CertificateError, ConsistencyError, ValidationError
 from .gossip import GossipConfig, InteractionGraph, TrajectoryRecord, evolve
-from .rng import draw_index, make_rng
 from .states import DensityOperator
 
 MEAN_TOL = 1e-13
@@ -74,15 +73,14 @@ class ClassicalTrajectory:
         return self.x[-1]
 
 
-def run_classical(x0, graph: InteractionGraph, alpha: float, steps: int = 0,
-                  strategy: str = "random", seed: int | None = None,
-                  cycle_order=None, edge_sequence=None) -> ClassicalTrajectory:
-    """Run classical gossip, mirroring the quantum edge-selection rules.
+def run_classical(x0, graph: InteractionGraph, alpha: float,
+                  edge_sequence) -> ClassicalTrajectory:
+    """Replay an edge sequence with classical gossip.
 
-    Either pass an explicit ``edge_sequence`` (a list of (j, k) pairs or
-    None entries for no-op steps, as exported by a quantum trajectory), or a
-    strategy; "random" uses the same inverse-CDF PCG64 stream as the quantum
-    engine, so equal seeds yield literally equal edge sequences.
+    ``edge_sequence`` lists (j, k) pairs, or None for a step that touches no
+    single edge (as a quantum trajectory records it). The edges come from
+    :func:`qgossip.gossip.edge_schedule`, so the quantum and classical
+    engines always apply the same sequence.
 
     The mean is checked for exact conservation (1e-13 per component per
     step) and W for monotone decrease (1e-12); violations raise
@@ -92,31 +90,14 @@ def run_classical(x0, graph: InteractionGraph, alpha: float, steps: int = 0,
     m = a.shape[0]
     if graph.shape.m != m:
         raise ValidationError(f"{m} node values for a graph on {graph.shape.m} sites")
-
-    if edge_sequence is not None:
-        schedule = list(edge_sequence)
-    else:
-        if strategy == "random":
-            if seed is None:
-                raise ValidationError("random strategy requires a seed")
-            rng = make_rng(seed)
-            cum = np.cumsum(graph.weights)
-            schedule = [graph.edges[draw_index(rng, cum)] for _ in range(steps)]
-        elif strategy == "cyclic":
-            order = GossipConfig(alpha=alpha, strategy="cyclic", steps=steps,
-                                 cycle_order=cycle_order).resolved_cycle_order(graph)
-            schedule = [graph.edges[order[t % len(order)]] for t in range(steps)]
-        else:
-            raise ValidationError(
-                f"classical gossip supports random/cyclic schedules, got {strategy!r}")
-
-    xs = np.empty((len(schedule) + 1,) + a.shape)
-    ws = np.empty(len(schedule) + 1)
+    edges = list(edge_sequence)
+    xs = np.empty((len(edges) + 1,) + a.shape)
+    ws = np.empty(len(edges) + 1)
     xs[0] = a
     ws[0] = disagreement(a)
     mean0 = a.mean(axis=0)
     cur = a
-    for t, edge in enumerate(schedule):
+    for t, edge in enumerate(edges):
         cur = classical_gossip_step(cur, edge, alpha) if edge is not None else cur.copy()
         xs[t + 1] = cur
         ws[t + 1] = disagreement(cur)
@@ -125,7 +106,7 @@ def run_classical(x0, graph: InteractionGraph, alpha: float, steps: int = 0,
         if ws[t + 1] > ws[t] + W_MONOTONE_TOL:
             raise ConsistencyError(
                 f"disagreement increased by {ws[t + 1] - ws[t]:.3e} at step {t + 1}")
-    return ClassicalTrajectory(alpha=alpha, edges=schedule, x=xs, disagreement=ws)
+    return ClassicalTrajectory(alpha=alpha, edges=edges, x=xs, disagreement=ws)
 
 
 @dataclass
@@ -154,8 +135,7 @@ def correspondence_run(rho0: DensityOperator, sigma, graph: InteractionGraph,
             "the correspondence is stated for single-edge schedules "
             "(random or cyclic)")
     rec, _ = evolve(rho0, graph, config, sigma)
-    classical = run_classical(rec.z[0], graph, config.alpha,
-                              edge_sequence=rec.edges)
+    classical = run_classical(rec.z[0], graph, config.alpha, rec.edges)
     deviation = float(np.max(np.abs(rec.z - classical.x[:, :, 0])))
     if deviation > fail_above:
         raise CertificateError(

@@ -328,26 +328,21 @@ class NogoReport:
 def nogo_check(n: int) -> NogoReport:
     """Probe simultaneous measurement consensus for a Fourier-conjugate pair.
 
-    Builds ``H = Pi_sym Pi'_sym Pi_sym`` on two n-dimensional subsystems,
-    where the primed projector comes from the discrete-Fourier conjugate
-    basis. A joint SMC state exists only if the top eigenvalue reaches 1;
-    ``feasible`` reports ``lambda_max >= 1 - 1e-10``. For n=2 the report also
+    Builds ``H = Pi_sym Pi'_sym Pi_sym`` on two n-dimensional subsystems
+    from the symmetrized projectors of ``diag(0..n-1)`` and of its
+    discrete-Fourier conjugate ``F diag(0..n-1) F^dagger``. A joint SMC
+    state exists only if the top eigenvalue reaches 1; ``feasible`` reports
+    ``lambda_max >= 1 - 1e-10``. For n=2 the report also
     carries the dimension of the joint fixed space of the three Pauli
     symmetrized projectors (zero: no state survives all three).
     """
     if not isinstance(n, int) or not 2 <= n <= 8:
         raise ValidationError(f"n must be an integer in 2..8, got {n!r}")
-    d = n * n
-    pi_sym = np.zeros((d, d), dtype=np.complex128)
-    for k in range(n):
-        idx = k * n + k
-        pi_sym[idx, idx] = 1.0
     j = np.arange(n)
+    levels = np.diag(j)
     fourier = np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-    pi_prime = np.zeros((d, d), dtype=np.complex128)
-    for k in range(n):
-        kk = np.kron(fourier[:, k], fourier[:, k])
-        pi_prime += np.outer(kk, kk.conj())
+    pi_sym = sym_projector(Observable(levels), 2).matrix
+    pi_prime = sym_projector(Observable(fourier @ levels @ fourier.conj().T), 2).matrix
     h = pi_sym @ pi_prime @ pi_sym
     lam_max = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[-1])
     feasible = lam_max >= 1.0 - 1e-10

@@ -21,9 +21,10 @@ references for tests and cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +41,8 @@ from .states import (DensityOperator, KrausChannel, Observable,
 
 STRATEGIES = ("random", "cyclic", "synchronous", "expected")
 CONSERVATION_TOL = 1e-10
+DISK_TOL = 1e-9           # spectral certificate: disk violation and unit eigenvalues
+DECOMPOSITION_TOL = 1e-10  # s_average_check: residual of S against single-site lifts
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +177,27 @@ def _check_cycle_order(order, graph: InteractionGraph) -> tuple[int, ...]:
     return order
 
 
+def edge_schedule(graph: InteractionGraph, config: GossipConfig,
+                  rng: np.random.Generator | None = None) -> Iterator[int | None]:
+    """The edge each step applies: an endless iterator of 0-based edge indices.
+
+    "random" draws one index per step by inverse CDF over the edge weights
+    (Boyd et al., randomized gossip) from ``make_rng(config.seed)``, or from
+    ``rng`` when given (the ensemble passes one sub-stream per trial);
+    "cyclic" repeats ``config.resolved_cycle_order(graph)``. Synchronous and
+    expected steps touch every edge at once and yield None, as does every
+    step on a graph with no edges. Both engines read their edges from here,
+    so classical replays see exactly the quantum sequence.
+    """
+    if config.strategy in ("synchronous", "expected") or not graph.edges:
+        return itertools.repeat(None)
+    if config.strategy == "cyclic":
+        return itertools.cycle(config.resolved_cycle_order(graph))
+    rng = make_rng(config.seed) if rng is None else rng
+    cum = np.cumsum(graph.weights)
+    return (draw_index(rng, cum) for _ in itertools.count())
+
+
 # ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
@@ -256,20 +280,17 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     obs = sigma if isinstance(sigma, Observable) else Observable(as_operator(sigma))
     if obs.dim != shape.n:
         raise ValidationError("sigma dimension does not match the network")
-    if shape.m > 1 and not graph.is_connected():
+    if shape.m > 1 and not graph.edges:
+        raise ValidationError(f"{config.strategy} strategy needs at least one edge")
+    if not graph.is_connected():
         warnings.warn("interaction graph is disconnected; consensus will be "
                       "blockwise only", stacklevel=2)
-    if config.strategy in ("random", "cyclic") and shape.m > 1 and not graph.edges:
-        raise ValidationError(f"{config.strategy} strategy needs at least one edge")
 
     proj_sym = sym_projector(obs, shape.m).matrix
     s_mat = site_average(obs.matrix, shape)
 
     bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
-    cum = np.cumsum(graph.weights) if graph.edges else np.array([])
-    order = (config.resolved_cycle_order(graph)
-             if config.strategy == "cyclic" and graph.edges else ())
-    rng = make_rng(config.seed) if config.strategy == "random" else None
+    schedule = edge_schedule(graph, config)
     alpha = config.alpha
 
     steps = config.steps
@@ -294,18 +315,13 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
         if config.stop_gap is not None and gap_arr[t] < config.stop_gap:
             termination = f"converged_at_step_{t}"
             break
-        if config.strategy in ("synchronous", "expected"):
-            mat = gossip_update(mat, bmaps, graph.weights, alpha)
-            edges_used.append(None)
-        elif not graph.edges:
-            edges_used.append(None)  # m=1 degenerate network: nothing to do
-        else:
-            if config.strategy == "random":
-                idx = draw_index(rng, cum)
-            else:
-                idx = order[t % len(order)]
+        idx = next(schedule)
+        if idx is not None:
             mat = gossip_update(mat, [bmaps[idx]], [1.0], alpha)
-            edges_used.append(graph.edges[idx])
+        elif graph.edges:
+            mat = gossip_update(mat, bmaps, graph.weights, alpha)
+        # else m=1: no edge, an identity step
+        edges_used.append(None if idx is None else graph.edges[idx])
         performed += 1
         record(performed)
         if abs(s_expect[performed] - s_expect[performed - 1]) > CONSERVATION_TOL:
@@ -424,8 +440,7 @@ class SpectralCertificate:
         return self.disk_ok
 
 
-def spectral_certificate(sop: Superoperator, q0: float,
-                         tol: float = 1e-9) -> SpectralCertificate:
+def spectral_certificate(sop: Superoperator, q0: float) -> SpectralCertificate:
     if not 0.0 < q0 <= 1.0:
         raise ValidationError(
             f"the certificate requires an identity weight q0 in (0, 1], got {q0}")
@@ -433,8 +448,8 @@ def spectral_certificate(sop: Superoperator, q0: float,
     max_imag = float(np.max(np.abs(evals.imag))) if evals.size else 0.0
     dists = np.abs(evals - q0)
     violation = float(np.max(dists - (1.0 - q0))) if evals.size else 0.0
-    disk_ok = violation <= tol
-    unit_mask = np.abs(evals - 1.0) <= tol
+    disk_ok = violation <= DISK_TOL
+    unit_mask = np.abs(evals - 1.0) <= DISK_TOL
     unit_count = int(np.sum(unit_mask))
     rest = np.abs(evals[~unit_mask])
     gap = float(1.0 - np.max(rest)) if rest.size else 1.0
@@ -526,15 +541,15 @@ class SAverageReport:
 
 def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
                     rho0_samples: Sequence[DensityOperator],
-                    tol: float = 1e-10, steps: int = 400) -> SAverageReport:
+                    steps: int = 400) -> SAverageReport:
     """Test whether a conserved S supports S-average consensus.
 
     ``S`` must be Hermitian and permutation invariant. The check projects S
     onto the span of single-site lifts: decomposable means
     ``S = (1/m) sum_i sigma^(i)`` for some local sigma (residual below
-    ``tol``; the recovered sigma is returned). For decomposable S each sample
-    state is driven by the synchronous map and the limiting local
-    expectations must all equal ``Tr[S rho_0]`` (reported as
+    ``DECOMPOSITION_TOL``; the recovered sigma is returned). For
+    decomposable S each sample state is driven by the synchronous map and
+    the limiting local expectations must all equal ``Tr[S rho_0]`` (reported as
     ``limit_deviation``, measured both on the evolved state and on the exact
     twirl limit). For non-decomposable S the trajectory still conserves
     ``Tr[S rho_t]`` (``conservation_drift``), but no local observable reaches
@@ -557,7 +572,7 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
     b = np.concatenate([b_vec.real, b_vec.imag])
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - b))
-    decomposable = residual <= tol
+    decomposable = residual <= DECOMPOSITION_TOL
     probe = sum(c * bm for c, bm in zip(coeffs, basis))
     probe = (probe + probe.conj().T) / 2.0
     sigma = probe if decomposable else None
@@ -673,19 +688,18 @@ def probability_one_convergence_experiment(
         raise ValidationError("the experiment needs at least one edge")
     if num_trials < 1 or horizon < 1:
         raise ValidationError("num_trials and horizon must be positive")
+    config = GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
     star = twirl_matrix(rho0.matrix, shape)
     bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
-    cum = np.cumsum(graph.weights)
     successes = 0
     worst_final = 0.0
     worst_rise = 0.0
     for trial in range(num_trials):
-        rng = trial_rng(seed, trial)
+        schedule = edge_schedule(graph, config, trial_rng(seed, trial))
         mat = rho0.matrix.copy()
         diff = mat - star
         dist = float(np.sum(np.abs(diff) ** 2))
-        for _ in range(horizon):
-            idx = draw_index(rng, cum)
+        for idx in itertools.islice(schedule, horizon):
             mat = gossip_update(mat, [bmaps[idx]], [1.0], alpha)
             diff = mat - star
             new_dist = float(np.sum(np.abs(diff) ** 2))

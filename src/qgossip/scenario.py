@@ -148,7 +148,7 @@ def load_scenario(path) -> Scenario:
                               seed=seed,
                               cycle_order=tuple(cycle_order) if cycle_order is not None else None,
                               stop_gap=stop_gap)
-        if strategy == "cyclic":
+        if strategy == "cyclic" and (graph.edges or cycle_order is not None):
             config.resolved_cycle_order(graph)
     except ValidationError as exc:
         raise ScenarioError(f"gossip: {exc}") from exc

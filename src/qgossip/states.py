@@ -32,6 +32,7 @@ PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z, "identity": I2}
 
 TRACE_TOL = 1e-10
 KRAUS_TOL = 1e-10
+GROUPING_TOL = 1e-8  # relative eigenvalue gap below which Observable merges projectors
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +214,9 @@ class DensityOperator:
 
     Construction checks hermiticity (max-entry 1e-9), unit trace (1e-10) and
     positive semidefiniteness (eigenvalues >= -1e-10). The matrix is frozen
-    after construction. Internal evolution code may skip the eigenvalue check
-    through :meth:`trusted` when positivity is guaranteed by construction
-    (convex mixtures of unitary conjugates of a validated state).
+    after construction. Internal code may skip the eigenvalue check through
+    :meth:`trusted` when positivity is guaranteed by construction (convex
+    mixtures of unitary conjugates of a validated state, ``G G^dagger``).
     """
 
     __slots__ = ("shape", "matrix")
@@ -294,7 +295,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 class Observable:
     """A Hermitian local observable with its grouped spectral decomposition.
 
-    Eigenvalues within ``grouping_tol`` times the spectral range collapse to
+    Eigenvalues within ``GROUPING_TOL`` times the spectral range collapse to
     one spectral projector; ``nondegenerate`` is true when every projector
     has rank one. The projector family satisfies sum = I and orthogonality to
     1e-10, checked at construction.
@@ -302,11 +303,11 @@ class Observable:
 
     __slots__ = ("matrix", "eigenvalues", "projectors")
 
-    def __init__(self, matrix, grouping_tol: float = 1e-8):
+    def __init__(self, matrix):
         a = require_hermitian(matrix, what="observable")
         w, v = eigh(a)
         spread = float(w[-1] - w[0])
-        thr = grouping_tol * spread if spread > 1e-14 else np.inf
+        thr = GROUPING_TOL * spread if spread > 1e-14 else np.inf
         groups: list[list[int]] = [[0]]
         for i in range(1, len(w)):
             if w[i] - w[groups[-1][0]] <= thr:
@@ -481,10 +482,14 @@ def dual_apply(channel: KrausChannel, observable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def random_density(shape: NetworkShape, seed: int) -> DensityOperator:
-    """Ginibre-ensemble state: ``G G^dagger / Tr[G G^dagger]``."""
+    """Ginibre-ensemble state: ``G G^dagger / Tr[G G^dagger]``.
+
+    ``G G^dagger`` is positive semidefinite by construction, so the state is
+    built without the O(d^3) eigenvalue check.
+    """
     g = complex_ginibre(make_rng(seed), shape.total_dim)
     gg = g @ g.conj().T
-    return DensityOperator(gg / np.trace(gg).real, shape)
+    return DensityOperator.trusted(gg / np.trace(gg).real, shape)
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:

@@ -126,7 +126,7 @@ def test_criterion_4_spectral_certificates():
     ]
     for graph, expected_dim in cases:
         sop = qg.synchronous_superoperator(graph, 0.5)
-        cert = qg.spectral_certificate(sop, q0=0.5, tol=1e-9)
+        cert = qg.spectral_certificate(sop, q0=0.5)
         assert cert.disk_ok
         assert cert.max_imag <= 1e-9
         ev = cert.eigenvalues.real

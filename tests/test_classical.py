@@ -1,5 +1,7 @@
 """Tests for classical pairwise averaging and the quantum correspondence."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,12 @@ def path_graph(m, n=2, weights=None):
     shape = qg.NetworkShape(m, n)
     return qg.InteractionGraph(shape, [(i, i + 1) for i in range(1, m)],
                                weights=weights)
+
+
+def schedule_edges(g, strategy, steps, seed=None):
+    """The first ``steps`` edges of the shared gossip schedule."""
+    cfg = qg.GossipConfig(alpha=0.5, strategy=strategy, steps=steps, seed=seed)
+    return [g.edges[i] for i in itertools.islice(qg.edge_schedule(g, cfg), steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +104,7 @@ def test_run_conserves_mean_and_decreases_disagreement():
     rng = make_rng(8)
     for seed in range(10):
         x0 = rng.standard_normal(4) * 5
-        traj = qg.run_classical(x0, g, 0.4, steps=80, strategy="random", seed=seed)
+        traj = qg.run_classical(x0, g, 0.4, schedule_edges(g, "random", 80, seed))
         np.testing.assert_allclose(traj.x[-1].mean(), x0.mean(), atol=1e-12)
         assert np.all(np.diff(traj.disagreement) <= 1e-12)
 
@@ -104,7 +112,7 @@ def test_run_conserves_mean_and_decreases_disagreement():
 def test_cyclic_run_converges_to_mean():
     g = path_graph(4)
     x0 = np.array([4.0, 0.0, -2.0, 6.0])
-    traj = qg.run_classical(x0, g, 0.5, steps=200, strategy="cyclic")
+    traj = qg.run_classical(x0, g, 0.5, schedule_edges(g, "cyclic", 200))
     np.testing.assert_allclose(traj.final_values()[:, 0], x0.mean(), atol=1e-10)
     assert traj.disagreement[-1] <= 1e-20
 
@@ -113,7 +121,7 @@ def test_randomized_runs_converge():
     g = path_graph(4)
     x0 = np.array([1.0, -1.0, 2.0, 0.0])
     for seed in range(50):
-        traj = qg.run_classical(x0, g, 0.5, steps=300, strategy="random", seed=seed)
+        traj = qg.run_classical(x0, g, 0.5, schedule_edges(g, "random", 300, seed))
         np.testing.assert_allclose(traj.final_values()[:, 0], x0.mean(), atol=1e-8)
 
 
@@ -124,8 +132,7 @@ def test_monotonicity_sweep_over_many_runs():
         x0 = rng.standard_normal(5) * 10
         alpha = float(rng.uniform(0.05, 0.95))
         # run_classical raises ConsistencyError on any W increase
-        traj = qg.run_classical(x0, g, alpha, steps=60, strategy="random",
-                                seed=trial)
+        traj = qg.run_classical(x0, g, alpha, schedule_edges(g, "random", 60, trial))
         assert traj.disagreement[-1] <= traj.disagreement[0] + 1e-12
 
 
@@ -142,22 +149,16 @@ def test_explicit_edge_sequence_with_noops():
 def test_run_validates_inputs():
     g = path_graph(3)
     with pytest.raises(qg.ValidationError):
-        qg.run_classical([1.0, 2.0], g, 0.5, steps=3, strategy="cyclic")
-    with pytest.raises(qg.ValidationError):
-        qg.run_classical([1.0, 2.0, 3.0], g, 0.5, steps=3, strategy="random")
-    with pytest.raises(qg.ValidationError):
-        qg.run_classical([1.0, 2.0, 3.0], g, 0.5, steps=3, strategy="synchronous")
+        qg.run_classical([1.0, 2.0], g, 0.5, schedule_edges(g, "cyclic", 3))
 
 
 def test_classical_matches_quantum_seed_stream():
-    # equal seeds draw literally equal edge sequences in both engines
+    # evolve records exactly the first `steps` edges of the shared schedule
     g = path_graph(3, weights=[0.3, 0.7])
     rho = qg.random_density(g.shape, 5)
     cfg = qg.GossipConfig(alpha=0.5, strategy="random", steps=40, seed=77)
     rec, _ = qg.evolve(rho, g, cfg, SZ)
-    traj = qg.run_classical(np.zeros(3), g, 0.5, steps=40, strategy="random",
-                            seed=77)
-    assert rec.edges == traj.edges
+    assert rec.edges == schedule_edges(g, "random", 40, seed=77)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,27 @@ def test_evolve_builds_random_initial_state_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_evolve_single_site_runs_identity_steps(tmp_path):
+    for strategy in ("random", "cyclic", "synchronous", "expected"):
+        scn = write_scenario(tmp_path, shape={"m": 1}, graph={"edges": []},
+                             initial_state="1",
+                             gossip={"strategy": strategy, "seed": 3, "steps": 3})
+        out = tmp_path / strategy
+        assert cli.main(["evolve", scn, "--out-dir", str(out)]) == 0
+        rows = [r.split(",") for r in
+                (out / "scn_trajectory.csv").read_text().splitlines()[2:]]
+        assert [r[0] for r in rows] == ["0", "1", "2", "3"]
+        assert all(r[2:] == rows[0][2:] for r in rows)  # z_1, S, gaps unchanged
+
+
+def test_evolve_rejects_edgeless_network(tmp_path, capsys):
+    for strategy in ("random", "cyclic", "synchronous", "expected"):
+        scn = write_scenario(tmp_path, graph={"edges": []},
+                             gossip={"strategy": strategy, "seed": 3})
+        assert cli.main(["evolve", scn]) == 1
+        assert f"{strategy} strategy needs at least one edge" in capsys.readouterr().err
+
+
 def test_evolve_missing_scenario(tmp_path):
     assert cli.main(["evolve", str(tmp_path / "nope.json")]) == 1
 

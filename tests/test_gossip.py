@@ -1,12 +1,14 @@
 """Tests for gossip channels, trajectories, superoperators, and certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgossip as qg
-from qgossip.rng import make_rng, trial_rng
+from qgossip.rng import draw_index, make_rng, trial_rng
 from qgossip.states import basis_index_map, conjugate_by_basis_map
 
 SZ = qg.PAULI["z"]
@@ -257,6 +259,53 @@ def test_stop_gap_terminates_early():
     assert rec.ssc_gap[-1] <= 1e-6
 
 
+def test_edge_schedule_streams():
+    g = path_graph(4, weights=[0.2, 0.5, 0.3])
+    cum = np.cumsum(g.weights)
+    cfg = qg.GossipConfig(alpha=0.5, strategy="random", steps=0, seed=41)
+    rng = make_rng(41)
+    assert list(itertools.islice(qg.edge_schedule(g, cfg), 50)) \
+        == [draw_index(rng, cum) for _ in range(50)]
+    # an explicit generator replaces the config seed (one sub-stream per trial)
+    rng = trial_rng(41, 3)
+    assert list(itertools.islice(qg.edge_schedule(g, cfg, trial_rng(41, 3)), 50)) \
+        == [draw_index(rng, cum) for _ in range(50)]
+    cyc = qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=0, cycle_order=(2, 0, 1, 0))
+    assert list(itertools.islice(qg.edge_schedule(g, cyc), 9)) \
+        == [2, 0, 1, 0, 2, 0, 1, 0, 2]
+    natural = qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=0)
+    assert list(itertools.islice(qg.edge_schedule(g, natural), 4)) == [0, 1, 2, 0]
+    for strategy in ("synchronous", "expected"):
+        sync = qg.GossipConfig(alpha=0.5, strategy=strategy, steps=0)
+        assert list(itertools.islice(qg.edge_schedule(g, sync), 3)) == [None] * 3
+    single = qg.InteractionGraph(qg.NetworkShape(1, 2), [])
+    for c in (cfg, natural):
+        assert list(itertools.islice(qg.edge_schedule(single, c), 3)) == [None] * 3
+
+
+def test_single_site_network_runs_identity_steps():
+    shape = qg.NetworkShape(1, 2)
+    g = qg.InteractionGraph(shape, [])
+    rho = qg.random_density(shape, 9)
+    for strategy in qg.gossip.STRATEGIES:
+        cfg = qg.GossipConfig(alpha=0.5, strategy=strategy, steps=3, seed=2)
+        rec, final = qg.evolve(rho, g, cfg, SZ)
+        assert rec.edges == [None] * 3
+        assert rec.termination == "steps_exhausted"
+        np.testing.assert_array_equal(final.matrix, rho.matrix)
+        np.testing.assert_array_equal(rec.z, np.repeat(rec.z[:1], 4, axis=0))
+
+
+def test_edgeless_network_is_rejected_by_every_strategy():
+    g = qg.InteractionGraph(qg.NetworkShape(3, 2), [])
+    rho = qg.random_density(g.shape, 10)
+    for strategy in qg.gossip.STRATEGIES:
+        cfg = qg.GossipConfig(alpha=0.5, strategy=strategy, steps=3, seed=2)
+        with pytest.raises(qg.ValidationError,
+                           match=f"{strategy} strategy needs at least one edge"):
+            qg.evolve(rho, g, cfg, SZ)
+
+
 def test_disconnected_graph_warns_and_misses_global_twirl():
     shape = qg.NetworkShape(4, 2)
     g = qg.InteractionGraph(shape, [(1, 2), (3, 4)])
@@ -376,6 +425,31 @@ def test_single_edge_update_is_bitwise_the_step(g, alpha, data):
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     assert np.array_equal(qg.gossip_update(x, [b], [1.0], alpha),
                           (1 - alpha) * x + alpha * conjugate_by_basis_map(x, b))
+
+
+@settings(max_examples=20, deadline=None)
+@given(g=weighted_graphs([(m, 2) for m in range(2, 6)]),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       data=st.data())
+def test_recorded_edges_are_the_schedule_prefix(g, alpha, data):
+    cover = list(range(len(g.edges)))
+    cover += data.draw(st.lists(st.sampled_from(cover), max_size=3))
+    order = tuple(data.draw(st.permutations(cover)))
+    seed = data.draw(st.integers(0, 2 ** 31))
+    rho = qg.random_density(g.shape, data.draw(st.integers(0, 2 ** 31)))
+    steps = 12
+    for strategy in ("random", "cyclic", "synchronous"):
+        cfg = qg.GossipConfig(
+            alpha=alpha, strategy=strategy, steps=steps, seed=seed,
+            cycle_order=order if strategy == "cyclic" else None)
+        prefix = [None if i is None else g.edges[i]
+                  for i in itertools.islice(qg.edge_schedule(g, cfg), steps)]
+        rec, _ = qg.evolve(rho, g, cfg, SZ)
+        assert rec.edges == prefix
+        if strategy != "synchronous":
+            res = qg.correspondence_run(rho, SZ, g, cfg)
+            assert res.classical.edges == prefix
+            assert res.max_deviation <= 1e-12
 
 
 # ---------------------------------------------------------------------------

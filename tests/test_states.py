@@ -8,6 +8,7 @@ import pytest
 
 import qgossip as qg
 from qgossip.consensus import ssc_gap
+from qgossip.linalg import PSD_TOL
 from qgossip.rng import complex_ginibre, make_rng
 from qgossip.states import (Permutation, basis_index_map, conjugate_by_basis_map,
                             is_permutation_invariant, local_hermitian_basis,
@@ -200,6 +201,15 @@ def test_entropy_values():
     assert qg.von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-12)
     flat = qg.DensityOperator(np.eye(8) / 8, shape)
     assert qg.von_neumann_entropy(flat) == pytest.approx(np.log(8), abs=1e-12)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (3, 2), (6, 2), (8, 2), (3, 3), (2, 4)])
+def test_random_density_is_positive_semidefinite(m, n):
+    # built without the eigenvalue check, since G G^dagger is PSD by construction
+    shape = qg.NetworkShape(m, n)
+    for seed in range(4):
+        rho = qg.random_density(shape, seed)
+        assert np.linalg.eigvalsh(rho.matrix)[0] >= -PSD_TOL
 
 
 def test_random_density_properties_and_determinism():
