@@ -34,7 +34,10 @@ def _edge_label(edge) -> str:
     return f"{edge[0]}-{edge[1]}"
 
 
-def _trajectory_rows(record):
+def _write_trajectory(path: Path, record, manifest_name: str):
+    m = record.z.shape[1]
+    header = (["t", "edge"] + [f"z_{i}" for i in range(1, m + 1)]
+              + ["S_expect", "ssc_gap", "smc_defect"])
     rows = [[0, ""] + list(record.z[0]) + [record.s_expect[0],
                                            record.ssc_gap[0], record.smc_defect[0]]]
     for t in range(1, len(record.z)):
@@ -42,7 +45,7 @@ def _trajectory_rows(record):
         label = "all" if record.strategy in ("synchronous", "expected") else _edge_label(edge)
         rows.append([t, label] + list(record.z[t])
                     + [record.s_expect[t], record.ssc_gap[t], record.smc_defect[t]])
-    return rows
+    write_csv(path, header, rows, manifest_name)
 
 
 def _finish_manifest(out_dir: Path, stem: str, scenario: Scenario, command: str,
@@ -63,7 +66,6 @@ def _finish_manifest(out_dir: Path, stem: str, scenario: Scenario, command: str,
 
 def cmd_classify(args) -> int:
     tol = args.tol
-    results = []
     if args.suite:
         raw = json.loads(Path(args.suite).read_text())
         if not isinstance(raw, dict) or raw.get("schema") != 1:
@@ -74,11 +76,7 @@ def cmd_classify(args) -> int:
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or "state" not in entry or "sigma" not in entry:
                 raise ScenarioError(f"suite.suite[{i}]: needs state and sigma")
-            state = named_state(entry["state"])
-            sigma = parse_sigma(entry["sigma"], state.shape.n)
-            report = classify(state, sigma, tol)
-            results.append({"state": entry["state"], "sigma": entry["sigma"],
-                            "report": report.as_dict()})
+        specs = [(entry["state"], entry["sigma"], None) for entry in entries]
     else:
         if not args.state or not args.sigma:
             raise ScenarioError("classify needs --state and --sigma (or --suite)")
@@ -87,11 +85,12 @@ def cmd_classify(args) -> int:
             if args.m is None or args.n is None:
                 raise ScenarioError("--m and --n must be given together")
             shape = NetworkShape(args.m, args.n)
-        state = named_state(args.state, shape)
-        sigma = parse_sigma(args.sigma, state.shape.n)
-        report = classify(state, sigma, tol)
-        results.append({"state": args.state, "sigma": args.sigma,
-                        "report": report.as_dict()})
+        specs = [(args.state, args.sigma, shape)]
+    results = []
+    for state_spec, sigma_spec, shape in specs:
+        state = named_state(state_spec, shape)
+        report = classify(state, parse_sigma(sigma_spec, state.shape.n), tol)
+        results.append({"state": state_spec, "sigma": sigma_spec, "report": report.as_dict()})
 
     for item in results:
         r = item["report"]
@@ -120,11 +119,7 @@ def cmd_evolve(args) -> int:
     final_distance = frobenius_distance(final.matrix, star.matrix)
     manifest_name = _finish_manifest(out_dir, stem, scenario, "evolve",
                                      started, record.termination)
-    m = scenario.shape.m
-    header = (["t", "edge"] + [f"z_{i}" for i in range(1, m + 1)]
-              + ["S_expect", "ssc_gap", "smc_defect"])
-    write_csv(out_dir / f"{stem}_trajectory.csv", header,
-              _trajectory_rows(record), manifest_name)
+    _write_trajectory(out_dir / f"{stem}_trajectory.csv", record, manifest_name)
     summary = {
         "steps_performed": record.steps,
         "termination": record.termination,
@@ -152,7 +147,10 @@ def cmd_spectrum(args) -> int:
 
     sop = synchronous_superoperator(scenario.graph, alpha)
     cert = spectral_certificate(sop, q0=1.0 - alpha)
-    dim, _basis = fixed_point_space(scenario.graph, alpha)
+    dim, _basis = fixed_point_space(scenario.graph)
+    if dim != cert.unit_eigenvalue_count:
+        raise ConsistencyError(f"fixed space dimension {dim} disagrees with "
+                               f"{cert.unit_eigenvalue_count} unit eigenvalues")
     manifest_name = _finish_manifest(
         out_dir, stem, scenario, "spectrum", started,
         "certificate_passed" if cert.passed else "certificate_failed")
@@ -187,11 +185,8 @@ def cmd_correspond(args) -> int:
                                 scenario.graph, scenario.config)
     manifest_name = _finish_manifest(out_dir, stem, scenario, "correspond",
                                      started, result.quantum.termination)
+    _write_trajectory(out_dir / f"{stem}_trajectory.csv", result.quantum, manifest_name)
     m = scenario.shape.m
-    header = (["t", "edge"] + [f"z_{i}" for i in range(1, m + 1)]
-              + ["S_expect", "ssc_gap", "smc_defect"])
-    write_csv(out_dir / f"{stem}_trajectory.csv", header,
-              _trajectory_rows(result.quantum), manifest_name)
     cheader = ["t", "edge"] + [f"x_{i}" for i in range(1, m + 1)] + ["W"]
     crows = [[0, ""] + list(result.classical.x[0, :, 0])
              + [result.classical.disagreement[0]]]

@@ -82,7 +82,8 @@ def ssc_gap(rho: DensityOperator) -> float:
     permutation-invariant subspace.
 
     The twirl is the exact group average (see :func:`twirl_matrix`), so this
-    is the same quantity at every m.
+    is the same quantity at every m. It is taken on the entries: a difference
+    of squared norms would cancel near symmetric states.
     """
     return frobenius_distance(rho.matrix, twirl_matrix(rho.matrix, rho.shape))
 

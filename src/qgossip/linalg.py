@@ -102,22 +102,10 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def partial_trace(x, shape: NetworkShape, keep: Iterable[int]) -> np.ndarray:
-    """Trace out all subsystems not in ``keep``.
+    """Trace out all subsystems not in ``keep`` (1-based site labels).
 
-    Parameters
-    ----------
-    x : array_like
-        Operator on the joint space of ``shape`` (dimension ``n**m``).
-    shape : NetworkShape
-        Network layout; site 1 corresponds to the leftmost tensor factor.
-    keep : iterable of int
-        1-based labels of the subsystems to retain. The result is ordered by
-        ascending site label.
-
-    Returns
-    -------
-    numpy.ndarray
-        Operator of dimension ``n**len(keep)``.
+    ``x`` acts on the joint space of ``shape``, site 1 leftmost. The result
+    has dimension ``n**len(keep)``, its factors in ascending site order.
     """
     a = as_operator(x)
     m, n = shape.m, shape.n

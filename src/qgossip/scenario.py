@@ -228,19 +228,11 @@ def write_json(path: Path, payload: dict, manifest_name: str | None = None):
     doc = dict(payload)
     if manifest_name is not None:
         doc["manifest"] = manifest_name
-    _check_finite(doc)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _check_finite(obj):
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _check_finite(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_finite(v)
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise ConsistencyError("refusing to write a non-finite value")
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity anywhere in the payload
+        raise ConsistencyError("refusing to write a non-finite value") from exc
+    path.write_text(text + "\n")
 
 
 def write_manifest(path: Path, manifest: RunManifest):

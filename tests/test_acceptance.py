@@ -132,7 +132,7 @@ def test_criterion_4_spectral_certificates():
         ev = cert.eigenvalues.real
         assert np.all(ev >= -1e-9) and np.all(ev <= 1.0 + 1e-9)
         assert cert.unit_eigenvalue_count == expected_dim
-        dim, _ = qg.fixed_point_space(graph, 0.5)
+        dim, _ = qg.fixed_point_space(graph)
         oracle = qg.commutant_dimension(graph)
         assert dim == oracle == expected_dim
     elapsed = time.monotonic() - started

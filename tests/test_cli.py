@@ -6,6 +6,7 @@ from importlib.resources import files
 import pytest
 
 import qgossip.cli as cli
+import qgossip.gossip as gossip
 from qgossip.errors import CertificateError
 from qgossip.scenario import OUT_DIR_ENV
 
@@ -196,6 +197,33 @@ def test_spectrum_reports_fixed_space(tmp_path, capsys):
     assert payload["q0"] == pytest.approx(0.5)
     assert all(abs(im) <= 1e-9 for _re, im in payload["eigenvalues"])
     assert "20 unit eigenvalues" in capsys.readouterr().out
+
+
+def test_spectrum_runs_without_the_commutant_oracle(tmp_path, monkeypatch):
+    # the fixed space comes from the orbit count; the dense commutant is a test oracle
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("commutant_dimension called on the CLI path")
+    monkeypatch.setattr(gossip, "commutant_dimension", forbidden)
+    scn = write_scenario(tmp_path, shape={"m": 4, "n": 2},
+                         graph={"edges": [[1, 2], [2, 3], [3, 4]]}, initial_state="1000")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", scn, "--out-dir", str(out)]) == 0
+    payload = json.loads((out / "scn_spectrum.json").read_text())
+    assert payload["fixed_space_dimension"] == payload["unit_eigenvalue_count"] == 35
+
+
+def test_spectrum_rejects_a_disagreeing_fixed_space(tmp_path, monkeypatch, capsys):
+    real = cli.fixed_point_space
+
+    def off_by_one(graph):
+        dim, basis = real(graph)
+        return dim + 1, basis
+    monkeypatch.setattr(cli, "fixed_point_space", off_by_one)
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", scn, "--out-dir", str(out)]) == 2
+    assert "disagrees with 20 unit eigenvalues" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_spectrum_resource_cap(tmp_path, capsys):

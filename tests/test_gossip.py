@@ -1,6 +1,7 @@
 """Tests for gossip channels, trajectories, superoperators, and certificates."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ def test_graph_connectivity():
     split = qg.InteractionGraph(shape, [(1, 2), (3, 4)])
     assert not split.is_connected()
     assert qg.InteractionGraph(qg.NetworkShape(1, 2), []).is_connected()
+
+
+def test_graph_components():
+    shape = qg.NetworkShape(5, 2)
+    assert path_graph(4).components() == ((1, 2, 3, 4),)
+    assert qg.InteractionGraph(shape, [(3, 4), (1, 4)]).components() == ((1, 3, 4), (2,), (5,))
+    assert qg.InteractionGraph(shape, [(2, 5), (3, 4), (1, 3)]).components() == (
+        (1, 3, 4), (2, 5))
+    assert qg.InteractionGraph(shape, []).components() == ((1,), (2,), (3,), (4,), (5,))
 
 
 def test_gossip_config_validation():
@@ -491,6 +501,38 @@ def test_certificate_covers_cycle_superoperator():
     assert cert.unit_eigenvalue_count == 20
 
 
+def sorted_spectrum(ev):
+    return ev[np.lexsort((np.round(ev.imag, 9), np.round(ev.real, 9)))]
+
+
+@settings(max_examples=10, deadline=None)
+@given(g=weighted_graphs([(2, 2), (3, 2), (4, 2), (2, 3)]),
+       alpha=st.floats(0.05, 0.95), data=st.data())
+def test_blockwise_certificate_matches_the_dense_eigensolve(g, alpha, data):
+    # the certificate solves one block of the nonzero pattern at a time
+    order = data.draw(st.permutations(range(len(g.edges))))
+    for sop in (qg.synchronous_superoperator(g, alpha),
+                qg.cycle_superoperator(g, order, alpha)):
+        cert = qg.spectral_certificate(sop, q0=1.0 - alpha)
+        np.testing.assert_allclose(sorted_spectrum(cert.eigenvalues),
+                                   sorted_spectrum(np.linalg.eigvals(sop.matrix)),
+                                   rtol=0, atol=1e-10)
+        assert cert.unit_eigenvalue_count == np.prod(
+            [math.comb(len(c) + g.shape.n ** 2 - 1, len(c)) for c in g.components()])
+
+
+def test_certificate_blocks_follow_the_nonzero_pattern():
+    # a block-diagonal matrix under a permutation, with a one-way coupling
+    rng = make_rng(41)
+    mat = np.zeros((9, 9), dtype=complex)
+    for block in ([0, 4, 7], [1, 2], [3, 5, 6, 8]):
+        mat[np.ix_(block, block)] = rng.standard_normal((len(block),) * 2)
+    mat[5, 3] = 0.0
+    cert = qg.spectral_certificate(qg.Superoperator(mat), q0=0.5)
+    np.testing.assert_allclose(sorted_spectrum(cert.eigenvalues),
+                               sorted_spectrum(np.linalg.eigvals(mat)), rtol=0, atol=1e-12)
+
+
 def test_certificate_rejects_pure_swap():
     # a bare swap has eigenvalue -1, far outside the q0 = 0.5 disk
     shape = qg.NetworkShape(2, 2)
@@ -514,15 +556,15 @@ def test_certificate_validates_q0():
 # ---------------------------------------------------------------------------
 
 def test_fixed_point_dimensions():
-    assert qg.fixed_point_space(path_graph(2), 0.5)[0] == 10
-    assert qg.fixed_point_space(path_graph(3), 0.5)[0] == 20
+    assert qg.fixed_point_space(path_graph(2))[0] == 10
+    assert qg.fixed_point_space(path_graph(3))[0] == 20
     triangle = qg.InteractionGraph(qg.NetworkShape(3, 2), [(1, 2), (2, 3), (1, 3)])
-    assert qg.fixed_point_space(triangle, 0.5)[0] == 20
+    assert qg.fixed_point_space(triangle)[0] == 20
 
 
 def test_fixed_point_dimension_matches_commutant():
     for g in (path_graph(2), path_graph(3), path_graph(4)):
-        dim, _ = qg.fixed_point_space(g, 0.35)
+        dim, _ = qg.fixed_point_space(g)
         assert dim == qg.commutant_dimension(g)
 
 
@@ -544,7 +586,7 @@ def test_commutant_without_edges_is_everything():
 
 def test_fixed_point_basis_properties():
     g = path_graph(3)
-    dim, basis = qg.fixed_point_space(g, 0.5)
+    dim, basis = qg.fixed_point_space(g)
     assert len(basis) == dim
     sop = qg.synchronous_superoperator(g, 0.5)
     swaps = [qg.swap_unitary(*e, g.shape) for e in g.edges]
@@ -562,6 +604,45 @@ def test_fixed_point_basis_properties():
         v = qg.vectorize(target)
         proj = coords.conj() @ v
         np.testing.assert_allclose(coords.T @ proj, v, atol=1e-9)
+
+
+def assert_orbit_basis(g):
+    """The closed-form fixed space against the commutant oracle and its definition."""
+    dim, basis = qg.fixed_point_space(g)
+    assert len(basis) == dim == qg.commutant_dimension(g)
+    flat = np.stack([x.ravel() for x in basis])
+    np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(dim), rtol=0, atol=1e-12)
+    bmaps = [edge_bmap(e, g.shape) for e in g.edges]
+    for x in basis:
+        np.testing.assert_array_equal(x, x.conj().T)
+        for b in bmaps:
+            np.testing.assert_array_equal(conjugate_by_basis_map(x, b), x)
+    return dim
+
+
+@pytest.mark.parametrize("m,n,edges,expected", [
+    (2, 2, [(1, 2)], 10),
+    (3, 2, [(1, 2), (2, 3), (1, 3)], 20),
+    (4, 2, [(1, 2), (2, 3), (3, 4)], 35),
+    (5, 2, [(1, 2), (2, 3), (3, 4), (4, 5)], 56),
+    (3, 3, [(1, 2), (2, 3)], 165),
+    (4, 2, [(1, 2), (3, 4)], 100),
+    (3, 2, [(1, 2)], 40),
+])
+def test_fixed_space_is_the_orbit_basis(m, n, edges, expected):
+    g = qg.InteractionGraph(qg.NetworkShape(m, n), edges)
+    assert assert_orbit_basis(g) == expected
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_orbit_basis_matches_commutant_on_random_graphs(data):
+    m, n = data.draw(st.sampled_from([(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]))
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = qg.InteractionGraph(qg.NetworkShape(m, n), [p for p, k in zip(pairs, keep) if k])
+    expected = np.prod([math.comb(len(c) + n * n - 1, len(c)) for c in g.components()])
+    assert assert_orbit_basis(g) == expected
 
 
 def test_cyclic_decay_rate_matches_cycle_spectrum():

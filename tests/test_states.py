@@ -12,7 +12,7 @@ from qgossip.linalg import PSD_TOL
 from qgossip.rng import complex_ginibre, make_rng
 from qgossip.states import (Permutation, basis_index_map, conjugate_by_basis_map,
                             is_permutation_invariant, local_hermitian_basis,
-                            parse_sigma, transposition_maps)
+                            orbit_labels, parse_sigma, transposition_maps)
 
 SZ = qg.PAULI["z"]
 SX = qg.PAULI["x"]
@@ -318,21 +318,109 @@ def test_twirl_is_orthogonal_projection():
         assert qg.frobenius_distance(rho.matrix, star.matrix + 0.1 * pert) >= base - 1e-12
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3),
-                                 (2, 4)])
-def test_twirl_matches_permutation_enumeration(m, n):
-    # the coset product against the brute-force m! sum, on a non-Hermitian X
+TWIRL_SHAPES = [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (2, 4), (4, 4)]
+
+
+def enumeration_twirl(x, shape):
+    """The brute-force m! group average."""
+    out = np.zeros_like(x)
+    for mp in itertools.permutations(shape.sites()):
+        out += conjugate_by_basis_map(x, basis_index_map(Permutation(mp), shape))
+    return out / math.factorial(shape.m)
+
+
+def coset_twirl(x, shape):
+    """``C_2 o ... o C_m`` with ``C_k(X) = (X + sum_(j<k) U_(j k) X U_(j k)) / k``.
+
+    Every pi in S_k factors uniquely as ``sigma tau`` with sigma in S_(k-1)
+    and tau in {id, (1 k), ..., (k-1 k)}: m(m-1)/2 relabellings.
+    """
+    maps = transposition_maps(shape.m, shape.n)
+    a = x
+    for k in range(2, shape.m + 1):
+        acc = a.copy()
+        for j in range(1, k):
+            acc += conjugate_by_basis_map(a, maps[j, k])
+        a = acc / k
+    return a
+
+
+def assert_twirl_matches(oracle, m, n):
     shape = qg.NetworkShape(m, n)
     x = complex_ginibre(make_rng(1000 + 10 * m + n), shape.total_dim)
     x_in = x.copy()
-    brute = np.zeros_like(x)
-    for mp in itertools.permutations(range(1, m + 1)):
-        brute += conjugate_by_basis_map(x, basis_index_map(Permutation(mp), shape))
-    brute /= math.factorial(m)
+    want = oracle(x, shape)
     got = qg.twirl_matrix(x, shape)
-    np.testing.assert_allclose(got, brute, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     np.testing.assert_array_equal(x, x_in)
     assert not np.shares_memory(got, x)
+
+
+@pytest.mark.parametrize("m,n", TWIRL_SHAPES)
+def test_twirl_matches_permutation_enumeration(m, n):
+    # the orbit mean against the brute-force m! sum, on a non-Hermitian X
+    assert_twirl_matches(enumeration_twirl, m, n)
+
+
+@pytest.mark.parametrize("m,n", TWIRL_SHAPES)
+def test_twirl_matches_coset_product(m, n):
+    assert_twirl_matches(coset_twirl, m, n)
+
+
+def joint_type(i, j, shape, sites):
+    """Sorted pair letters ``i_k n + j_k`` over the given 1-based sites."""
+    di = np.unravel_index(i, (shape.n,) * shape.m)
+    dj = np.unravel_index(j, (shape.n,) * shape.m)
+    return tuple(sorted(int(di[k - 1]) * shape.n + int(dj[k - 1]) for k in sites))
+
+
+@pytest.mark.parametrize("m,n,blocks", [
+    (1, 3, ((1,),)), (3, 2, ((1, 2, 3),)), (4, 2, ((1, 2, 3, 4),)),
+    (3, 3, ((1, 2, 3),)), (2, 4, ((1, 2),)), (4, 2, ((1, 3), (2, 4))),
+    (3, 2, ((1, 2), (3,))), (3, 2, ((1,), (2,), (3,)))])
+def test_orbit_labels_are_joint_types(m, n, blocks):
+    # two entries share a label exactly when every block has the same joint type
+    shape = qg.NetworkShape(m, n)
+    labels, sizes = orbit_labels(m, n, blocks)
+    d = shape.total_dim
+    seen = {}
+    for i, j in itertools.product(range(d), repeat=2):
+        key = tuple(joint_type(i, j, shape, b) for b in blocks)
+        assert seen.setdefault(key, labels[i * d + j]) == labels[i * d + j]
+    assert len(seen) == len(sizes) == math.prod(
+        math.comb(len(b) + n * n - 1, len(b)) for b in blocks)
+    assert sorted(seen.values()) == list(range(len(sizes)))
+    np.testing.assert_array_equal(sizes, np.bincount(labels))
+    assert not labels.flags.writeable and not sizes.flags.writeable
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (5, 2), (10, 2), (3, 3), (2, 8), (2, 16)])
+def test_orbit_count_is_the_number_of_joint_types(m, n):
+    labels, sizes = orbit_labels(m, n, (tuple(range(1, m + 1)),))
+    assert len(sizes) == math.comb(m + n * n - 1, m)
+    assert int(sizes.sum()) == labels.size == n ** (2 * m)
+
+
+def test_orbit_labels_are_shared_and_validated():
+    blocks = ((1, 2), (3,))
+    assert orbit_labels(3, 2, blocks) is orbit_labels(3, 2, blocks)
+    assert orbit_labels.cache_info().maxsize == 2
+    for bad in (((1, 2),), ((1, 2), (2, 3)), ((1, 2, 3, 4),)):
+        with pytest.raises(qg.ValidationError):
+            orbit_labels(3, 2, bad)
+
+
+def test_ssc_gap_is_exact_near_symmetric_states():
+    # the gap is a distance computed on the entries, so it resolves 1e-12
+    # perturbations of a symmetric state (a difference of squared norms
+    # would cancel to ~1e-9 here)
+    shape = qg.NetworkShape(6, 2)
+    assert ssc_gap(qg.rho_g(0.3, m=6)) <= 1e-15
+    star = qg.twirl_matrix(qg.random_density(shape, 110).matrix, shape)
+    h = qg.random_hermitian(shape.total_dim, 111)
+    near = qg.DensityOperator.trusted(star + 1e-12 * h, shape)
+    want = 1e-12 * qg.frobenius_distance(h, qg.twirl_matrix(h, shape))
+    assert ssc_gap(near) == pytest.approx(want, rel=1e-3)
 
 
 def test_twirl_is_exact_beyond_eight_sites():
