@@ -12,11 +12,16 @@ state; fixed points of the expected map are exactly the operators commuting
 with every edge swap.
 
 A swap only relabels computational basis indices, so the map is applied by
-relabelling: :func:`gossip_update` is the one step kernel, and the
+relabelling: :func:`gossip_update` is the one trajectory step kernel, and the
 superoperators permute the d**2 entries of ``vec(rho)``. The Kraus form
 ``{sqrt(1-alpha) I, sqrt(alpha) U_jk}`` (:func:`gossip_channel`), the dense
 swap unitaries and the brute-force :func:`commutant_dimension` are kept as
 independent references for the tests.
+
+The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
+steps all trials of a chunk at once, as one ``(trials, d**2)`` array: one
+gather, an in-place mix and one distance reduction per time step. A chunk's
+working arrays fit in ``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is one trial.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ STRATEGIES = ("random", "cyclic", "synchronous", "expected")
 CONSERVATION_TOL = 1e-10
 DISK_TOL = 1e-9           # spectral certificate: disk violation and unit eigenvalues
 DECOMPOSITION_TOL = 1e-10  # s_average_check: residual of S against single-site lifts
+ENSEMBLE_CHUNK_BYTES = 1 << 22  # working arrays of one chunk of ensemble trials
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +183,8 @@ def edge_schedule(graph: InteractionGraph, config: GossipConfig,
 
     "random" draws one index per step by inverse CDF over the edge weights
     (Boyd et al., randomized gossip) from ``make_rng(config.seed)``, or from
-    ``rng`` when given (the ensemble passes one sub-stream per trial);
+    ``rng`` when given (one sub-stream per ensemble trial, which the ensemble
+    draws in blocks with the same :func:`draw_index`);
     "cyclic" repeats ``config.resolved_cycle_order(graph)``. Synchronous and
     expected steps touch every edge at once and yield None, as does every
     step on a graph with no edges. Both engines read their edges from here,
@@ -662,6 +669,15 @@ class ConvergenceExperiment:
         return asdict(self)
 
 
+def _sq_distances(diff: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``Tr[D^dagger D]`` of each row ``D`` of a complex ``(rows, d**2)`` array,
+    which is overwritten. Each row is summed on its own (pairwise), so its
+    result does not depend on how many rows there are."""
+    flat = diff.view(np.float64)
+    np.square(flat, out=flat)
+    return np.sum(flat, axis=1, out=out)
+
+
 def probability_one_convergence_experiment(
         graph: InteractionGraph, alpha: float, rho0: DensityOperator,
         eps: float, num_trials: int, horizon: int, seed: int) -> ConvergenceExperiment:
@@ -675,6 +691,18 @@ def probability_one_convergence_experiment(
     distances); ``max_distance_increase`` is the largest rise observed (0.0
     if none). Per-trial randomness comes from the documented sub-seed
     splitting rule, so results are reproducible and trials independent.
+
+    Trials run a chunk at a time, each chunk as one ``(trials, d**2)`` array
+    that takes one array step per time step. Trial ``k``'s edges are
+    :func:`draw_index` draws from ``trial_rng(seed, k)``, drawn a block of
+    steps at a time: the stream :func:`edge_schedule` yields for it. A step
+    gathers every trial's entries through its edge's swap (a transposition is
+    its own inverse, so the gather is ``U x U^dagger``), mixes in place, and
+    takes all squared distances in one reduction. The chunk's states, gathers,
+    gather indices and edge draws fit in ``ENSEMBLE_CHUNK_BYTES``; when one
+    trial's state does not fit, a chunk is a single trial, whose state, gather
+    and gather index take 2.5 complex ``d x d`` matrices and whose edge draws
+    stay within half the budget.
     """
     shape = rho0.shape
     if graph.shape != shape:
@@ -683,30 +711,67 @@ def probability_one_convergence_experiment(
         raise ValidationError("the experiment needs at least one edge")
     if num_trials < 1 or horizon < 1:
         raise ValidationError("num_trials and horizon must be positive")
-    config = GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
-    star = twirl_matrix(rho0.matrix, shape)
-    bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    d = shape.total_dim
+    dd = d * d
+    start_state = rho0.matrix.reshape(1, dd)
+    star = twirl_matrix(rho0.matrix, shape).reshape(dd)
+    cum = np.cumsum(graph.weights)
+    bmaps = np.stack([_edge_basis_map(e, shape) for e in graph.edges])
+    # Half the budget holds states, gathers and indices (at most 48 bytes per
+    # entry of rho), the other half edge draws (8 bytes per trial and step).
+    chunk = min(num_trials, max(1, ENSEMBLE_CHUNK_BYTES // (2 * 48 * dd)))
+    block = min(horizon, max(1, ENSEMBLE_CHUNK_BYTES // (2 * 8 * chunk)))
+    x = np.empty((chunk, dd), dtype=np.complex128)
+    g = np.empty_like(x)
+    gather = np.empty((chunk, dd), dtype=np.intp)
+    maps = np.empty((chunk, d), dtype=np.intp)
+    row_base = np.empty_like(maps)
+    offsets = np.arange(chunk)[:, None] * dd
+    schedule = np.empty((block, chunk), dtype=np.intp)
+    dist, new_dist, rise = np.empty(chunk), np.empty(chunk), np.empty(chunk)
+    first = _sq_distances(start_state - star, np.empty(1))[0]
+
     successes = 0
     worst_final = 0.0
     worst_rise = 0.0
-    for trial in range(num_trials):
-        schedule = edge_schedule(graph, config, trial_rng(seed, trial))
-        mat = rho0.matrix.copy()
-        diff = mat - star
-        dist = float(np.vdot(diff, diff).real)
-        for idx in itertools.islice(schedule, horizon):
-            mat = gossip_update(mat, [bmaps[idx]], [1.0], alpha)
-            diff = mat - star
-            new_dist = float(np.vdot(diff, diff).real)
-            if new_dist > dist + 1e-12:
-                raise ConsistencyError(
-                    f"squared distance to the twirl increased by "
-                    f"{new_dist - dist:.3e} in trial {trial}")
-            worst_rise = max(worst_rise, new_dist - dist)
-            dist = new_dist
-        worst_final = max(worst_final, dist)
-        if dist <= eps:
-            successes += 1
+    for lo in range(0, num_trials, chunk):
+        k = min(chunk, num_trials - lo)
+        rngs = [trial_rng(seed, trial) for trial in range(lo, lo + k)]
+        xs, gs, index = x[:k], g[:k], gather[:k]
+        maps_k, base_k, offsets_k = maps[:k], row_base[:k], offsets[:k]
+        dist_k, new_k, rise_k = dist[:k], new_dist[:k], rise[:k]
+        xs_flat, index3 = xs.reshape(-1), index.reshape(k, d, d)
+        xs[:] = start_state
+        dist_k[:] = first
+        for t0 in range(0, horizon, block):
+            steps = min(block, horizon - t0)
+            for j, r in enumerate(rngs):
+                schedule[:steps, j] = draw_index(r, cum, size=steps)
+            for edges in schedule[:steps, :k]:
+                # entry (i, j) of trial r is read from (b[i], b[j]) of the same trial
+                np.take(bmaps, edges, axis=0, out=maps_k, mode="clip")
+                np.multiply(maps_k, d, out=base_k)
+                base_k += offsets_k
+                np.add(base_k[:, :, None], maps_k[:, None, :], out=index3)
+                np.take(xs_flat, index, out=gs, mode="clip")
+                xs *= 1.0 - alpha
+                gs *= alpha
+                xs += gs
+                np.subtract(xs, star, out=gs)
+                _sq_distances(gs, new_k)
+                np.subtract(new_k, dist_k, out=rise_k)
+                top = float(rise_k.max())
+                if top > 1e-12:
+                    j = int(np.argmax(rise_k > 1e-12))
+                    raise ConsistencyError(
+                        f"squared distance to the twirl increased by "
+                        f"{rise_k[j]:.3e} in trial {lo + j}")
+                worst_rise = max(worst_rise, top)
+                dist_k[:] = new_k
+        worst_final = max(worst_final, float(dist_k.max()))
+        successes += int(np.count_nonzero(dist_k <= eps))
     return ConvergenceExperiment(
         num_trials=num_trials, horizon=horizon, eps=eps, successes=successes,
         empirical_probability=successes / num_trials,

@@ -23,17 +23,23 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def draw_index(rng: np.random.Generator, cum_weights: np.ndarray) -> int:
+def draw_index(rng: np.random.Generator, cum_weights: np.ndarray,
+               size: int | None = None) -> int | np.ndarray:
     """Inverse-CDF draw over a cumulative weight vector.
 
     Returns the smallest index ``i`` with ``u < cum_weights[i]`` for a single
     uniform ``u``; the final entry of ``cum_weights`` must be 1 up to
-    rounding. Spelled out explicitly (rather than relying on library
-    internals) so the edge-selection stream is reproducible by inspection.
+    rounding, and a ``u`` at or past it takes the last index. Spelled out
+    explicitly (rather than relying on library internals) so the
+    edge-selection stream is reproducible by inspection. With ``size``, an
+    array of ``size`` indices: the same ones that ``size`` single draws from
+    ``rng`` give, since ``rng.random(size)`` is that many ``rng.random()``.
     """
-    u = rng.random()
-    idx = int(np.searchsorted(cum_weights, u, side="right"))
-    return min(idx, len(cum_weights) - 1)
+    u = rng.random(size)
+    idx = np.searchsorted(cum_weights, u, side="right")
+    if size is None:
+        return min(int(idx), len(cum_weights) - 1)
+    return np.minimum(idx, len(cum_weights) - 1)
 
 
 def complex_ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -331,13 +331,27 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 # observables
 # ---------------------------------------------------------------------------
 
+def check_projector_family(projectors, dim: int) -> None:
+    """Raise ConsistencyError unless ``projectors`` are Hermitian, mutually
+    orthogonal projectors on ``C^dim`` that sum to the identity (to 1e-10)."""
+    if np.max(np.abs(sum(projectors) - np.eye(dim))) > 1e-10:
+        raise ConsistencyError("spectral projectors do not sum to the identity")
+    for i, p in enumerate(projectors):
+        if linalg.hermiticity_defect(p) > 1e-10:
+            raise ConsistencyError("spectral projectors are not Hermitian")
+        for j, q in enumerate(projectors):
+            target = p if i == j else 0.0
+            if np.max(np.abs(p @ q - target)) > 1e-10:
+                raise ConsistencyError("spectral projectors are not orthogonal")
+
+
 class Observable:
     """A Hermitian local observable with its grouped spectral decomposition.
 
     Eigenvalues within ``GROUPING_TOL`` times the spectral range collapse to
     one spectral projector; ``nondegenerate`` is true when every projector
-    has rank one. The projector family satisfies sum = I and orthogonality to
-    1e-10, checked at construction.
+    has rank one. The family is checked at construction
+    (:func:`check_projector_family`).
     """
 
     __slots__ = ("matrix", "eigenvalues", "projectors")
@@ -359,7 +373,7 @@ class Observable:
             vg = v[:, g]
             eigenvalues.append(float(np.mean(w[g])))
             projectors.append(vg @ vg.conj().T)
-        self._check_family(projectors, a.shape[0])
+        check_projector_family(projectors, a.shape[0])
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "eigenvalues", tuple(eigenvalues))
@@ -367,17 +381,6 @@ class Observable:
 
     def __setattr__(self, *_):
         raise AttributeError("Observable is immutable")
-
-    @staticmethod
-    def _check_family(projectors, dim):
-        total = sum(projectors)
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
-            raise ConsistencyError("spectral projectors do not sum to the identity")
-        for i, p in enumerate(projectors):
-            for j, q in enumerate(projectors):
-                target = p if i == j else 0.0
-                if np.max(np.abs(p @ q - target)) > 1e-10:
-                    raise ConsistencyError("spectral projectors are not orthogonal")
 
     @property
     def dim(self) -> int:

@@ -118,6 +118,30 @@ def test_sym_projector_for_degenerate_qutrit():
     np.testing.assert_allclose(proj.matrix @ proj.matrix, proj.matrix, atol=1e-12)
 
 
+@pytest.mark.parametrize("sigma, max_m", [
+    (SZ, 8), (qg.PAULI["x"], 8), (np.diag([1.0, 1.0, 0.0]), 5),
+    (np.diag([2.0, -1.0, 0.5]), 5)])
+def test_sym_projector_is_idempotent(sigma, max_m):
+    # the dense O(d^3) product is the oracle for the local-level family check
+    obs = Observable(sigma)
+    for m in range(1, max_m + 1):
+        p = qg.sym_projector(obs, m).matrix
+        np.testing.assert_allclose(p @ p, p, atol=1e-10)
+
+
+def test_sym_projector_rejects_a_bad_local_family():
+    shape = qg.NetworkShape(2, 2)
+    good = Observable(SZ).projectors
+    skew = np.array([[0.5, 0.5j], [0.5j, 0.5]])  # not Hermitian
+    tilted = np.array([[1.0, 0.1], [0.1, 0.0]])  # Hermitian, not a projector
+    for family, message in [((good[0],), "sum to the identity"),
+                            ((skew, np.eye(2) - skew), "not Hermitian"),
+                            ((tilted, np.eye(2) - tilted), "not orthogonal")]:
+        matrix = sum(np.kron(q, q) for q in family)
+        with pytest.raises(qg.ConsistencyError, match=message):
+            qg.SymProjector((matrix + matrix.conj().T) / 2, shape, family)
+
+
 def test_smc_pairwise_gap_values():
     assert qg.smc_pairwise_gap(qg.named_state("rhoC"),
                                Observable(SZ)) == pytest.approx(0.25, abs=1e-12)

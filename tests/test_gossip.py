@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgossip as qg
+from qgossip import gossip as gossip_module
 from qgossip.rng import draw_index, make_rng, trial_rng
 from qgossip.states import basis_index_map, conjugate_by_basis_map
 
@@ -739,3 +741,96 @@ def test_probability_one_experiment_is_deterministic():
         g, 0.5, rho, eps=1e-10, num_trials=5, horizon=100, seed=9)
     assert a.max_final_sq_distance == b.max_final_sq_distance
     assert a.successes == b.successes
+
+
+def per_trial_experiment(graph, alpha, rho0, eps, num_trials, horizon, seed):
+    """Reference: one trial at a time, ``edge_schedule``, ``gossip_update`` and
+    ``np.vdot`` at every step. Returns the experiment's three statistics."""
+    config = qg.GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
+    star = qg.twirl_matrix(rho0.matrix, rho0.shape)
+    bmaps = [edge_bmap(e, graph.shape) for e in graph.edges]
+    successes, worst_final, worst_rise = 0, 0.0, 0.0
+    for trial in range(num_trials):
+        schedule = qg.edge_schedule(graph, config, trial_rng(seed, trial))
+        mat = rho0.matrix.copy()
+        dist = float(np.vdot(mat - star, mat - star).real)
+        for idx in itertools.islice(schedule, horizon):
+            mat = qg.gossip_update(mat, [bmaps[idx]], [1.0], alpha)
+            new_dist = float(np.vdot(mat - star, mat - star).real)
+            worst_rise = max(worst_rise, new_dist - dist)
+            dist = new_dist
+        worst_final = max(worst_final, dist)
+        successes += dist <= eps
+    return successes, worst_final, worst_rise
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=weighted_graphs([(m, n) for m in range(2, 6) for n in (2, 3)]),
+       alpha=st.floats(0.01, 0.99), trials=st.integers(1, 5),
+       horizon=st.integers(1, 40), seed=st.integers(0, 2 ** 31 - 1),
+       eps=st.sampled_from([1e-2, 1e-6, 1e-10]), data=st.data())
+def test_batched_experiment_matches_the_per_trial_loop(g, alpha, trials, horizon,
+                                                      seed, eps, data):
+    rho = qg.random_density(g.shape, data.draw(st.integers(0, 1000)))
+    exp = qg.probability_one_convergence_experiment(
+        g, alpha, rho, eps=eps, num_trials=trials, horizon=horizon, seed=seed)
+    successes, worst_final, worst_rise = per_trial_experiment(
+        g, alpha, rho, eps, trials, horizon, seed)
+    # the states agree bit for bit; the distances are sums of 2 d**2 squares
+    # taken in another order, so they differ by a few ulps of their size
+    diff = rho.matrix - qg.twirl_matrix(rho.matrix, g.shape)
+    ulps = 1e-14 * float(np.vdot(diff, diff).real)
+    assert exp.successes == successes
+    assert exp.max_final_sq_distance == pytest.approx(worst_final, rel=1e-14, abs=1e-20)
+    assert exp.max_distance_increase == pytest.approx(worst_rise, rel=0, abs=1e-20 + ulps)
+    # chunks of one trial and one-step draw blocks, or of two trials, change
+    # nothing: every trial's arithmetic is independent of its chunk
+    dd = g.shape.total_dim ** 2
+    for budget in (1, 2 * 48 * dd * 2):
+        with mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
+            chunked = qg.probability_one_convergence_experiment(
+                g, alpha, rho, eps=eps, num_trials=trials, horizon=horizon, seed=seed)
+        assert chunked == exp
+
+
+def test_batched_edge_draws_are_the_schedule_stream():
+    # the weights sum to 1 but their cumulative sum ends at 1 - 2**-53
+    g = qg.InteractionGraph(qg.NetworkShape(5, 2),
+                            list(itertools.combinations(range(1, 6), 2)), [0.1] * 10)
+    cum = np.cumsum(g.weights)
+    assert cum[-1] < 1.0
+    cfg = qg.GossipConfig(alpha=0.5, strategy="random", steps=0, seed=0)
+    for seed, trial in [(0, 0), (0, 7), (9, 1), (2 ** 31 - 1, 250), (123456789, 3)]:
+        drawn = draw_index(trial_rng(seed, trial), cum, size=300)
+        assert drawn.tolist() == list(itertools.islice(
+            qg.edge_schedule(g, cfg, trial_rng(seed, trial)), 300))
+        # blocks of draws continue the stream where the last one stopped
+        rng = trial_rng(seed, trial)
+        assert np.concatenate([draw_index(rng, cum, size=k) for k in (1, 99, 200)]
+                              ).tolist() == drawn.tolist()
+
+    class Uniforms:
+        """A stand-in generator replaying fixed uniforms, past the last weight too."""
+
+        def __init__(self):
+            self.values = iter([0.0, 0.05, 0.1, cum[-1], 1.0 - 2 ** -53] * 2)
+
+        def random(self, size=None):
+            if size is None:
+                return next(self.values)
+            return np.array([next(self.values) for _ in range(size)])
+
+    rng = Uniforms()
+    singles = [draw_index(rng, cum) for _ in range(5)]
+    assert singles == [0, 0, 1, 9, 9]
+    assert draw_index(rng, cum, size=5).tolist() == singles
+
+
+def test_experiment_rejects_a_rising_distance(monkeypatch):
+    # a wrong target: the distance starts at 0 and rises on the first step
+    monkeypatch.setattr(gossip_module, "twirl_matrix", lambda mat, shape: mat.copy())
+    g = path_graph(3)
+    rho = qg.random_density(g.shape, 5)
+    with pytest.raises(qg.ConsistencyError, match=r"increased by .* in trial \d+"):
+        qg.probability_one_convergence_experiment(
+            g, 0.5, rho, eps=1e-10, num_trials=4, horizon=10, seed=3)
