@@ -23,7 +23,8 @@ from .gossip import (ConvergenceExperiment, GossipConfig, InteractionGraph,
                      edge_schedule, evolve, fixed_point_space,
                      gossip_channel, gossip_update,
                      probability_one_convergence_experiment, s_average_check,
-                     spectral_certificate, synchronous_superoperator)
+                     spectral_certificate, synchronous_blocks,
+                     synchronous_superoperator)
 from .linalg import (NetworkShape, eigh, frobenius_distance, kron, kron_all,
                      partial_trace, unvectorize, vectorize)
 from .scenario import RunManifest, Scenario, load_scenario

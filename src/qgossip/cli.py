@@ -21,7 +21,7 @@ from .errors import (CertificateError, ConsistencyError, ResourceLimitError,
                      ScenarioError, ValidationError)
 from .gossip import (probability_one_convergence_experiment,
                      fixed_point_space, spectral_certificate,
-                     synchronous_superoperator)
+                     synchronous_blocks)
 from .linalg import NetworkShape, frobenius_distance
 from .scenario import (RunManifest, Scenario, TOOL_VERSION, load_scenario,
                        resolve_out_dir, write_csv, write_json, write_manifest)
@@ -145,8 +145,7 @@ def cmd_spectrum(args) -> int:
     stem = scenario.stem
     alpha = scenario.config.alpha
 
-    sop = synchronous_superoperator(scenario.graph, alpha)
-    cert = spectral_certificate(sop, q0=1.0 - alpha)
+    cert = spectral_certificate(synchronous_blocks(scenario.graph, alpha), q0=1.0 - alpha)
     dim, _basis = fixed_point_space(scenario.graph)
     if dim != cert.unit_eigenvalue_count:
         raise ConsistencyError(f"fixed space dimension {dim} disagrees with "

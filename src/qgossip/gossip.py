@@ -13,10 +13,10 @@ with every edge swap.
 
 A swap only relabels computational basis indices, so the map is applied by
 relabelling: :func:`gossip_update` is the one trajectory step kernel, and the
-superoperators permute the d**2 entries of ``vec(rho)``. The Kraus form
-``{sqrt(1-alpha) I, sqrt(alpha) U_jk}`` (:func:`gossip_channel`), the dense
-swap unitaries and the brute-force :func:`commutant_dimension` are kept as
-independent references for the tests.
+superoperators permute the d**2 entries of ``vec(rho)``, one entry orbit at a
+time (:func:`synchronous_blocks`). The Kraus form (:func:`gossip_channel`),
+the dense superoperators and swap unitaries, and the brute-force
+:func:`commutant_dimension` are kept as independent references for the tests.
 
 The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
 steps all trials of a chunk at once, as one ``(trials, d**2)`` array: one
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import asdict, dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,10 +38,10 @@ from .linalg import (MAX_SUPEROP_DIM, NetworkShape, as_operator,
                      require_hermitian, unvectorize, vectorize)
 from .rng import draw_index, make_rng, trial_rng
 from .states import (DensityOperator, KrausChannel, Observable,
-                     conjugate_by_basis_map, dual_apply,
-                     is_permutation_invariant, lift_local, local_expectations,
-                     local_hermitian_basis, orbit_labels, site_average,
-                     swap_unitary, transposition_maps, twirl_matrix)
+                     conjugate_by_basis_map, is_permutation_invariant,
+                     lift_local, local_expectations, local_hermitian_basis,
+                     orbit_labels, site_average, swap_unitary,
+                     transposition_maps, twirl_matrix)
 
 STRATEGIES = ("random", "cyclic", "synchronous", "expected")
 CONSERVATION_TOL = 1e-10
@@ -226,8 +226,10 @@ def gossip_update(x: np.ndarray, bmaps, weights, alpha: float) -> np.ndarray:
 
     Each ``U_e`` is given by its basis map, so every edge costs one O(d^2)
     relabelling. A single edge of weight 1.0 gives exactly
-    ``(1 - alpha) x + alpha U x U^dagger``.
+    ``(1 - alpha) x + alpha U x U^dagger``; no edges give a copy of ``x``.
     """
+    if not len(bmaps):
+        return x.copy()
     out = (1.0 - alpha) * x
     for bmap, q in zip(bmaps, weights):
         out += alpha * q * conjugate_by_basis_map(x, bmap)
@@ -317,11 +319,8 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
             termination = f"converged_at_step_{t}"
             break
         idx = next(schedule)
-        if idx is not None:
-            mat = gossip_update(mat, [bmaps[idx]], [1.0], alpha)
-        elif graph.edges:
-            mat = gossip_update(mat, bmaps, graph.weights, alpha)
-        # else m=1: no edge, an identity step
+        maps, weights = (bmaps, graph.weights) if idx is None else ([bmaps[idx]], [1.0])
+        mat = gossip_update(mat, maps, weights, alpha)
         edges_used.append(None if idx is None else graph.edges[idx])
         performed += 1
         record(performed)
@@ -348,7 +347,6 @@ class Superoperator:
     """Column-stacking matrix form of a channel, ``vec(E(X)) = matrix @ vec(X)``."""
 
     matrix: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -366,13 +364,13 @@ def _check_superop_dim(shape: NetworkShape) -> int:
     return d
 
 
-def build_superoperator(channel: KrausChannel, provenance: dict | None = None) -> Superoperator:
+def build_superoperator(channel: KrausChannel) -> Superoperator:
     """Assemble the dense superoperator of a channel (the Kraus reference)."""
     d = _check_superop_dim(channel.shape)
     acc = np.zeros((d * d, d * d), dtype=np.complex128)
     for a in channel.ops:
         acc += np.kron(a.conj(), a)
-    return Superoperator(acc, dict(provenance or {}))
+    return Superoperator(acc)
 
 
 def _vec_permutation(edge, shape: NetworkShape) -> np.ndarray:
@@ -395,9 +393,31 @@ def synchronous_superoperator(graph: InteractionGraph, alpha: float) -> Superope
     acc[rows, rows] = 1.0 - alpha
     for edge, q in zip(graph.edges, graph.weights):
         acc[rows, _vec_permutation(edge, graph.shape)] += alpha * q
-    return Superoperator(acc, {
-        "kind": "synchronous", "alpha": alpha, "identity_weight": 1.0 - alpha,
-        "edges": list(graph.edges), "weights": list(graph.weights)})
+    return Superoperator(acc)
+
+
+def synchronous_blocks(graph: InteractionGraph, alpha: float) -> Iterator[np.ndarray]:
+    """:func:`synchronous_superoperator` one orbit block at a time (a generator).
+
+    Every ``P_e`` keeps an entry's joint type (:func:`orbit_labels`), so each
+    orbit spans a block: bitwise ``dense[np.ix_(rows, rows)]``, rows increasing.
+    One scatter per edge fills all blocks in one buffer (6 MB at m=6, n=2).
+    """
+    if not graph.edges:
+        raise ValidationError("the synchronous map needs at least one edge")
+    d = _check_superop_dim(graph.shape)
+    labels, sizes = orbit_labels(graph.shape.m, graph.shape.n, graph.components())
+    lab = labels.reshape(d, d).ravel(order="F")  # the orbit of each vec(rho) index
+    # rank[v]: v's place in its orbit; block entry (v, w) is flat[row[v] + rank[w]]
+    rank = np.argsort(np.argsort(lab, kind="stable")) - (np.cumsum(sizes) - sizes)[lab]
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    row = offsets[lab] + rank * sizes[lab]
+    flat = np.zeros(np.dot(sizes, sizes), dtype=np.complex128)
+    flat[row + rank] = 1.0 - alpha
+    for e, q in zip(graph.edges, graph.weights):
+        flat[row + rank[_vec_permutation(e, graph.shape)]] += alpha * q
+    for offset, size in zip(offsets, sizes):
+        yield flat[offset:offset + size * size].reshape(size, size)
 
 
 def cycle_superoperator(graph: InteractionGraph, order: Sequence[int],
@@ -413,9 +433,7 @@ def cycle_superoperator(graph: InteractionGraph, order: Sequence[int],
     for idx in order:
         perm = _vec_permutation(graph.edges[idx], graph.shape)
         acc = (1.0 - alpha) * acc + alpha * acc[perm]
-    return Superoperator(acc, {
-        "kind": "cycle", "alpha": alpha,
-        "identity_weight": (1.0 - alpha) ** len(order), "order": list(order)})
+    return Superoperator(acc)
 
 
 @dataclass(frozen=True)
@@ -441,39 +459,23 @@ class SpectralCertificate:
         return self.disk_ok
 
 
-def spectral_certificate(sop: Superoperator, q0: float) -> SpectralCertificate:
-    """Locate every eigenvalue of ``sop``, one block of its nonzero pattern at a time.
-
-    A gossip map keeps each entry of rho in its orbit, so the blocks are small
-    (at most 180 of 4096 at m=6, n=2). They are found by spreading the least
-    index over nonzero entries, with pointer jumping, until it settles.
-    """
+def spectral_certificate(blocks: Iterable[np.ndarray], q0: float) -> SpectralCertificate:
+    """Locate every eigenvalue of a map given by its diagonal ``blocks``: the orbit
+    blocks of :func:`synchronous_blocks`, or ``[sop.matrix]`` for a dense map."""
     if not 0.0 < q0 <= 1.0:
         raise ValidationError(
             f"the certificate requires an identity weight q0 in (0, 1], got {q0}")
-    mat = sop.matrix
-    rows, cols = np.nonzero(mat)
-    label, prev = np.arange(len(mat)), None
-    while not np.array_equal(label, prev):
-        prev, label = label, label.copy()
-        np.minimum.at(label, rows, prev[cols])
-        np.minimum.at(label, cols, prev[rows])
-        label = label[label]
-    order = np.argsort(label, kind="stable")
-    blocks = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-    evals = np.concatenate([np.linalg.eigvals(mat[np.ix_(b, b)]) for b in blocks])
+    evals = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     max_imag = float(np.max(np.abs(evals.imag))) if evals.size else 0.0
-    dists = np.abs(evals - q0)
-    violation = float(np.max(dists - (1.0 - q0))) if evals.size else 0.0
+    violation = float(np.max(np.abs(evals - q0) - (1.0 - q0))) if evals.size else 0.0
     disk_ok = violation <= DISK_TOL
     unit_mask = np.abs(evals - 1.0) <= DISK_TOL
-    unit_count = int(np.sum(unit_mask))
     rest = np.abs(evals[~unit_mask])
     gap = float(1.0 - np.max(rest)) if rest.size else 1.0
     return SpectralCertificate(
         eigenvalues=evals, q0=q0, disk_ok=disk_ok,
         max_disk_violation=max(violation, 0.0),
-        unit_eigenvalue_count=unit_count, spectral_gap=gap, max_imag=max_imag)
+        unit_eigenvalue_count=int(np.sum(unit_mask)), spectral_gap=gap, max_imag=max_imag)
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +582,7 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
     sigma = probe if decomposable else None
 
     bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
-    drift = 0.0
-    limit_dev = 0.0
-    limit_mismatch = 0.0
+    drift = limit_dev = limit_mismatch = 0.0
     for rho0 in rho0_samples:
         if rho0.shape != shape:
             raise ValidationError("sample state does not match the network shape")
@@ -622,17 +622,19 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
                            sigma=None, steps: int = 300) -> DualFixedPointReport:
     """Verify S is a dual fixed point and local lifts converge to the average.
 
-    Every per-edge dual leaves a permutation-invariant S exactly invariant
-    (defect below 1e-12). When ``sigma`` is given, the iterated cyclic dual
-    of ``sigma^(1)`` must approach ``twirl_matrix`` of the lift, i.e.
-    ``(1/m) sum_i sigma^(i)``, within 1e-8 after ``steps`` sweep steps.
+    Each per-edge map is its own dual (a swap is real symmetric) and leaves a
+    permutation-invariant S exactly invariant (defect below 1e-12). Given
+    ``sigma``, the iterated cyclic dual of ``sigma^(1)`` must approach its
+    twirl ``(1/m) sum_i sigma^(i)`` within 1e-8 after ``steps`` sweep steps.
     """
     shape = graph.shape
     s_mat = require_hermitian(s_operator, what="dual fixed-point candidate")
-    defect = 0.0
-    for edge in graph.edges:
-        ch = gossip_channel(edge, alpha, shape)
-        defect = max(defect, float(np.max(np.abs(dual_apply(ch, s_mat) - s_mat))))
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    if shape.m > 1 and not graph.edges:
+        raise ValidationError("the dual fixed-point check needs at least one edge")
+    sweep = [[_edge_basis_map(e, shape)] for e in graph.edges] or [[]]  # one site: no edge
+    defect = max(float(np.abs(gossip_update(s_mat, b, [1.0], alpha) - s_mat).max()) for b in sweep)
     s_ok = defect <= 1e-12
 
     iter_dev = 0.0
@@ -640,13 +642,11 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
         obs = sigma if isinstance(sigma, Observable) else Observable(as_operator(sigma))
         x = lift_local(obs.matrix, 1, shape)
         target = twirl_matrix(x, shape)
-        channels = [gossip_channel(e, alpha, shape) for e in graph.edges]
         for t in range(steps):
-            x = channels[t % len(channels)].dual_matrix(x)
+            x = gossip_update(x, sweep[t % len(sweep)], [1.0], alpha)
         iter_dev = float(np.max(np.abs(x - target)))
-    ok = s_ok and iter_dev <= 1e-8
     return DualFixedPointReport(s_invariant=s_ok, max_invariance_defect=defect,
-                                iteration_deviation=iter_dev, ok=ok)
+                                iteration_deviation=iter_dev, ok=s_ok and iter_dev <= 1e-8)
 
 
 # ---------------------------------------------------------------------------

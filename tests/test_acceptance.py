@@ -125,8 +125,7 @@ def test_criterion_4_spectral_certificates():
         (qg.InteractionGraph(shape3, [(1, 2), (2, 3), (1, 3)]), 20),
     ]
     for graph, expected_dim in cases:
-        sop = qg.synchronous_superoperator(graph, 0.5)
-        cert = qg.spectral_certificate(sop, q0=0.5)
+        cert = qg.spectral_certificate(qg.synchronous_blocks(graph, 0.5), q0=0.5)
         assert cert.disk_ok
         assert cert.max_imag <= 1e-9
         ev = cert.eigenvalues.real

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import tracemalloc
 from importlib.resources import files
 
 import pytest
@@ -210,6 +211,36 @@ def test_spectrum_runs_without_the_commutant_oracle(tmp_path, monkeypatch):
     assert cli.main(["spectrum", scn, "--out-dir", str(out)]) == 0
     payload = json.loads((out / "scn_spectrum.json").read_text())
     assert payload["fixed_space_dimension"] == payload["unit_eigenvalue_count"] == 35
+
+
+def test_spectrum_builds_no_dense_superoperator(tmp_path, monkeypatch):
+    # the certificate solves the orbit blocks; the dense map is a test reference
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("synchronous_superoperator called on the CLI path")
+    monkeypatch.setattr(gossip, "synchronous_superoperator", forbidden)
+    monkeypatch.setattr(cli, "synchronous_superoperator", forbidden, raising=False)
+    scn = write_scenario(tmp_path, shape={"m": 4, "n": 2},
+                         graph={"edges": [[1, 2], [2, 3], [3, 4]]}, initial_state="1000")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", scn, "--out-dir", str(out)]) == 0
+    payload = json.loads((out / "scn_spectrum.json").read_text())
+    assert payload["fixed_space_dimension"] == payload["unit_eigenvalue_count"] == 35
+
+
+def test_spectrum_at_the_cap_allocates_little(tmp_path):
+    # a dense m=6 superoperator alone is 4096 x 4096 complex, 256 MiB
+    scn = write_scenario(tmp_path, shape={"m": 6, "n": 2},
+                         graph={"edges": [[i, i + 1] for i in range(1, 6)]},
+                         initial_state="100000")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(["spectrum", scn, "--out-dir", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 32 * 2 ** 20
 
 
 def test_spectrum_rejects_a_disagreeing_fixed_space(tmp_path, monkeypatch, capsys):

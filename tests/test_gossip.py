@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import qgossip as qg
 from qgossip import gossip as gossip_module
 from qgossip.rng import draw_index, make_rng, trial_rng
-from qgossip.states import basis_index_map, conjugate_by_basis_map
+from qgossip.states import basis_index_map, conjugate_by_basis_map, orbit_labels
 
 SZ = qg.PAULI["z"]
 
@@ -351,11 +351,18 @@ def test_superoperator_dimension_cap():
         qg.synchronous_superoperator(g, 0.5)
 
 
+def test_synchronous_blocks_fail_before_building():
+    # the cap and the edge check raise at the first block, before any is built
+    with pytest.raises(qg.ResourceLimitError):
+        next(qg.synchronous_blocks(path_graph(7), 0.5))
+    with pytest.raises(qg.ValidationError):
+        next(qg.synchronous_blocks(qg.InteractionGraph(qg.NetworkShape(3, 2), []), 0.5))
+
+
 def test_synchronous_superoperator_is_real_symmetric():
     sop = qg.synchronous_superoperator(path_graph(3), 0.5)
     assert np.max(np.abs(sop.matrix.imag)) < 1e-14
     assert np.max(np.abs(sop.matrix - sop.matrix.T)) < 1e-12
-    assert sop.provenance["identity_weight"] == pytest.approx(0.5)
 
 
 def test_gossip_maps_are_frobenius_contractions():
@@ -439,6 +446,12 @@ def test_single_edge_update_is_bitwise_the_step(g, alpha, data):
                           (1 - alpha) * x + alpha * conjugate_by_basis_map(x, b))
 
 
+def test_update_without_edges_is_the_identity():
+    x = make_rng(7).standard_normal((2, 2)) + 0j
+    out = qg.gossip_update(x, [], [], 0.4)
+    assert out is not x and np.array_equal(out, x)
+
+
 @settings(max_examples=20, deadline=None)
 @given(g=weighted_graphs([(m, 2) for m in range(2, 6)]),
        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -471,7 +484,7 @@ def test_recorded_edges_are_the_schedule_prefix(g, alpha, data):
 def test_certificate_for_synchronous_maps():
     for graph, expected_dim in ((path_graph(2), 10), (path_graph(3), 20)):
         sop = qg.synchronous_superoperator(graph, 0.5)
-        cert = qg.spectral_certificate(sop, q0=0.5)
+        cert = qg.spectral_certificate([sop.matrix], q0=0.5)
         assert cert.passed and cert.disk_ok
         assert cert.max_imag <= 1e-9
         assert cert.unit_eigenvalue_count == expected_dim
@@ -482,13 +495,13 @@ def test_certificate_for_synchronous_maps():
 
 def test_certificate_gap_value_for_three_site_path():
     sop = qg.synchronous_superoperator(path_graph(3), 0.5)
-    cert = qg.spectral_certificate(sop, q0=0.5)
+    cert = qg.spectral_certificate([sop.matrix], q0=0.5)
     assert cert.spectral_gap == pytest.approx(0.25, abs=1e-12)
 
 
 def test_certificate_disk_for_asymmetric_alpha():
     sop = qg.synchronous_superoperator(path_graph(3), 0.3)
-    cert = qg.spectral_certificate(sop, q0=0.7)
+    cert = qg.spectral_certificate([sop.matrix], q0=0.7)
     assert cert.disk_ok
     assert np.all(np.abs(cert.eigenvalues - 0.7) <= 0.3 + 1e-9)
 
@@ -498,7 +511,7 @@ def test_certificate_covers_cycle_superoperator():
     g = path_graph(3)
     alpha = 0.4
     sweep = qg.cycle_superoperator(g, [0, 1], alpha)
-    cert = qg.spectral_certificate(sweep, q0=(1 - alpha) ** 2)
+    cert = qg.spectral_certificate([sweep.matrix], q0=(1 - alpha) ** 2)
     assert cert.disk_ok
     assert cert.unit_eigenvalue_count == 20
 
@@ -511,11 +524,12 @@ def sorted_spectrum(ev):
 @given(g=weighted_graphs([(2, 2), (3, 2), (4, 2), (2, 3)]),
        alpha=st.floats(0.05, 0.95), data=st.data())
 def test_blockwise_certificate_matches_the_dense_eigensolve(g, alpha, data):
-    # the certificate solves one block of the nonzero pattern at a time
+    # the certificate solves the synchronous map one orbit block at a time
     order = data.draw(st.permutations(range(len(g.edges))))
-    for sop in (qg.synchronous_superoperator(g, alpha),
-                qg.cycle_superoperator(g, order, alpha)):
-        cert = qg.spectral_certificate(sop, q0=1.0 - alpha)
+    sync = qg.synchronous_superoperator(g, alpha)
+    sweep = qg.cycle_superoperator(g, order, alpha)
+    for blocks, sop in ((qg.synchronous_blocks(g, alpha), sync), ([sweep.matrix], sweep)):
+        cert = qg.spectral_certificate(blocks, q0=1.0 - alpha)
         np.testing.assert_allclose(sorted_spectrum(cert.eigenvalues),
                                    sorted_spectrum(np.linalg.eigvals(sop.matrix)),
                                    rtol=0, atol=1e-10)
@@ -523,16 +537,31 @@ def test_blockwise_certificate_matches_the_dense_eigensolve(g, alpha, data):
             [math.comb(len(c) + g.shape.n ** 2 - 1, len(c)) for c in g.components()])
 
 
-def test_certificate_blocks_follow_the_nonzero_pattern():
-    # a block-diagonal matrix under a permutation, with a one-way coupling
-    rng = make_rng(41)
-    mat = np.zeros((9, 9), dtype=complex)
-    for block in ([0, 4, 7], [1, 2], [3, 5, 6, 8]):
-        mat[np.ix_(block, block)] = rng.standard_normal((len(block),) * 2)
-    mat[5, 3] = 0.0
-    cert = qg.spectral_certificate(qg.Superoperator(mat), q0=0.5)
-    np.testing.assert_allclose(sorted_spectrum(cert.eigenvalues),
-                               sorted_spectrum(np.linalg.eigvals(mat)), rtol=0, atol=1e-12)
+@st.composite
+def graphs_with_edges(draw, shapes):
+    """A random graph with at least one edge, connected or not, and random weights."""
+    m, n = draw(st.sampled_from(shapes))
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(edges), max_size=len(edges)))
+    return qg.InteractionGraph(qg.NetworkShape(m, n), edges, [w / sum(raw) for w in raw])
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=graphs_with_edges([(m, 2) for m in range(2, 6)] + [(2, 3), (3, 3), (2, 4)]),
+       alpha=st.floats(0.01, 0.99))
+def test_synchronous_blocks_are_the_dense_blocks(g, alpha):
+    dense = qg.synchronous_superoperator(g, alpha).matrix
+    d = g.shape.total_dim
+    labels, sizes = orbit_labels(g.shape.m, g.shape.n, g.components())
+    vec_labels = labels.reshape(d, d).ravel(order="F")  # orbit of each vec(rho) index
+    blocks = list(qg.synchronous_blocks(g, alpha))
+    assert len(blocks) == len(sizes)
+    for o, block in enumerate(blocks):
+        rows = np.flatnonzero(vec_labels == o)
+        assert block.dtype == np.complex128
+        assert np.array_equal(block, dense[np.ix_(rows, rows)])
+    assert not dense[vec_labels[:, None] != vec_labels[None, :]].any()
 
 
 def test_certificate_rejects_pure_swap():
@@ -540,7 +569,7 @@ def test_certificate_rejects_pure_swap():
     shape = qg.NetworkShape(2, 2)
     u = qg.swap_unitary(1, 2, shape)
     sop = qg.build_superoperator(qg.KrausChannel([u], shape))
-    cert = qg.spectral_certificate(sop, q0=0.5)
+    cert = qg.spectral_certificate([sop.matrix], q0=0.5)
     assert not cert.disk_ok and not cert.passed
     assert cert.max_disk_violation == pytest.approx(1.0, abs=1e-9)
 
@@ -548,9 +577,9 @@ def test_certificate_rejects_pure_swap():
 def test_certificate_validates_q0():
     sop = qg.synchronous_superoperator(path_graph(2), 0.5)
     with pytest.raises(qg.ValidationError):
-        qg.spectral_certificate(sop, q0=0.0)
+        qg.spectral_certificate([sop.matrix], q0=0.0)
     with pytest.raises(qg.ValidationError):
-        qg.spectral_certificate(sop, q0=1.5)
+        qg.spectral_certificate([sop.matrix], q0=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +738,33 @@ def test_s_average_check_validates_inputs():
                            [qg.random_density(split.shape, 0)])
 
 
+def test_s_average_check_single_site_is_exact():
+    # one site has no edges: every step is the identity, nothing drifts
+    g = path_graph(1)
+    rho0 = qg.DensityOperator(np.diag([0.25, 0.75]), g.shape)
+    rep = qg.s_average_check(SZ, g, 0.5, [rho0], steps=10)
+    assert rep.decomposable
+    assert rep.conservation_drift == 0.0
+    assert rep.limit_deviation == 0.0
+
+
 def test_dual_fixed_point_check():
     g = path_graph(3)
     rep = qg.dual_fixed_point_check(g, 0.5, qg.site_average(SZ, g.shape), sigma=SZ)
     assert rep.ok and rep.s_invariant
     assert rep.max_invariance_defect <= 1e-12
     assert rep.iteration_deviation <= 1e-8
+
+
+def test_dual_fixed_point_check_without_edges():
+    rep = qg.dual_fixed_point_check(path_graph(1), 0.5, SZ, sigma=SZ)
+    assert rep.ok and rep.s_invariant
+    assert rep.max_invariance_defect == 0.0
+    assert rep.iteration_deviation == 0.0
+    edgeless = qg.InteractionGraph(qg.NetworkShape(3, 2), [])
+    with pytest.raises(qg.ValidationError, match="needs at least one edge"):
+        qg.dual_fixed_point_check(edgeless, 0.5, qg.site_average(SZ, edgeless.shape),
+                                  sigma=SZ)
 
 
 # ---------------------------------------------------------------------------
