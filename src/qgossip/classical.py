@@ -35,17 +35,32 @@ def as_value_array(x0) -> np.ndarray:
     return a
 
 
-def classical_gossip_step(x: np.ndarray, edge, alpha: float) -> np.ndarray:
-    """One pairwise mixing step; returns a new array."""
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    a = as_value_array(x)
+
+
+def _edge_rows(edge, m: int) -> tuple[int, int]:
+    """The 0-based rows of a 1-based edge on m nodes."""
     j, k = (int(v) - 1 for v in edge)
-    if j == k or not (0 <= j < a.shape[0] and 0 <= k < a.shape[0]):
-        raise ValidationError(f"edge {edge!r} invalid for {a.shape[0]} nodes")
+    if j == k or not (0 <= j < m and 0 <= k < m):
+        raise ValidationError(f"edge {edge!r} invalid for {m} nodes")
+    return j, k
+
+
+def _mix_rows(src: np.ndarray, out: np.ndarray, j: int, k: int, alpha: float) -> None:
+    """Write the mixed rows j and k of ``src`` into ``out``."""
+    out[j] = (1.0 - alpha) * src[j] + alpha * src[k]
+    out[k] = (1.0 - alpha) * src[k] + alpha * src[j]
+
+
+def classical_gossip_step(x: np.ndarray, edge, alpha: float) -> np.ndarray:
+    """One pairwise mixing step; returns a new array."""
+    _check_alpha(alpha)
+    a = as_value_array(x)
+    j, k = _edge_rows(edge, a.shape[0])
     out = a.copy()
-    out[j] = (1.0 - alpha) * a[j] + alpha * a[k]
-    out[k] = (1.0 - alpha) * a[k] + alpha * a[j]
+    _mix_rows(a, out, j, k, alpha)
     return out
 
 
@@ -90,22 +105,26 @@ def run_classical(x0, graph: InteractionGraph, alpha: float,
     m = a.shape[0]
     if graph.shape.m != m:
         raise ValidationError(f"{m} node values for a graph on {graph.shape.m} sites")
+    _check_alpha(alpha)
     edges = list(edge_sequence)
+    rows = [None if e is None else _edge_rows(e, m) for e in edges]
     xs = np.empty((len(edges) + 1,) + a.shape)
-    ws = np.empty(len(edges) + 1)
     xs[0] = a
-    ws[0] = disagreement(a)
-    mean0 = a.mean(axis=0)
-    cur = a
-    for t, edge in enumerate(edges):
-        cur = classical_gossip_step(cur, edge, alpha) if edge is not None else cur.copy()
-        xs[t + 1] = cur
-        ws[t + 1] = disagreement(cur)
-        if np.max(np.abs(cur.mean(axis=0) - mean0)) > MEAN_TOL:
-            raise ConsistencyError(f"mean drifted at step {t + 1}")
-        if ws[t + 1] > ws[t] + W_MONOTONE_TOL:
-            raise ConsistencyError(
-                f"disagreement increased by {ws[t + 1] - ws[t]:.3e} at step {t + 1}")
+    for t, pair in enumerate(rows, 1):
+        xs[t] = xs[t - 1]
+        if pair is not None:
+            _mix_rows(xs[t - 1], xs[t], *pair, alpha)
+    centered = xs - xs.mean(axis=1, keepdims=True)
+    ws = np.sum(centered ** 2, axis=(1, 2))
+    drifted = np.max(np.abs(xs.mean(axis=1) - a.mean(axis=0)), axis=1) > MEAN_TOL
+    rose = np.diff(ws) > W_MONOTONE_TOL
+    failed = np.flatnonzero(drifted[1:] | rose)
+    if failed.size:  # name the first failing step; the mean is checked first
+        t = int(failed[0]) + 1
+        if drifted[t]:
+            raise ConsistencyError(f"mean drifted at step {t}")
+        raise ConsistencyError(
+            f"disagreement increased by {ws[t] - ws[t - 1]:.3e} at step {t}")
     return ClassicalTrajectory(alpha=alpha, edges=edges, x=xs, disagreement=ws)
 
 

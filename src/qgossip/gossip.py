@@ -274,8 +274,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     ``Tr[S rho_t]``, the SSC gap, and the sigma-SMC defect. Every step is one
     :func:`gossip_update`, so it costs O(d^2) per edge touched.
     """
-    from .consensus import ssc_gap as _ssc_gap  # local import avoids a cycle
-    from .consensus import sym_projector
+    from .consensus import matrix_ssc_gap, sym_projector  # local import avoids a cycle
 
     shape = rho0.shape
     if graph.shape != shape:
@@ -308,7 +307,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     def record(t: int):
         z[t] = local_expectations(mat, shape, obs.matrix)
         s_expect[t] = np.einsum("ij,ji->", s_mat, mat).real
-        gap_arr[t] = _ssc_gap(DensityOperator.trusted(mat, shape))
+        gap_arr[t] = matrix_ssc_gap(mat, shape)
         defect_arr[t] = max(1.0 - np.einsum("ij,ji->", proj_sym, mat).real, 0.0)
 
     record(0)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -205,22 +204,23 @@ def resolve_out_dir(scenario_dir: str, cli_override: str | None) -> Path:
     return path
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConsistencyError("refusing to write a non-finite value")
-    return format(v, ".17g")
-
-
 def write_csv(path: Path, header: list[str], rows, manifest_name: str):
-    """CSV with 17-significant-digit floats and a manifest reference line."""
+    """CSV with 17-significant-digit floats and a manifest reference line.
+
+    A row is leading labels (strings and integers, written as they are)
+    followed by numbers, written through one ``%.17g`` format per row. A NaN
+    or an infinity raises ConsistencyError.
+    """
     lines = [f"# manifest: {manifest_name}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        k = 0
+        while k < len(row) and isinstance(row[k], (str, int, np.integer)):
+            k += 1
+        values = ",".join(["%.17g"] * (len(row) - k)) % tuple(row[k:])
+        if "n" in values:  # %.17g spells finite doubles with [0-9.e+-] only
+            raise ConsistencyError("refusing to write a non-finite value")
+        cells = [v if isinstance(v, str) else str(int(v)) for v in row[:k]]
+        lines.append(",".join(cells + [values] if k < len(row) else cells))
     path.write_text("\n".join(lines) + "\n")
 
 

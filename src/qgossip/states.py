@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConsistencyError, DimensionError, ValidationError
-from .linalg import NetworkShape, as_operator, eigh, kron, kron_all, require_hermitian
+from .linalg import NetworkShape, as_operator, eigh, kron, require_hermitian
 from .rng import complex_ginibre, make_rng
 
 # Single-qubit basics, sigma_z = |0><0| - |1><1| = diag(1, -1).
@@ -124,6 +124,28 @@ def transposition_maps(m: int, n: int) -> MappingProxyType:
     return MappingProxyType(maps)
 
 
+@lru_cache(maxsize=16)
+def site_trace_index(m: int, n: int) -> np.ndarray:
+    """Read-only flat index ``idx[i, a, b, r]`` of shape ``(m, n, n, n**(m-1))``.
+
+    Entry ``[i, a, b, r]`` is the position in ``x.ravel()`` of
+    ``<y|x|y'>``, where ``y`` holds ``a`` and ``y'`` holds ``b`` at (0-based)
+    site i and both hold the digits of ``r`` at the other sites, in site
+    order. ``x.ravel()[idx].sum(-1)`` is then every single-site partial trace
+    at once. Built once per shape: ``8 m n**(m+1)`` bytes (0.8 MB at m=12, n=2).
+    """
+    d = n ** m
+    rest = np.arange(n ** (m - 1))
+    digit = np.arange(n)
+    idx = np.empty((m, n, n, rest.size), dtype=np.intp)
+    for i in range(m):
+        stride = n ** (m - 1 - i)
+        row = (rest // stride) * (n * stride) + rest % stride  # row of y with a = 0
+        idx[i] = row * (d + 1) + (digit[:, None, None] * d + digit[None, :, None]) * stride
+    idx.setflags(write=False)
+    return idx
+
+
 @lru_cache(maxsize=2)
 def orbit_labels(m: int, n: int, blocks: tuple[tuple[int, ...], ...]):
     """Read-only ``(labels, sizes)``: the orbit of every entry ``labels[i * d + j]``
@@ -212,8 +234,9 @@ def lift_local(sigma, site: int, shape: NetworkShape) -> np.ndarray:
         raise DimensionError(f"local operator dim {s.shape[0]} != n={shape.n}")
     if not 1 <= site <= shape.m:
         raise ValidationError(f"site {site} outside 1..{shape.m}")
-    eye_n = np.eye(shape.n, dtype=np.complex128)
-    return kron_all(s if i == site else eye_n for i in shape.sites())
+    left = np.eye(shape.n ** (site - 1), dtype=np.complex128)
+    right = np.eye(shape.n ** (shape.m - site), dtype=np.complex128)
+    return kron(kron(left, s), right)
 
 
 def site_average(sigma, shape: NetworkShape) -> np.ndarray:
@@ -309,14 +332,23 @@ class DensityOperator:
         return float(np.real(np.einsum("ij,ji->", self.matrix, self.matrix)))
 
 
+def local_reduced_states(x: np.ndarray, shape: NetworkShape) -> np.ndarray:
+    """Every single-site reduced state of x as one ``(m, n, n)`` array.
+
+    Row ``i - 1`` is ``partial_trace(x, shape, {i})``; all m come from one
+    gather of ``m n d`` entries through :func:`site_trace_index` and one sum.
+    """
+    a = as_operator(x)
+    if a.shape[0] != shape.total_dim:
+        raise DimensionError("operator does not match the network shape")
+    return a.ravel()[site_trace_index(shape.m, shape.n)].sum(axis=-1)
+
+
 def local_expectations(x: np.ndarray, shape: NetworkShape,
                        sigma: np.ndarray) -> np.ndarray:
-    """``z_i = Tr[sigma^(i) x] = Tr[sigma x_bar_i]``, one partial trace per site."""
-    z = np.empty(shape.m)
-    for i in shape.sites():
-        red = linalg.partial_trace(x, shape, {i})
-        z[i - 1] = np.einsum("ij,ji->", red, sigma).real
-    return z
+    """``z_i = Tr[sigma^(i) x] = Tr[sigma x_bar_i]`` for every site, from the
+    reduced states of :func:`local_reduced_states`."""
+    return np.einsum("kab,ba->k", local_reduced_states(x, shape), sigma).real
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgossip as qg
+from qgossip import classical
 from qgossip.classical import MEAN_TOL, as_value_array
 from qgossip.rng import make_rng
 
@@ -150,6 +151,51 @@ def test_run_validates_inputs():
     g = path_graph(3)
     with pytest.raises(qg.ValidationError):
         qg.run_classical([1.0, 2.0], g, 0.5, schedule_edges(g, "cyclic", 3))
+
+
+def test_run_is_the_sequence_of_single_steps():
+    # the replay updates rows in place; it must equal stepping bit for bit
+    g = path_graph(5)
+    rng = make_rng(17)
+    x0 = rng.standard_normal((5, 2))
+    edges = schedule_edges(g, "random", 40, 3) + [None] + schedule_edges(g, "cyclic", 8)
+    traj = qg.run_classical(x0, g, 0.37, edges)
+    cur = as_value_array(x0)
+    for t, edge in enumerate(edges, 1):
+        cur = cur if edge is None else qg.classical_gossip_step(cur, edge, 0.37)
+        np.testing.assert_array_equal(traj.x[t], cur)
+        assert traj.disagreement[t] == qg.disagreement(cur)
+
+
+def test_run_validates_alpha_and_every_edge_before_stepping():
+    g = path_graph(3)
+    with pytest.raises(qg.ValidationError, match="alpha"):
+        qg.run_classical([1.0, 2.0, 3.0], g, 1.0, [(1, 2)])
+    with pytest.raises(qg.ValidationError, match=r"edge \(1, 4\)"):
+        qg.run_classical([1.0, 2.0, 3.0], g, 0.5, [(1, 2), None, (1, 4)])
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("shift", "mean drifted at step 3"),
+    ("spread", r"disagreement increased by .* at step 3")])
+def test_run_names_the_first_failing_step(monkeypatch, kind, message):
+    # a faulty row update from step 3 on: the error names step 3
+    mix = classical._mix_rows
+    steps = []
+
+    def faulty(src, out, j, k, alpha):
+        steps.append(None)
+        if len(steps) < 3:
+            return mix(src, out, j, k, alpha)
+        if kind == "shift":
+            out[j] = src[j] + 1.0
+        else:  # push the pair apart: the mean stays, W rises
+            out[j], out[k] = 2 * src[j] - src[k], 2 * src[k] - src[j]
+
+    monkeypatch.setattr(classical, "_mix_rows", faulty)
+    g = path_graph(3)
+    with pytest.raises(qg.ConsistencyError, match=message):
+        qg.run_classical([3.0, 1.0, 5.0], g, 0.5, [(1, 2), (2, 3), (1, 2), (2, 3)])
 
 
 def test_classical_matches_quantum_seed_stream():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import qgossip as qg
 from qgossip import gossip as gossip_module
+from qgossip.consensus import ssc_gap
 from qgossip.rng import draw_index, make_rng, trial_rng
 from qgossip.states import basis_index_map, conjugate_by_basis_map, orbit_labels
 
@@ -160,6 +161,38 @@ def test_record_tracks_final_state():
     assert rec.steps == 20
     assert len(rec.edges) == 20
     assert rec.termination == "steps_exhausted"
+
+
+@pytest.mark.parametrize("strategy,seed", [("random", 5), ("cyclic", None),
+                                           ("synchronous", None)])
+def test_recorded_ssc_gap_is_the_final_state_gap(strategy, seed):
+    # evolve takes the gap on the raw matrix; the state's gap agrees bitwise
+    g = path_graph(4)
+    rho = qg.random_density(g.shape, 13)
+    cfg = qg.GossipConfig(alpha=0.35, strategy=strategy, steps=25, seed=seed)
+    rec, final = qg.evolve(rho, g, cfg, SZ)
+    assert rec.ssc_gap[-1] == ssc_gap(final)
+    assert rec.ssc_gap[0] == ssc_gap(rho)
+
+
+def test_evolve_validates_no_state_per_step(monkeypatch):
+    g = path_graph(4)
+    rho = qg.random_density(g.shape, 2)
+    init = qg.DensityOperator.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(qg.DensityOperator, "__init__", counting_init)
+    counts = []
+    for steps in (5, 50):
+        built.clear()
+        cfg = qg.GossipConfig(alpha=0.4, strategy="random", steps=steps, seed=1)
+        qg.evolve(rho, g, cfg, SZ)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_site_average_is_conserved_along_all_strategies():

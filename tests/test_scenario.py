@@ -166,6 +166,26 @@ def test_write_csv_format_and_round_trip(tmp_path):
     assert lines[3] == "1,1-2,-1"
 
 
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    # labels, then floats through one format per row: the same bytes as
+    # formatting every value on its own
+    rng = np.random.default_rng(5)
+    floats = list(rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6))
+    rows = [[0, ""] + floats, [7, "3-4", -0.0, 5e-324, 1.7976931348623157e308,
+                               np.float64(1 / 3), 2, np.int64(-5), True],
+            [np.int64(12), "all"], ["x", 1.5], []]
+    p = tmp_path / "out.csv"
+    write_csv(p, ["a", "b"], rows, "m.json")
+
+    def one(v):
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return v if isinstance(v, str) else format(float(v), ".17g")
+
+    want = ["# manifest: m.json", "a,b"] + [",".join(one(v) for v in r) for r in rows]
+    assert p.read_text() == "\n".join(want) + "\n"
+
+
 def test_write_csv_rejects_non_finite(tmp_path):
     with pytest.raises(qg.ConsistencyError):
         write_csv(tmp_path / "bad.csv", ["v"], [[float("nan")]], "m.json")

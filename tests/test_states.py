@@ -11,8 +11,10 @@ from qgossip.consensus import ssc_gap
 from qgossip.linalg import PSD_TOL
 from qgossip.rng import complex_ginibre, make_rng
 from qgossip.states import (Permutation, basis_index_map, conjugate_by_basis_map,
-                            is_permutation_invariant, local_hermitian_basis,
-                            orbit_labels, parse_sigma, transposition_maps)
+                            is_permutation_invariant, local_expectations,
+                            local_hermitian_basis, local_reduced_states,
+                            orbit_labels, parse_sigma, site_trace_index,
+                            transposition_maps)
 
 SZ = qg.PAULI["z"]
 SX = qg.PAULI["x"]
@@ -128,6 +130,17 @@ def test_lift_local_places_factor():
         qg.lift_local(SZ, 4, shape)
 
 
+def test_lift_local_is_the_kronecker_chain():
+    # two guarded products with identity blocks; exact 0/1 factors change no bits
+    for m, n in [(1, 2), (4, 2), (5, 2), (6, 2), (3, 3), (2, 4)]:
+        shape = qg.NetworkShape(m, n)
+        sigma = complex_ginibre(make_rng(40 + m), n)
+        eye = np.eye(n, dtype=np.complex128)
+        for site in shape.sites():
+            chain = qg.kron_all(sigma if i == site else eye for i in shape.sites())
+            np.testing.assert_array_equal(qg.lift_local(sigma, site, shape), chain)
+
+
 def test_lifts_on_distinct_sites_commute():
     shape = qg.NetworkShape(3, 2)
     a = qg.lift_local(SX, 1, shape)
@@ -152,6 +165,27 @@ def test_local_hermitian_basis_is_orthonormal_and_complete():
             for j, b in enumerate(basis):
                 ip = np.trace(a.conj().T @ b).real
                 np.testing.assert_allclose(ip, 1.0 if i == j else 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2),
+                                 (3, 3), (2, 4), (4, 4)])
+def test_gathered_reduced_states_match_partial_traces(m, n):
+    # one gather for all sites, against the einsum partial trace and the dense lift
+    shape = qg.NetworkShape(m, n)
+    x = complex_ginibre(make_rng(500 + 10 * m + n), shape.total_dim)
+    x /= np.linalg.norm(x)  # a non-Hermitian X of unit Frobenius norm
+    sigma = complex_ginibre(make_rng(7 * m + n), n)
+    reds = local_reduced_states(x, shape)
+    z = local_expectations(x, shape, sigma)
+    assert reds.shape == (m, n, n) and z.shape == (m,)
+    for i in shape.sites():
+        np.testing.assert_allclose(reds[i - 1], qg.partial_trace(x, shape, {i}),
+                                   rtol=0, atol=1e-14)
+        dense = np.trace(qg.lift_local(sigma, i, shape) @ x).real
+        np.testing.assert_allclose(z[i - 1], dense, rtol=0, atol=1e-14)
+    idx = site_trace_index(m, n)
+    assert idx is site_trace_index(m, n)
+    assert idx.shape == (m, n, n, n ** (m - 1)) and not idx.flags.writeable
 
 
 # ---------------------------------------------------------------------------
