@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, ConsistencyError, ValidationError
-from .gossip import GossipConfig, InteractionGraph, TrajectoryRecord, evolve
+from .gossip import (ALL_EDGE_STRATEGIES, GossipConfig, InteractionGraph,
+                     TrajectoryRecord, check_alpha, evolve)
 from .states import DensityOperator
 
 MEAN_TOL = 1e-13
@@ -33,11 +34,6 @@ def as_value_array(x0) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] < 1:
         raise ValidationError(f"node values must be (m,) or (m, d), got {a.shape}")
     return a
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
 def _edge_rows(edge, m: int) -> tuple[int, int]:
@@ -56,7 +52,7 @@ def _mix_rows(src: np.ndarray, out: np.ndarray, j: int, k: int, alpha: float) ->
 
 def classical_gossip_step(x: np.ndarray, edge, alpha: float) -> np.ndarray:
     """One pairwise mixing step; returns a new array."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     a = as_value_array(x)
     j, k = _edge_rows(edge, a.shape[0])
     out = a.copy()
@@ -105,7 +101,7 @@ def run_classical(x0, graph: InteractionGraph, alpha: float,
     m = a.shape[0]
     if graph.shape.m != m:
         raise ValidationError(f"{m} node values for a graph on {graph.shape.m} sites")
-    _check_alpha(alpha)
+    check_alpha(alpha)
     edges = list(edge_sequence)
     rows = [None if e is None else _edge_rows(e, m) for e in edges]
     xs = np.empty((len(edges) + 1,) + a.shape)
@@ -149,7 +145,7 @@ def correspondence_run(rho0: DensityOperator, sigma, graph: InteractionGraph,
     ``fail_above`` (default 1e-10) raises CertificateError; observed
     deviations sit at the floating-point floor (< 1e-12).
     """
-    if config.strategy not in ("random", "cyclic"):
+    if config.strategy in ALL_EDGE_STRATEGIES:
         raise ValidationError(
             "the correspondence is stated for single-edge schedules "
             "(random or cyclic)")

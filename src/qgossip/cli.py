@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: classify, evolve, spectrum, correspond, nogo, ensemble.
-Exit codes: 0 success, 1 validation error, 2 failed certificate or internal
-consistency fault, 3 resource cap exceeded or out of memory.
+Exit codes: 0 success, 1 validation error or unreadable/unwritable file,
+2 failed certificate or internal consistency fault, 3 resource cap exceeded
+or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -19,12 +20,12 @@ from .classical import correspondence_run
 from .consensus import classify, nogo_check
 from .errors import (CertificateError, ConsistencyError, ResourceLimitError,
                      ScenarioError, ValidationError)
-from .gossip import (probability_one_convergence_experiment,
-                     fixed_point_space, spectral_certificate,
-                     synchronous_blocks)
+from .gossip import (ALL_EDGE_STRATEGIES, probability_one_convergence_experiment,
+                     spectral_certificate, synchronous_blocks)
 from .linalg import NetworkShape, frobenius_distance
 from .scenario import (RunManifest, Scenario, TOOL_VERSION, load_scenario,
-                       resolve_out_dir, write_csv, write_json, write_manifest)
+                       load_suite, resolve_out_dir, write_csv, write_json,
+                       write_manifest)
 from .states import named_state, parse_sigma, twirl
 
 
@@ -42,7 +43,7 @@ def _write_trajectory(path: Path, record, manifest_name: str):
                                            record.ssc_gap[0], record.smc_defect[0]]]
     for t in range(1, len(record.z)):
         edge = record.edges[t - 1]
-        label = "all" if record.strategy in ("synchronous", "expected") else _edge_label(edge)
+        label = "all" if record.strategy in ALL_EDGE_STRATEGIES else _edge_label(edge)
         rows.append([t, label] + list(record.z[t])
                     + [record.s_expect[t], record.ssc_gap[t], record.smc_defect[t]])
     write_csv(path, header, rows, manifest_name)
@@ -67,16 +68,7 @@ def _finish_manifest(out_dir: Path, stem: str, scenario: Scenario, command: str,
 def cmd_classify(args) -> int:
     tol = args.tol
     if args.suite:
-        raw = json.loads(Path(args.suite).read_text())
-        if not isinstance(raw, dict) or raw.get("schema") != 1:
-            raise ScenarioError("suite: expected a JSON object with schema 1")
-        entries = raw.get("suite")
-        if not isinstance(entries, list) or not entries:
-            raise ScenarioError("suite.suite: expected a non-empty list")
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict) or "state" not in entry or "sigma" not in entry:
-                raise ScenarioError(f"suite.suite[{i}]: needs state and sigma")
-        specs = [(entry["state"], entry["sigma"], None) for entry in entries]
+        entries = load_suite(args.suite)
     else:
         if not args.state or not args.sigma:
             raise ScenarioError("classify needs --state and --sigma (or --suite)")
@@ -85,12 +77,11 @@ def cmd_classify(args) -> int:
             if args.m is None or args.n is None:
                 raise ScenarioError("--m and --n must be given together")
             shape = NetworkShape(args.m, args.n)
-        specs = [(args.state, args.sigma, shape)]
-    results = []
-    for state_spec, sigma_spec, shape in specs:
-        state = named_state(state_spec, shape)
-        report = classify(state, parse_sigma(sigma_spec, state.shape.n), tol)
-        results.append({"state": state_spec, "sigma": sigma_spec, "report": report.as_dict()})
+        state = named_state(args.state, shape)
+        entries = [(args.state, state, args.sigma, parse_sigma(args.sigma, state.shape.n))]
+    results = [{"state": state_spec, "sigma": sigma_spec,
+                "report": classify(state, obs, tol).as_dict()}
+               for state_spec, state, sigma_spec, obs in entries]
 
     for item in results:
         r = item["report"]
@@ -146,7 +137,7 @@ def cmd_spectrum(args) -> int:
     alpha = scenario.config.alpha
 
     cert = spectral_certificate(synchronous_blocks(scenario.graph, alpha), q0=1.0 - alpha)
-    dim, _basis = fixed_point_space(scenario.graph)
+    dim = cert.block_count  # one orbit per block, one fixed-space basis element per orbit
     if dim != cert.unit_eigenvalue_count:
         raise ConsistencyError(f"fixed space dimension {dim} disagrees with "
                                f"{cert.unit_eigenvalue_count} unit eigenvalues")
@@ -245,6 +236,15 @@ def cmd_ensemble(args) -> int:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+def tolerance(text: str) -> float:
+    """The type of --tol and --eps: a finite, nonnegative float."""
+    value = float(text)  # argparse reports a ValueError as "invalid tolerance value"
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite nonnegative number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgossip",
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", help="JSON suite of {state, sigma} entries")
     p.add_argument("--m", type=int, help="number of subsystems")
     p.add_argument("--n", type=int, help="local dimension")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=tolerance, default=1e-8,
                    help="classification tolerance (default 1e-8)")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_classify)
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--horizon", type=int, default=500)
-    p.add_argument("--eps", type=float, default=1e-10)
+    p.add_argument("--eps", type=tolerance, default=1e-10)
     p.add_argument("--out-dir", help="output directory override")
     p.set_defaults(func=cmd_ensemble)
     return parser
@@ -315,6 +315,9 @@ def main(argv=None) -> int:
         return 2
     except (ScenarioError, ValidationError, ValueError) as exc:
         print(f"error (validation): {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error (file): {exc}", file=sys.stderr)
         return 1
 
 

@@ -160,6 +160,12 @@ def smc_pairwise_gap(rho: DensityOperator, sigma: Observable) -> float:
     return float(gap)
 
 
+def matrix_smc_defect(x: np.ndarray, pi_sym: np.ndarray) -> float:
+    """``max(1 - Tr[Pi_sym x], 0)`` for a raw matrix and the :func:`sym_projector`
+    matrix, so a trajectory can record it without wrapping each step's state."""
+    return max(1.0 - np.einsum("ij,ji->", pi_sym, x).real, 0.0)
+
+
 def check_smc(rho: DensityOperator, sigma: Observable, tol: float = DEFAULT_TOL):
     """Return (flag, defect) with defect = 1 - Tr[Pi_sym rho] in [0, 1].
 
@@ -170,9 +176,7 @@ def check_smc(rho: DensityOperator, sigma: Observable, tol: float = DEFAULT_TOL)
     """
     if sigma.dim != rho.shape.n:
         raise ValidationError("observable dimension does not match the network")
-    proj = sym_projector(sigma, rho.shape.m)
-    overlap = np.einsum("ij,ji->", proj.matrix, rho.matrix).real
-    defect = float(max(1.0 - overlap, 0.0))
+    defect = float(matrix_smc_defect(rho.matrix, sym_projector(sigma, rho.shape.m).matrix))
     flag = defect <= tol
     pairwise = smc_pairwise_gap(rho, sigma)
     if (pairwise <= tol) != flag:

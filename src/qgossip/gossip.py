@@ -43,7 +43,8 @@ from .states import (DensityOperator, KrausChannel, Observable,
                      orbit_labels, site_average, swap_unitary,
                      transposition_maps, twirl_matrix)
 
-STRATEGIES = ("random", "cyclic", "synchronous", "expected")
+ALL_EDGE_STRATEGIES = ("synchronous", "expected")  # every step applies every edge
+STRATEGIES = ("random", "cyclic") + ALL_EDGE_STRATEGIES
 CONSERVATION_TOL = 1e-10
 DISK_TOL = 1e-9           # spectral certificate: disk violation and unit eigenvalues
 DECOMPOSITION_TOL = 1e-10  # s_average_check: residual of S against single-site lifts
@@ -53,6 +54,11 @@ ENSEMBLE_CHUNK_BYTES = 1 << 22  # working arrays of one chunk of ensemble trials
 # ---------------------------------------------------------------------------
 # interaction graphs and run configuration
 # ---------------------------------------------------------------------------
+
+def check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:  # NaN fails too
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+
 
 class InteractionGraph:
     """Undirected interaction graph on sites 1..m with positive edge weights.
@@ -139,8 +145,7 @@ class GossipConfig:
     stop_gap: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"strategy {self.strategy!r} not in {STRATEGIES}")
@@ -190,7 +195,7 @@ def edge_schedule(graph: InteractionGraph, config: GossipConfig,
     step on a graph with no edges. Both engines read their edges from here,
     so classical replays see exactly the quantum sequence.
     """
-    if config.strategy in ("synchronous", "expected") or not graph.edges:
+    if config.strategy in ALL_EDGE_STRATEGIES or not graph.edges:
         return itertools.repeat(None)
     if config.strategy == "cyclic":
         return itertools.cycle(config.resolved_cycle_order(graph))
@@ -210,8 +215,7 @@ def _edge_basis_map(edge, shape: NetworkShape) -> np.ndarray:
 
 def gossip_channel(edge, alpha: float, shape: NetworkShape) -> KrausChannel:
     """Kraus form of one pairwise gossip interaction (the dense reference)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     j, k = (int(v) for v in edge)
     if not (1 <= j <= shape.m and 1 <= k <= shape.m and j != k):
         raise ValidationError(f"edge ({j}, {k}) invalid for m={shape.m}")
@@ -274,7 +278,8 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     ``Tr[S rho_t]``, the SSC gap, and the sigma-SMC defect. Every step is one
     :func:`gossip_update`, so it costs O(d^2) per edge touched.
     """
-    from .consensus import matrix_ssc_gap, sym_projector  # local import avoids a cycle
+    from .consensus import (matrix_smc_defect, matrix_ssc_gap,  # local import avoids a cycle
+                            sym_projector)
 
     shape = rho0.shape
     if graph.shape != shape:
@@ -308,7 +313,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
         z[t] = local_expectations(mat, shape, obs.matrix)
         s_expect[t] = np.einsum("ij,ji->", s_mat, mat).real
         gap_arr[t] = matrix_ssc_gap(mat, shape)
-        defect_arr[t] = max(1.0 - np.einsum("ij,ji->", proj_sym, mat).real, 0.0)
+        defect_arr[t] = matrix_smc_defect(mat, proj_sym)
 
     record(0)
     termination = "steps_exhausted"
@@ -443,6 +448,7 @@ class SpectralCertificate:
     eigenvalues inside the disk centred at ``q0`` with radius ``1 - q0``,
     tangent to the unit circle only at 1. ``passed`` is the disk check;
     ``spectral_gap`` is one minus the largest non-unit eigenvalue modulus.
+    ``block_count`` is the number of diagonal blocks solved.
     """
 
     eigenvalues: np.ndarray
@@ -452,6 +458,7 @@ class SpectralCertificate:
     unit_eigenvalue_count: int
     spectral_gap: float
     max_imag: float
+    block_count: int
 
     @property
     def passed(self) -> bool:
@@ -464,7 +471,8 @@ def spectral_certificate(blocks: Iterable[np.ndarray], q0: float) -> SpectralCer
     if not 0.0 < q0 <= 1.0:
         raise ValidationError(
             f"the certificate requires an identity weight q0 in (0, 1], got {q0}")
-    evals = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    spectra = [np.linalg.eigvals(b) for b in blocks]
+    evals = np.concatenate(spectra)
     max_imag = float(np.max(np.abs(evals.imag))) if evals.size else 0.0
     violation = float(np.max(np.abs(evals - q0) - (1.0 - q0))) if evals.size else 0.0
     disk_ok = violation <= DISK_TOL
@@ -474,7 +482,8 @@ def spectral_certificate(blocks: Iterable[np.ndarray], q0: float) -> SpectralCer
     return SpectralCertificate(
         eigenvalues=evals, q0=q0, disk_ok=disk_ok,
         max_disk_violation=max(violation, 0.0),
-        unit_eigenvalue_count=int(np.sum(unit_mask)), spectral_gap=gap, max_imag=max_imag)
+        unit_eigenvalue_count=int(np.sum(unit_mask)), spectral_gap=gap, max_imag=max_imag,
+        block_count=len(spectra))
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +637,7 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
     """
     shape = graph.shape
     s_mat = require_hermitian(s_operator, what="dual fixed-point candidate")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if shape.m > 1 and not graph.edges:
         raise ValidationError("the dual fixed-point check needs at least one edge")
     sweep = [[_edge_basis_map(e, shape)] for e in graph.edges] or [[]]  # one site: no edge
@@ -710,8 +718,7 @@ def probability_one_convergence_experiment(
         raise ValidationError("the experiment needs at least one edge")
     if num_trials < 1 or horizon < 1:
         raise ValidationError("num_trials and horizon must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     d = shape.total_dim
     dd = d * d
     start_state = rho0.matrix.reshape(1, dd)

@@ -47,7 +47,7 @@ def hermiticity_defect(x: np.ndarray) -> float:
 def require_hermitian(x: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
     a = as_operator(x)
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if not defect <= tol:  # a NaN or an infinity in x makes the defect NaN or inf
         raise ValidationError(f"{what} is not Hermitian: max |x - x^dagger| = {defect:.3e} > {tol:.1e}")
     return a
 

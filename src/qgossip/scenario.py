@@ -13,12 +13,13 @@ A scenario is a single versioned JSON document::
     }
 
 ``weights``, ``seed``, ``cycle_order``, ``stop_gap`` and ``outputs`` are
-optional. Validation errors name the offending field. Every run writes a
-manifest (scenario hash, tool version, seeds, wall time, termination reason)
-and every output file references it: CSV files carry a leading
-``# manifest:`` comment line, JSON files a "manifest" key. Identical
-scenario + seed produce byte-identical CSV output; wall time lives only in
-the manifest.
+optional. ``sigma`` may also be a ``{real, imag}`` matrix or a nested list;
+classify suites (:func:`load_suite`) take the same state and sigma forms.
+Validation errors name the offending field. Every run writes a manifest
+(scenario hash, tool version, seeds, wall time, termination reason) and every
+output file references it: CSV files carry a leading ``# manifest:`` comment
+line, JSON files a "manifest" key. Identical scenario + seed produce
+byte-identical CSV output; wall time lives only in the manifest.
 """
 
 from __future__ import annotations
@@ -61,6 +62,51 @@ def _optional(mapping: dict, key: str, kind, path: str, default=None):
     return _require(mapping, key, kind, path)
 
 
+def _read_document(path, what: str) -> tuple[bytes, dict]:
+    """The bytes and the parsed root object of a versioned JSON file."""
+    p = Path(path)
+    try:
+        blob = p.read_bytes()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {what} file {p}: {exc}") from exc
+    try:
+        data = json.loads(blob)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(
+            f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}")
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{what} root must be a JSON object")
+    schema = _require(data, "schema", int, "$")
+    if schema != SCHEMA_VERSION:
+        raise ScenarioError(
+            f"$.schema: unsupported version {schema}, this tool reads {SCHEMA_VERSION}")
+    return blob, data
+
+
+def _read_specs(block: dict, state_key: str, shape: NetworkShape | None,
+                path: str) -> tuple[str, DensityOperator, object, Observable]:
+    """``(state spec, state, sigma spec, observable)`` from ``block[state_key]`` and
+    ``block["sigma"]``, a name, a ``{real, imag}`` matrix or a nested list."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{path}: expected an object with {state_key} and sigma")
+    state_spec = _require(block, state_key, str, path)
+    sigma = _require(block, "sigma", object, path)
+    try:
+        state = named_state(state_spec, shape)
+    except ValidationError as exc:
+        raise ScenarioError(f"{path}.{state_key}: {exc}") from exc
+    if not isinstance(sigma, (str, list, dict)):
+        raise ScenarioError(f"{path}.sigma: expected a name, {{real, imag}} or a nested list")
+    try:
+        matrix = sigma
+        if isinstance(sigma, dict):
+            matrix = (np.asarray(sigma["real"], dtype=float)
+                      + 1j * np.asarray(sigma.get("imag", 0.0), dtype=float))
+        return state_spec, state, sigma, parse_sigma(matrix, state.shape.n)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ScenarioError(f"{path}.sigma: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A parsed and validated scenario plus its provenance hash."""
@@ -69,27 +115,20 @@ class Scenario:
     graph: InteractionGraph
     config: GossipConfig
     initial_state_spec: str
-    sigma_spec: object
     out_directory: str
     stem: str
     sha256: str
     path: str
     rho0: DensityOperator = field(repr=False, compare=False)
+    obs: Observable = field(repr=False, compare=False)
 
     def initial_state(self) -> DensityOperator:
         """The state built once by :func:`load_scenario` (immutable, shared)."""
         return self.rho0
 
     def sigma(self) -> Observable:
-        spec = self.sigma_spec
-        try:
-            if isinstance(spec, dict):
-                real = np.asarray(spec["real"], dtype=float)
-                imag = np.asarray(spec.get("imag", np.zeros_like(real)), dtype=float)
-                return parse_sigma(real + 1j * imag, self.shape.n)
-            return parse_sigma(spec, self.shape.n)
-        except (ValidationError, KeyError, TypeError) as exc:
-            raise ScenarioError(f"sigma: {exc}") from exc
+        """The observable built once by :func:`load_scenario` (immutable, shared)."""
+        return self.obs
 
     def seeds(self) -> list[int]:
         seeds = []
@@ -102,23 +141,8 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     p = Path(path)
-    try:
-        blob = p.read_bytes()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {p}: {exc}") from exc
+    blob, data = _read_document(p, "scenario")
     sha = hashlib.sha256(blob).hexdigest()
-    try:
-        data = json.loads(blob)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}")
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario root must be a JSON object")
-
-    schema = _require(data, "schema", int, "$")
-    if schema != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"$.schema: unsupported version {schema}, this tool reads {SCHEMA_VERSION}")
 
     shape_block = _require(data, "shape", dict, "$")
     try:
@@ -152,28 +176,24 @@ def load_scenario(path) -> Scenario:
     except ValidationError as exc:
         raise ScenarioError(f"gossip: {exc}") from exc
 
-    state_spec = _require(data, "initial_state", str, "$")
-    if "sigma" not in data:
-        raise ScenarioError("$.sigma: missing required field")
-    sigma_spec = data["sigma"]
-    if not isinstance(sigma_spec, (str, dict)):
-        raise ScenarioError("$.sigma: expected a name or a {real, imag} matrix")
-
     outputs = _optional(data, "outputs", dict, "$", default={})
     out_dir = _optional(outputs, "directory", str, "outputs", default=".")
     stem = _optional(outputs, "stem", str, "outputs", default=p.stem)
 
-    try:
-        rho0 = named_state(state_spec, shape)
-    except ValidationError as exc:
-        raise ScenarioError(f"initial_state: {exc}") from exc
-    scenario = Scenario(shape=shape, graph=graph, config=config,
-                        initial_state_spec=state_spec, sigma_spec=sigma_spec,
-                        out_directory=out_dir, stem=stem, sha256=sha,
-                        path=str(p), rho0=rho0)
-    # fail fast on a sigma that cannot build
-    scenario.sigma()
-    return scenario
+    state_spec, rho0, _sigma, obs = _read_specs(data, "initial_state", shape, "$")
+    return Scenario(shape=shape, graph=graph, config=config,
+                    initial_state_spec=state_spec, out_directory=out_dir,
+                    stem=stem, sha256=sha, path=str(p), rho0=rho0, obs=obs)
+
+
+def load_suite(path) -> list[tuple[str, DensityOperator, object, Observable]]:
+    """A classify suite's entries as ``(state spec, state, sigma spec,
+    observable)``; each state takes the shape its specifier implies."""
+    entries = _require(_read_document(path, "suite")[1], "suite", list, "$")
+    if not entries:
+        raise ScenarioError("$.suite: expected a non-empty list")
+    return [_read_specs(entry, "state", None, f"$.suite[{i}]")
+            for i, entry in enumerate(entries)]
 
 
 @dataclass

@@ -219,7 +219,7 @@ def swap_unitary(j: int, k: int, shape: NetworkShape) -> np.ndarray:
 def conjugate_by_basis_map(x: np.ndarray, bmap: np.ndarray) -> np.ndarray:
     """``U x U^dagger`` for the basis-relabelling unitary encoded by ``bmap``."""
     out = np.empty_like(x)
-    out[np.ix_(bmap, bmap)] = x
+    out[bmap[:, None], bmap] = x
     return out
 
 

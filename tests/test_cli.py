@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import dataclasses
 import json
 import tracemalloc
 from importlib.resources import files
@@ -78,6 +79,72 @@ def test_classify_random_state_with_shape(capsys):
                      "--m", "2"]) == 1  # --m without --n
 
 
+def write_suite(tmp_path, entries):
+    p = tmp_path / "suite.json"
+    p.write_text(json.dumps({"schema": 1, "suite": entries}))
+    return str(p)
+
+
+@pytest.mark.parametrize("content,named", [
+    (None, "cannot read suite file"),
+    ('{"schema": 1,,}', "not valid JSON (line 1, column"),
+    ("[1, 2]", "suite root must be a JSON object"),
+    ({"schema": 2, "suite": [{"state": "rhoA", "sigma": "z"}]}, "$.schema"),
+    ({"schema": 1, "suite": []}, "$.suite: expected a non-empty list"),
+    ({"schema": 1, "suite": [{"state": "rhoA", "sigma": "z"}, 3]}, "$.suite[1]:"),
+    ({"schema": 1, "suite": [{"sigma": "z"}]}, "$.suite[0].state: missing"),
+    ({"schema": 1, "suite": [{"state": 5, "sigma": "z"}]}, "$.suite[0].state: expected str"),
+    ({"schema": 1, "suite": [{"state": "rhoA", "sigma": 17}]}, "$.suite[0].sigma:"),
+    ({"schema": 1, "suite": [{"state": "rhoA", "sigma": {"real": 1}}]}, "$.suite[0].sigma:"),
+])
+def test_classify_rejects_a_malformed_suite(tmp_path, capsys, content, named):
+    p = tmp_path / "suite.json"
+    if content is not None:
+        p.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert cli.main(["classify", "--suite", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_suite_sigma_forms_give_the_same_report(tmp_path):
+    # a suite entry takes a scenario's {real, imag} matrix and a bare nested list
+    z_forms = ["z", {"real": [[1, 0], [0, -1]]}, [[1, 0], [0, -1]]]
+    y_forms = ["y", {"real": [[0, 0], [0, 0]], "imag": [[0, -1], [1, 0]]}]
+    for forms in (z_forms, y_forms):
+        for state in ("rhoC", "rhoF", "rhoG:0.3"):
+            out = tmp_path / "report.json"
+            suite = write_suite(tmp_path, [{"state": state, "sigma": f} for f in forms])
+            assert cli.main(["classify", "--suite", suite, "--out", str(out)]) == 0
+            reports = [item["report"] for item in json.loads(out.read_text())["results"]]
+            assert all(r == reports[0] for r in reports)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_tolerance_flags_reject_non_finite_and_negative(tmp_path, capsys, value):
+    assert cli.main(["classify", "--state", "rhoC", "--sigma", "z", "--tol", value]) == 1
+    err = capsys.readouterr().err
+    assert "--tol" in err and "Traceback" not in err
+    scn = write_scenario(tmp_path, gossip={"strategy": "random", "seed": 11})
+    assert cli.main(["ensemble", scn, "--trials", "2", "--horizon", "5",
+                     "--eps", value, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "--eps" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_outputs_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    assert cli.main(["classify", "--state", "rhoB", "--sigma", "z", "--out", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    assert cli.main(["evolve", write_scenario(tmp_path), "--out-dir", str(a_file)]) == 1
+    err = capsys.readouterr().err
+    assert str(a_file) in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -144,6 +211,19 @@ def test_evolve_builds_random_initial_state_once(tmp_path, monkeypatch):
     scn = write_scenario(tmp_path, initial_state="random:31",
                          gossip={"strategy": "random", "seed": 4, "steps": 5})
     assert cli.main(["evolve", scn, "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_evolve_builds_the_observable_once(tmp_path, monkeypatch):
+    import qgossip.scenario as scenario
+    calls = []
+    original = scenario.parse_sigma
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(scenario, "parse_sigma", counting)
+    assert cli.main(["evolve", write_scenario(tmp_path), "--out-dir", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
 
 
@@ -227,6 +307,19 @@ def test_spectrum_builds_no_dense_superoperator(tmp_path, monkeypatch):
     assert payload["fixed_space_dimension"] == payload["unit_eigenvalue_count"] == 35
 
 
+def test_spectrum_runs_without_the_fixed_point_basis(tmp_path, monkeypatch):
+    # the fixed space dimension is the certified block count; the basis is a test oracle
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("fixed_point_space called on the CLI path")
+    monkeypatch.setattr(gossip, "fixed_point_space", forbidden)
+    monkeypatch.setattr(cli, "fixed_point_space", forbidden, raising=False)
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", scn, "--out-dir", str(out)]) == 0
+    payload = json.loads((out / "scn_spectrum.json").read_text())
+    assert payload["fixed_space_dimension"] == payload["unit_eigenvalue_count"] == 20
+
+
 def test_spectrum_at_the_cap_allocates_little(tmp_path):
     # a dense m=6 superoperator alone is 4096 x 4096 complex, 256 MiB
     scn = write_scenario(tmp_path, shape={"m": 6, "n": 2},
@@ -244,12 +337,13 @@ def test_spectrum_at_the_cap_allocates_little(tmp_path):
 
 
 def test_spectrum_rejects_a_disagreeing_fixed_space(tmp_path, monkeypatch, capsys):
-    real = cli.fixed_point_space
+    # the fixed-space dimension is the orbit count, one certified block per orbit
+    real = cli.spectral_certificate
 
-    def off_by_one(graph):
-        dim, basis = real(graph)
-        return dim + 1, basis
-    monkeypatch.setattr(cli, "fixed_point_space", off_by_one)
+    def one_block_too_many(blocks, q0):
+        cert = real(blocks, q0)
+        return dataclasses.replace(cert, block_count=cert.block_count + 1)
+    monkeypatch.setattr(cli, "spectral_certificate", one_block_too_many)
     scn = write_scenario(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["spectrum", scn, "--out-dir", str(out)]) == 2

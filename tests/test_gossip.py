@@ -93,6 +93,26 @@ def test_gossip_config_validation():
 # channels
 # ---------------------------------------------------------------------------
 
+ALPHA_ENTRY_POINTS = {
+    "GossipConfig": lambda a: qg.GossipConfig(alpha=a, strategy="cyclic", steps=1),
+    "gossip_channel": lambda a: qg.gossip_channel((1, 2), a, qg.NetworkShape(2, 2)),
+    "dual_fixed_point_check": lambda a: qg.dual_fixed_point_check(
+        path_graph(2), a, np.eye(4)),
+    "ensemble": lambda a: qg.probability_one_convergence_experiment(
+        path_graph(2), a, qg.random_density(qg.NetworkShape(2, 2), 1),
+        eps=1e-10, num_trials=1, horizon=1, seed=1),
+    "classical_gossip_step": lambda a: qg.classical_gossip_step([0.0, 1.0], (1, 2), a),
+    "run_classical": lambda a: qg.run_classical([0.0, 1.0], path_graph(2), a, [(1, 2)]),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+@pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+def test_every_alpha_entry_point_rejects_the_closed_ends_and_nan(entry, alpha):
+    with pytest.raises(qg.ValidationError, match=r"alpha must lie strictly in \(0, 1\)"):
+        ALPHA_ENTRY_POINTS[entry](alpha)
+
+
 def test_gossip_channel_kraus_structure():
     shape = qg.NetworkShape(2, 2)
     ch = qg.gossip_channel((1, 2), 0.3, shape)
@@ -173,6 +193,19 @@ def test_recorded_ssc_gap_is_the_final_state_gap(strategy, seed):
     rec, final = qg.evolve(rho, g, cfg, SZ)
     assert rec.ssc_gap[-1] == ssc_gap(final)
     assert rec.ssc_gap[0] == ssc_gap(rho)
+
+
+@pytest.mark.parametrize("strategy,seed", [("random", 5), ("cyclic", None),
+                                           ("synchronous", None)])
+def test_recorded_smc_defect_is_the_final_state_defect(strategy, seed):
+    # evolve and check_smc share matrix_smc_defect, so they agree bitwise
+    g = path_graph(4)
+    rho = qg.random_density(g.shape, 17)
+    obs = qg.Observable(qg.PAULI["x"])
+    cfg = qg.GossipConfig(alpha=0.35, strategy=strategy, steps=25, seed=seed)
+    rec, final = qg.evolve(rho, g, cfg, obs)
+    assert rec.smc_defect[-1] == qg.check_smc(final, obs)[1]
+    assert rec.smc_defect[0] == qg.check_smc(rho, obs)[1]
 
 
 def test_evolve_validates_no_state_per_step(monkeypatch):
@@ -624,6 +657,15 @@ def test_fixed_point_dimensions():
     assert qg.fixed_point_space(path_graph(3))[0] == 20
     triangle = qg.InteractionGraph(qg.NetworkShape(3, 2), [(1, 2), (2, 3), (1, 3)])
     assert qg.fixed_point_space(triangle)[0] == 20
+
+
+def test_certificate_counts_one_block_per_fixed_point():
+    split = qg.InteractionGraph(qg.NetworkShape(4, 2), [(1, 2), (3, 4)])
+    for g in (path_graph(2), path_graph(4), split):
+        cert = qg.spectral_certificate(qg.synchronous_blocks(g, 0.4), q0=0.6)
+        assert cert.block_count == qg.fixed_point_space(g)[0] == cert.unit_eigenvalue_count
+    dense = qg.synchronous_superoperator(path_graph(3), 0.4)
+    assert qg.spectral_certificate([dense.matrix], q0=0.6).block_count == 1
 
 
 def test_fixed_point_dimension_matches_commutant():

@@ -123,6 +123,29 @@ def test_sigma_as_explicit_matrix(tmp_path):
     np.testing.assert_allclose(scn.sigma().matrix, qg.PAULI["y"], atol=0)
 
 
+def test_sigma_as_bare_list_is_built_once(tmp_path):
+    doc = base_doc()
+    doc["sigma"] = [[0.0, 1.0], [1.0, 0.0]]
+    scn = qg.load_scenario(write_doc(tmp_path, doc))
+    np.testing.assert_allclose(scn.sigma().matrix, qg.PAULI["x"], atol=0)
+    assert scn.sigma() is scn.sigma()
+
+
+@pytest.mark.parametrize("sigma", [
+    {"real": 1},
+    {"imag": [[0.0, 1.0], [1.0, 0.0]]},
+    {"real": [[1.0, 0.0], [0.0, -1.0]], "imag": None},
+    {"real": [[float("nan"), 0.0], [0.0, 1.0]]},
+    [[1.0, 0.0]],
+    True,
+])
+def test_malformed_sigma_matrix_names_the_field(tmp_path, sigma):
+    doc = base_doc()
+    doc["sigma"] = sigma
+    with pytest.raises(qg.ScenarioError, match=r"\$\.sigma"):
+        qg.load_scenario(write_doc(tmp_path, doc))
+
+
 def test_random_state_seed_is_reported(tmp_path):
     doc = base_doc()
     doc["initial_state"] = "random:31"
