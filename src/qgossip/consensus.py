@@ -80,21 +80,15 @@ def check_rsc(rho: DensityOperator, tol: float = DEFAULT_TOL):
     return gap <= tol, gap
 
 
-def matrix_ssc_gap(x: np.ndarray, shape: NetworkShape) -> float:
-    """Frobenius distance ``||x - twirl(x)||_F`` from the
+def ssc_gap(rho: DensityOperator) -> float:
+    """Frobenius distance ``||rho - twirl(rho)||_F`` from the
     permutation-invariant subspace.
 
     The twirl is the exact group average (see :func:`twirl_matrix`), so this
     is the same quantity at every m. It is taken on the entries: a difference
-    of squared norms would cancel near symmetric states. Works on a raw
-    matrix, so a trajectory can record it without wrapping each step's state.
+    of squared norms would cancel near symmetric states.
     """
-    return frobenius_distance(x, twirl_matrix(x, shape))
-
-
-def ssc_gap(rho: DensityOperator) -> float:
-    """The SSC gap of a state: :func:`matrix_ssc_gap` of its matrix."""
-    return matrix_ssc_gap(rho.matrix, rho.shape)
+    return frobenius_distance(rho.matrix, twirl_matrix(rho.matrix, rho.shape))
 
 
 def check_ssc(rho: DensityOperator, tol: float = DEFAULT_TOL):

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .linalg import (MAX_SUPEROP_DIM, NetworkShape, as_operator,
+from .linalg import (MAX_SUPEROP_DIM, NetworkShape, as_operator, frobenius_distance,
                      require_hermitian, unvectorize, vectorize)
 from .rng import draw_index, make_rng, trial_rng
 from .states import (DensityOperator, KrausChannel, Observable,
@@ -46,6 +46,7 @@ from .states import (DensityOperator, KrausChannel, Observable,
 ALL_EDGE_STRATEGIES = ("synchronous", "expected")  # every step applies every edge
 STRATEGIES = ("random", "cyclic") + ALL_EDGE_STRATEGIES
 CONSERVATION_TOL = 1e-10
+CONTRACTION_TOL = 1e-12    # largest rise of a (squared) distance to twirl(rho_0)
 DISK_TOL = 1e-9           # spectral certificate: disk violation and unit eigenvalues
 DECOMPOSITION_TOL = 1e-10  # s_average_check: residual of S against single-site lifts
 ENSEMBLE_CHUNK_BYTES = 1 << 22  # working arrays of one chunk of ensemble trials
@@ -250,9 +251,9 @@ class TrajectoryRecord:
 
     ``edges[t]`` is the interaction applied to move from step t to t+1
     (None for synchronous/expected steps, which touch all edges at once).
-    Arrays hold one row per recorded time 0..T. ``s_expect`` tracks
-    ``Tr[S rho_t]`` for ``S = (1/m) sum_i sigma^(i)``; it is conserved along
-    every gossip trajectory and drift beyond 1e-10 raises ConsistencyError.
+    Arrays hold one row per recorded time 0..T. ``s_expect`` is the mean of
+    the ``z`` row, ``Tr[S rho_t]`` for ``S = (1/m) sum_i sigma^(i)``, and
+    ``ssc_gap`` is ``||rho_t - twirl(rho_0)||_F``; :func:`evolve` checks both.
     """
 
     strategy: str
@@ -274,12 +275,14 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     """Run a gossip trajectory, recording consensus diagnostics at every step.
 
     Records, for t = 0..steps: the local expectations
-    ``z_l(t) = Tr[sigma^(l) rho_t]``, the conserved site average
-    ``Tr[S rho_t]``, the SSC gap, and the sigma-SMC defect. Every step is one
-    :func:`gossip_update`, so it costs O(d^2) per edge touched.
+    ``z_l(t) = Tr[sigma^(l) rho_t]``, their mean ``Tr[S rho_t]`` (conserved),
+    the SSC gap ``||rho_t - T||_F`` on the entries, with ``T = twirl(rho_0)``
+    computed once (every gossip channel fixes it), and the sigma-SMC defect.
+    A drift of ``Tr[S rho_t]``, a rise of the gap, or a final twirl off ``T``
+    raises ConsistencyError. Each step is one :func:`gossip_update`, O(d^2)
+    per edge touched.
     """
-    from .consensus import (matrix_smc_defect, matrix_ssc_gap,  # local import avoids a cycle
-                            sym_projector)
+    from .consensus import matrix_smc_defect, sym_projector  # local import avoids a cycle
 
     shape = rho0.shape
     if graph.shape != shape:
@@ -294,7 +297,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
                       "blockwise only", stacklevel=2)
 
     proj_sym = sym_projector(obs, shape.m).matrix
-    s_mat = site_average(obs.matrix, shape)
+    star = twirl_matrix(rho0.matrix, shape)
 
     bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
     schedule = edge_schedule(graph, config)
@@ -302,23 +305,24 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
 
     steps = config.steps
     z = np.empty((steps + 1, shape.m))
-    s_expect = np.empty(steps + 1)
-    gap_arr = np.empty(steps + 1)
-    defect_arr = np.empty(steps + 1)
+    s_expect, gap_arr, defect_arr = np.empty((3, steps + 1))
     edges_used: list = []
-
     mat = rho0.matrix.copy()
-
-    def record(t: int):
-        z[t] = local_expectations(mat, shape, obs.matrix)
-        s_expect[t] = np.einsum("ij,ji->", s_mat, mat).real
-        gap_arr[t] = matrix_ssc_gap(mat, shape)
-        defect_arr[t] = matrix_smc_defect(mat, proj_sym)
-
-    record(0)
     termination = "steps_exhausted"
-    performed = 0
-    for t in range(steps):
+    for t in range(steps + 1):
+        z[t] = local_expectations(mat, shape, obs.matrix)
+        s_expect[t] = z[t].mean()
+        gap_arr[t] = frobenius_distance(mat, star)
+        defect_arr[t] = matrix_smc_defect(mat, proj_sym)
+        if t:
+            drift, rise = abs(s_expect[t] - s_expect[t - 1]), gap_arr[t] - gap_arr[t - 1]
+            if drift > CONSERVATION_TOL:
+                raise ConsistencyError(f"conserved quantity drifted by {drift:.3e} at step {t}")
+            if rise > CONTRACTION_TOL:
+                raise ConsistencyError(
+                    f"distance to the twirl increased by {rise:.3e} at step {t}")
+        if t == steps:
+            break
         if config.stop_gap is not None and gap_arr[t] < config.stop_gap:
             termination = f"converged_at_step_{t}"
             break
@@ -326,20 +330,17 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
         maps, weights = (bmaps, graph.weights) if idx is None else ([bmaps[idx]], [1.0])
         mat = gossip_update(mat, maps, weights, alpha)
         edges_used.append(None if idx is None else graph.edges[idx])
-        performed += 1
-        record(performed)
-        if abs(s_expect[performed] - s_expect[performed - 1]) > CONSERVATION_TOL:
-            raise ConsistencyError(
-                f"conserved quantity drifted by "
-                f"{abs(s_expect[performed] - s_expect[performed - 1]):.3e} at step {performed}")
+    drift = float(np.max(np.abs(twirl_matrix(mat, shape) - star)))
+    if drift > CONSERVATION_TOL:
+        raise ConsistencyError(
+            f"twirl of the final state drifted by {drift:.3e} from twirl(rho_0)")
 
-    t_count = performed + 1
-    final = DensityOperator.trusted(mat, shape)
+    t_count = len(edges_used) + 1
     rec = TrajectoryRecord(
         strategy=config.strategy, alpha=alpha, edges=edges_used,
         z=z[:t_count], s_expect=s_expect[:t_count], ssc_gap=gap_arr[:t_count],
         smc_defect=defect_arr[:t_count], termination=termination)
-    return rec, final
+    return rec, DensityOperator.trusted(mat, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -692,12 +693,12 @@ def probability_one_convergence_experiment(
 
     Success for one trial means the squared Frobenius distance
     ``Tr[(rho_T - rho*)^2]`` at the horizon is at most ``eps``, with
-    ``rho* = twirl(rho_0)``. The distance must never increase along any
-    trajectory; an increase beyond 1e-12 raises ConsistencyError (hard
-    failure, since every gossip channel fixes rho* and contracts Frobenius
-    distances); ``max_distance_increase`` is the largest rise observed (0.0
-    if none). Per-trial randomness comes from the documented sub-seed
-    splitting rule, so results are reproducible and trials independent.
+    ``rho* = twirl(rho_0)``. The distance must never increase; a rise beyond
+    ``CONTRACTION_TOL`` raises ConsistencyError (hard failure, since every
+    gossip channel fixes rho* and contracts Frobenius distances);
+    ``max_distance_increase`` is the largest rise observed (0.0 if none).
+    Per-trial randomness comes from the documented sub-seed splitting rule,
+    so results are reproducible and trials independent.
 
     Trials run a chunk at a time, each chunk as one ``(trials, d**2)`` array
     that takes one array step per time step. Trial ``k``'s edges are
@@ -769,8 +770,8 @@ def probability_one_convergence_experiment(
                 _sq_distances(gs, new_k)
                 np.subtract(new_k, dist_k, out=rise_k)
                 top = float(rise_k.max())
-                if top > 1e-12:
-                    j = int(np.argmax(rise_k > 1e-12))
+                if top > CONTRACTION_TOL:
+                    j = int(np.argmax(rise_k > CONTRACTION_TOL))
                     raise ConsistencyError(
                         f"squared distance to the twirl increased by "
                         f"{rise_k[j]:.3e} in trial {lo + j}")

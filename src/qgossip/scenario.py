@@ -212,16 +212,15 @@ class RunManifest:
 
 
 def resolve_out_dir(scenario_dir: str, cli_override: str | None) -> Path:
-    """Output directory precedence: CLI flag, environment, scenario, cwd."""
+    """Output directory precedence: CLI flag, environment, scenario, cwd. The
+    directory is created at the run's first write, after validation."""
     if cli_override:
         chosen = cli_override
     elif os.environ.get(OUT_DIR_ENV):
         chosen = os.environ[OUT_DIR_ENV]
     else:
         chosen = scenario_dir or "."
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(chosen)
 
 
 def write_csv(path: Path, header: list[str], rows, manifest_name: str):

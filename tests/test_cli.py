@@ -107,6 +107,19 @@ def test_classify_rejects_a_malformed_suite(tmp_path, capsys, content, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra,named", [
+    (["--state", "rhoA"], "--state"),
+    (["--sigma", "x"], "--sigma"),
+    (["--m", "4", "--n", "3"], "--m, --n"),
+    (["--m", "4", "--n", "3", "--state", "rhoA", "--sigma", "x"], "--state, --sigma, --m, --n"),
+])
+def test_classify_suite_rejects_single_state_flags(capsys, extra, named):
+    assert cli.main(["classify", "--suite", SUITE] + extra) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_suite_sigma_forms_give_the_same_report(tmp_path):
     # a suite entry takes a scenario's {real, imag} matrix and a bare nested list
     z_forms = ["z", {"real": [[1, 0], [0, -1]]}, [[1, 0], [0, -1]]]
@@ -246,6 +259,25 @@ def test_evolve_rejects_edgeless_network(tmp_path, capsys):
                              gossip={"strategy": strategy, "seed": 3})
         assert cli.main(["evolve", scn]) == 1
         assert f"{strategy} strategy needs at least one edge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,overrides,code", [
+    ("evolve", {"graph": {"edges": []}}, 1),
+    ("correspond", {"gossip": {"strategy": "synchronous"}}, 1),
+    ("ensemble", {}, 1),  # the cyclic scenario has no seed
+    ("spectrum", {"shape": {"m": 7, "n": 2}, "initial_state": "1000000"}, 3),
+])
+def test_a_failed_run_creates_no_out_dir(tmp_path, command, overrides, code):
+    scn = write_scenario(tmp_path, **overrides)
+    out = tmp_path / "newdir"
+    assert cli.main([command, scn, "--out-dir", str(out)]) == code
+    assert not out.exists()
+
+
+def test_evolve_creates_a_nested_out_dir(tmp_path):
+    out = tmp_path / "a" / "b"
+    assert cli.main(["evolve", write_scenario(tmp_path), "--out-dir", str(out)]) == 0
+    assert (out / "scn_trajectory.csv").is_file()
 
 
 def test_evolve_missing_scenario(tmp_path):

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 import qgossip as qg
 from qgossip import gossip as gossip_module
+from qgossip import states as states_module
 from qgossip.consensus import ssc_gap
 from qgossip.rng import draw_index, make_rng, trial_rng
-from qgossip.states import basis_index_map, conjugate_by_basis_map, orbit_labels
+from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
+                            orbit_labels, twirl_matrix)
 
 SZ = qg.PAULI["z"]
 
@@ -186,12 +188,16 @@ def test_record_tracks_final_state():
 @pytest.mark.parametrize("strategy,seed", [("random", 5), ("cyclic", None),
                                            ("synchronous", None)])
 def test_recorded_ssc_gap_is_the_final_state_gap(strategy, seed):
-    # evolve takes the gap on the raw matrix; the state's gap agrees bitwise
+    # evolve measures against the twirl of rho_0, which every step conserves:
+    # bitwise that distance, and the state's own gap to within rounding
     g = path_graph(4)
     rho = qg.random_density(g.shape, 13)
     cfg = qg.GossipConfig(alpha=0.35, strategy=strategy, steps=25, seed=seed)
     rec, final = qg.evolve(rho, g, cfg, SZ)
-    assert rec.ssc_gap[-1] == ssc_gap(final)
+    star = twirl_matrix(rho.matrix, g.shape)
+    assert rec.ssc_gap[-1] == qg.frobenius_distance(final.matrix, star)
+    assert rec.ssc_gap[0] == qg.frobenius_distance(rho.matrix, star)
+    assert abs(rec.ssc_gap[-1] - ssc_gap(final)) <= 1e-14
     assert rec.ssc_gap[0] == ssc_gap(rho)
 
 
@@ -226,6 +232,61 @@ def test_evolve_validates_no_state_per_step(monkeypatch):
         qg.evolve(rho, g, cfg, SZ)
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def test_evolve_twirls_a_fixed_number_of_times(monkeypatch):
+    g = path_graph(4)
+    rho = qg.random_density(g.shape, 2)
+    twirl = states_module.twirl_matrix
+    calls = []
+
+    def counting_twirl(*args):
+        calls.append(None)
+        return twirl(*args)
+
+    for mod in (states_module, qg.consensus, gossip_module):
+        monkeypatch.setattr(mod, "twirl_matrix", counting_twirl)
+    monkeypatch.setattr(gossip_module, "site_average",
+                        mock.Mock(side_effect=AssertionError("evolve built S")))
+    counts = []
+    for steps in (5, 50):
+        calls.clear()
+        cfg = qg.GossipConfig(alpha=0.4, strategy="random", steps=steps, seed=1)
+        qg.evolve(rho, g, cfg, SZ)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def inject_fault(monkeypatch, fault):
+    """Make every evolve step apply ``fault`` to the state gossip_update returns."""
+    update = gossip_module.gossip_update
+    monkeypatch.setattr(gossip_module, "gossip_update",
+                        lambda x, *args: fault(update(x, *args)))
+
+
+def test_evolve_rejects_a_step_that_moves_the_twirl(monkeypatch):
+    # eps (|0..0><1..1| + h.c.) changes no reduced state, so no z_i and no
+    # S_expect moves, but it is its own orbit, so the twirl moves by eps
+    g = path_graph(3)
+    d, eps = g.shape.total_dim, 1e-6
+    delta = np.zeros((d, d), dtype=complex)
+    delta[0, -1] = delta[-1, 0] = eps
+    for sigma in (SZ, qg.PAULI["x"]):
+        assert not local_expectations(delta, g.shape, sigma).any()
+    assert np.array_equal(twirl_matrix(delta, g.shape), delta)
+    inject_fault(monkeypatch, lambda x: x + delta)
+    cfg = qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=3)
+    with pytest.raises(qg.ConsistencyError, match="twirl of the final state drifted by 3"):
+        qg.evolve(qg.random_density(g.shape, 4), g, cfg, qg.PAULI["x"])
+
+
+def test_evolve_rejects_a_step_that_moves_away_from_the_twirl(monkeypatch):
+    # doubling the distance to the twirl keeps the twirl and the mean of the z_i
+    g = path_graph(3)
+    inject_fault(monkeypatch, lambda x: 2 * x - twirl_matrix(x, g.shape))
+    cfg = qg.GossipConfig(alpha=0.05, strategy="cyclic", steps=3)
+    with pytest.raises(qg.ConsistencyError, match="distance to the twirl increased .* step 1$"):
+        qg.evolve(qg.random_density(g.shape, 4), g, cfg, SZ)
 
 
 def test_site_average_is_conserved_along_all_strategies():
@@ -468,6 +529,32 @@ def weighted_graphs(draw, shapes):
     edges = sorted(tree | draw(st.sets(st.sampled_from(pairs), max_size=2)))
     raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(edges), max_size=len(edges)))
     return qg.InteractionGraph(shape, edges, [w / sum(raw) for w in raw])
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=weighted_graphs([(m, 2) for m in range(2, 6)] + [(2, 3), (3, 3)]),
+       strategy=st.sampled_from(gossip_module.STRATEGIES),
+       alpha=st.floats(0.01, 0.99), data=st.data())
+def test_evolve_record_matches_a_dense_replay(g, strategy, alpha, data):
+    # S_expect (mean of z) against Tr[S rho_t], and the distance to twirl(rho_0)
+    # against the per-step orbit mean, on a replay by dense swap conjugations
+    shape = g.shape
+    seeds = [data.draw(st.integers(0, 2 ** 31)) for _ in range(3)]
+    rho = qg.random_density(shape, seeds[0])
+    sigma = qg.random_hermitian(shape.n, seeds[1])
+    cfg = qg.GossipConfig(alpha=alpha, strategy=strategy, steps=6, seed=seeds[2])
+    rec, _ = qg.evolve(rho, g, cfg, sigma)
+    s_mat = qg.site_average(sigma, shape)
+    swaps = {e: qg.swap_unitary(*e, shape) for e in g.edges}
+    x = rho.matrix
+    for t in range(rec.steps + 1):
+        if t:
+            edge = rec.edges[t - 1]
+            terms = zip(g.edges, g.weights) if edge is None else [(edge, 1.0)]
+            x = (1 - alpha) * x + sum(alpha * q * swaps[e] @ x @ swaps[e].conj().T
+                                      for e, q in terms)
+        assert abs(rec.s_expect[t] - np.trace(s_mat @ x).real) <= 1e-14
+        assert abs(rec.ssc_gap[t] - ssc_gap(qg.DensityOperator.trusted(x, shape))) <= 1e-14
 
 
 def edge_bmap(edge, shape):

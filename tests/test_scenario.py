@@ -171,8 +171,8 @@ def test_out_dir_precedence(tmp_path, monkeypatch):
     assert resolve_out_dir(str(scn_dir), None) == env_dir
     monkeypatch.delenv(OUT_DIR_ENV)
     assert resolve_out_dir(str(scn_dir), None) == scn_dir
-    # resolution creates the directory
-    assert scn_dir.is_dir()
+    # resolution only chooses: the directory is created at the run's first write
+    assert not any(d.exists() for d in (cli_dir, env_dir, scn_dir))
 
 
 def test_write_csv_format_and_round_trip(tmp_path):
