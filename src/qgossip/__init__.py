@@ -16,7 +16,7 @@ from .consensus import (ConsensusReport, NogoReport, SymProjector,
 from .errors import (CertificateError, ConsistencyError, DimensionError,
                      QGossipError, ResourceLimitError, ScenarioError,
                      ValidationError)
-from .gossip import (ConvergenceExperiment, GossipConfig, InteractionGraph,
+from .gossip import (ClassBlock, ConvergenceExperiment, GossipConfig, InteractionGraph,
                      SpectralCertificate, Superoperator, TrajectoryRecord,
                      build_superoperator, commutant_dimension,
                      cycle_superoperator, dual_fixed_point_check,
@@ -24,7 +24,7 @@ from .gossip import (ConvergenceExperiment, GossipConfig, InteractionGraph,
                      gossip_channel, gossip_update,
                      probability_one_convergence_experiment, s_average_check,
                      spectral_certificate, synchronous_blocks,
-                     synchronous_superoperator)
+                     synchronous_classes, synchronous_superoperator)
 from .linalg import (NetworkShape, eigh, frobenius_distance, kron, kron_all,
                      partial_trace, unvectorize, vectorize)
 from .scenario import RunManifest, Scenario, load_scenario

@@ -20,8 +20,9 @@ from .classical import correspondence_run
 from .consensus import classify, nogo_check
 from .errors import (CertificateError, ConsistencyError, ResourceLimitError,
                      ScenarioError, ValidationError)
-from .gossip import (ALL_EDGE_STRATEGIES, probability_one_convergence_experiment,
-                     spectral_certificate, synchronous_blocks)
+from .gossip import (ALL_EDGE_STRATEGIES, DISK_TOL,
+                     probability_one_convergence_experiment, spectral_certificate,
+                     synchronous_classes)
 from .linalg import NetworkShape
 from .scenario import (RunManifest, Scenario, TOOL_VERSION, load_scenario,
                        load_suite, resolve_out_dir, write_csv, write_json,
@@ -138,11 +139,18 @@ def cmd_spectrum(args) -> int:
     stem = scenario.stem
     alpha = scenario.config.alpha
 
-    cert = spectral_certificate(synchronous_blocks(scenario.graph, alpha), q0=1.0 - alpha)
-    dim = cert.block_count  # one orbit per block, one fixed-space basis element per orbit
+    graph = scenario.graph
+    cert = spectral_certificate(synchronous_classes(graph, alpha), q0=1.0 - alpha)
+    dim = cert.block_count  # one block per orbit, one fixed-space basis element per orbit
     if dim != cert.unit_eigenvalue_count:
         raise ConsistencyError(f"fixed space dimension {dim} disagrees with "
                                f"{cert.unit_eigenvalue_count} unit eigenvalues")
+    second = cert.second_largest_eigenvalue
+    if graph.is_connected():  # the interchange process has the gap of L_q (Caputo et al.)
+        expected = 1.0 - alpha * graph.laplacian_gap()
+        if second is None or abs(second - expected) > DISK_TOL:
+            raise ConsistencyError(f"second-largest eigenvalue {second!r} differs from "
+                                   f"1 - alpha lambda_2(L_q) = {expected!r}")
     manifest_name = _finish_manifest(
         out_dir, stem, scenario, "spectrum", started,
         "certificate_passed" if cert.passed else "certificate_failed")
@@ -156,6 +164,7 @@ def cmd_spectrum(args) -> int:
         "max_imag": float(cert.max_imag),
         "unit_eigenvalue_count": int(cert.unit_eigenvalue_count),
         "spectral_gap": float(cert.spectral_gap),
+        "second_largest_eigenvalue": second,
         "fixed_space_dimension": int(dim),
         "tool_version": TOOL_VERSION,
     }

@@ -13,9 +13,13 @@ with every edge swap.
 
 A swap only relabels computational basis indices, so the map is applied by
 relabelling: :func:`gossip_update` is the one trajectory step kernel, and the
-superoperators permute the d**2 entries of ``vec(rho)``, one entry orbit at a
-time (:func:`synchronous_blocks`). The Kraus form (:func:`gossip_channel`),
-the dense superoperators and swap unitaries, and the brute-force
+superoperators permute the d**2 entries of ``vec(rho)`` within their orbits.
+Orbits whose letter counts agree have permutation-similar, real symmetric
+blocks, so the spectrum is certified from one block per isomorphism class
+(:func:`synchronous_classes`, solved with ``eigvalsh``); its size, not the
+dense ``MAX_SUPEROP_DIM``, is what is capped. The per-orbit blocks
+(:func:`synchronous_blocks`), the Kraus form (:func:`gossip_channel`), the
+dense superoperators and swap unitaries, and the brute-force
 :func:`commutant_dimension` are kept as independent references for the tests.
 
 The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
@@ -27,15 +31,18 @@ working arrays fit in ``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is one trial.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .linalg import (MAX_SUPEROP_DIM, NetworkShape, as_operator, frobenius_distance,
-                     require_hermitian, unvectorize, vectorize)
+from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
+                     as_operator, frobenius_distance, require_hermitian, unvectorize,
+                     vectorize)
 from .rng import draw_index, make_rng, trial_rng
 from .states import (DensityOperator, KrausChannel, Observable,
                      conjugate_by_basis_map, is_permutation_invariant,
@@ -124,6 +131,15 @@ class InteractionGraph:
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
+
+    def laplacian_gap(self) -> float:
+        """``lambda_2`` of the weighted Laplacian
+        ``L_q = sum_e q_e (e_j - e_k)(e_j - e_k)^T``."""
+        lap = np.zeros((self.shape.m, self.shape.m))
+        for (j, k), q in zip(self.edges, self.weights):
+            lap[[j - 1, k - 1], [j - 1, k - 1]] += q
+            lap[[j - 1, k - 1], [k - 1, j - 1]] -= q
+        return float(np.linalg.eigvalsh(lap)[1])
 
 
 @dataclass(frozen=True)
@@ -425,6 +441,90 @@ def synchronous_blocks(graph: InteractionGraph, alpha: float) -> Iterator[np.nda
         yield flat[offset:offset + size * size].reshape(size, size)
 
 
+class ClassBlock(NamedTuple):
+    """One isomorphism class of orbit blocks: the real block of a representative
+    orbit, whose ``vec(rho)`` indices are ``rows`` (increasing), and the number
+    of orbits, ``count``, whose blocks are permutation-similar to it."""
+
+    block: np.ndarray
+    count: int
+    rows: np.ndarray
+
+
+def _multinomial(counts) -> int:
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+
+
+def _partitions(total: int, parts: int, top: int = 0) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` into at most ``parts`` parts, largest first (none above
+    ``top`` when it is set)."""
+    if total == 0:
+        yield ()
+    elif parts:
+        for p in range(min(total, top or total), 0, -1):
+            yield from ((p,) + rest for rest in _partitions(total - p, parts - 1, p))
+
+
+def _arrangements(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every distinct sequence with ``counts[k]`` copies of letter ``k``."""
+    if not any(counts):
+        return [()]
+    return [(k,) + rest for k, c in enumerate(counts) if c
+            for rest in _arrangements(counts[:k] + (c - 1,) + counts[k + 1:])]
+
+
+def synchronous_classes(graph: InteractionGraph, alpha: float) -> Iterator[ClassBlock]:
+    """The orbit blocks of :func:`synchronous_blocks`, one per isomorphism class.
+
+    Relabelling the ``n**2`` pair letters on one component's sites commutes
+    with every edge swap, so orbits whose joint types have the same sorted
+    letter counts on each component have permutation-similar blocks. A class
+    is one partition of each component's size into at most ``n**2`` parts. Its
+    representative takes letters ``0, 1, ...`` with those counts, its rows are
+    built from the letter arrangements alone, and its ``count`` is the number
+    of ways to give the parts distinct letters. The block is ``float64``,
+    bitwise the real part of the dense block, and exactly symmetric, since
+    each ``P_e`` is an involution. Before anything is built, the largest
+    block (the most even split of each component) is sized from multinomials
+    and may have at most ``MAX_TOTAL_DIM`` rows, and the map's ``d**2``
+    eigenvalues, which the certificate lists, at most ``MAX_LISTED_EIGENVALUES``.
+    """
+    if not graph.edges:
+        raise ValidationError("the synchronous map needs at least one edge")
+    shape = graph.shape
+    m, n, d, q = shape.m, shape.n, shape.total_dim, shape.n ** 2
+    comps = graph.components()
+    largest = math.prod(_multinomial([len(c) // q + (k < len(c) % q) for k in range(q)])
+                        for c in comps)
+    if largest > MAX_TOTAL_DIM:
+        raise ResourceLimitError(
+            f"the largest orbit block of the synchronous map has {largest} rows "
+            f"({largest * largest * 8 / 2 ** 20:.0f} MiB as float64), over the cap "
+            f"{MAX_TOTAL_DIM}")
+    if d * d > MAX_LISTED_EIGENVALUES:
+        raise ResourceLimitError(
+            f"the synchronous map has {d * d} eigenvalues to list, over the cap "
+            f"{MAX_LISTED_EIGENVALUES}")
+    place = n ** np.arange(m - 1, -1, -1)  # site 1 is the most significant digit
+    bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
+    for profile in itertools.product(*(_partitions(len(c), q) for c in comps)):
+        count = math.prod(_multinomial([q - len(lam), *Counter(lam).values()])
+                          for lam in profile)
+        letters = np.zeros((1, m), dtype=np.intp)
+        for comp, lam in zip(comps, profile):
+            arr = np.array(_arrangements(lam), dtype=np.intp)
+            letters = np.repeat(letters, len(arr), axis=0)
+            letters[:, [s - 1 for s in comp]] = np.tile(arr, (len(letters) // len(arr), 1))
+        rows = np.sort((letters // n) @ place + d * ((letters % n) @ place))
+        i, j = rows % d, rows // d
+        diag = np.arange(len(rows))
+        block = np.zeros((len(rows), len(rows)))
+        block[diag, diag] = 1.0 - alpha
+        for b, w in zip(bmaps, graph.weights):
+            block[diag, np.searchsorted(rows, b[i] + d * b[j])] += alpha * w
+        yield ClassBlock(block, count, rows)
+
+
 def cycle_superoperator(graph: InteractionGraph, order: Sequence[int],
                         alpha: float) -> Superoperator:
     """Superoperator of one cyclic sweep, composed edge by edge.
@@ -447,9 +547,14 @@ class SpectralCertificate:
 
     Maps of the form ``q0 X + sum_e q_e U_e X U_e`` with ``q0 > 0`` have all
     eigenvalues inside the disk centred at ``q0`` with radius ``1 - q0``,
-    tangent to the unit circle only at 1. ``passed`` is the disk check;
-    ``spectral_gap`` is one minus the largest non-unit eigenvalue modulus.
-    ``block_count`` is the number of diagonal blocks solved.
+    tangent to the unit circle only at 1. ``passed`` is the disk check.
+    ``spectral_gap`` is the modulus gap, one minus the largest non-unit
+    eigenvalue modulus: for ``q0 < 1/2`` it can be set by the negative end of
+    the spectrum. ``second_largest_eigenvalue`` is the largest real part of a
+    non-unit eigenvalue (None when every eigenvalue is a unit one); for the
+    synchronous map on a connected graph it is ``1 - alpha lambda_2(L_q)``.
+    ``block_count`` is the number of diagonal blocks certified, counting each
+    orbit of a :class:`ClassBlock`.
     """
 
     eigenvalues: np.ndarray
@@ -458,6 +563,7 @@ class SpectralCertificate:
     max_disk_violation: float
     unit_eigenvalue_count: int
     spectral_gap: float
+    second_largest_eigenvalue: float | None
     max_imag: float
     block_count: int
 
@@ -466,25 +572,41 @@ class SpectralCertificate:
         return self.disk_ok
 
 
-def spectral_certificate(blocks: Iterable[np.ndarray], q0: float) -> SpectralCertificate:
-    """Locate every eigenvalue of a map given by its diagonal ``blocks``: the orbit
-    blocks of :func:`synchronous_blocks`, or ``[sop.matrix]`` for a dense map."""
+def spectral_certificate(blocks: Iterable[np.ndarray | ClassBlock],
+                         q0: float) -> SpectralCertificate:
+    """Locate every eigenvalue of a map given by its diagonal ``blocks``.
+
+    A :class:`ClassBlock` (from :func:`synchronous_classes`) is real
+    symmetric: it is solved once with ``eigvalsh`` and its eigenvalues repeat
+    ``count`` times, one copy per orbit it stands for. Any other item is a
+    square matrix solved with ``eigvals``: an orbit block of
+    :func:`synchronous_blocks`, or ``[sop.matrix]`` for a dense map such as a
+    cyclic sweep, which is not symmetric.
+    """
     if not 0.0 < q0 <= 1.0:
         raise ValidationError(
             f"the certificate requires an identity weight q0 in (0, 1], got {q0}")
-    spectra = [np.linalg.eigvals(b) for b in blocks]
+    spectra, block_count = [], 0
+    for item in blocks:
+        if isinstance(item, ClassBlock):
+            spectra.append(np.tile(np.linalg.eigvalsh(item.block), item.count))
+            block_count += item.count
+        else:
+            spectra.append(np.linalg.eigvals(item))
+            block_count += 1
     evals = np.concatenate(spectra)
     max_imag = float(np.max(np.abs(evals.imag))) if evals.size else 0.0
     violation = float(np.max(np.abs(evals - q0) - (1.0 - q0))) if evals.size else 0.0
     disk_ok = violation <= DISK_TOL
     unit_mask = np.abs(evals - 1.0) <= DISK_TOL
-    rest = np.abs(evals[~unit_mask])
-    gap = float(1.0 - np.max(rest)) if rest.size else 1.0
+    rest = evals[~unit_mask]
+    gap = float(1.0 - np.max(np.abs(rest))) if rest.size else 1.0
     return SpectralCertificate(
         eigenvalues=evals, q0=q0, disk_ok=disk_ok,
         max_disk_violation=max(violation, 0.0),
-        unit_eigenvalue_count=int(np.sum(unit_mask)), spectral_gap=gap, max_imag=max_imag,
-        block_count=len(spectra))
+        unit_eigenvalue_count=int(np.sum(unit_mask)), spectral_gap=gap,
+        second_largest_eigenvalue=float(np.max(rest.real)) if rest.size else None,
+        max_imag=max_imag, block_count=block_count)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ MAX_TOTAL_DIM = 4096
 # Joint dimensions above this refuse superoperator-sized work (dim**2 matrices).
 MAX_SUPEROP_DIM = 64
 
+# The spectrum lists all n**(2m) eigenvalues of the expected map, each about
+# 0.5 kB of Python objects while its JSON is written: at most m = 9 for n = 2.
+MAX_LISTED_EIGENVALUES = 1 << 18
+
 # Max-entry tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-9
 

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 import qgossip.cli as cli
@@ -265,7 +267,8 @@ def test_evolve_rejects_edgeless_network(tmp_path, capsys):
     ("evolve", {"graph": {"edges": []}}, 1),
     ("correspond", {"gossip": {"strategy": "synchronous"}}, 1),
     ("ensemble", {}, 1),  # the cyclic scenario has no seed
-    ("spectrum", {"shape": {"m": 7, "n": 2}, "initial_state": "1000000"}, 3),
+    ("spectrum", {"shape": {"m": 9, "n": 2}, "initial_state": "100000000",
+                  "graph": {"edges": [[i, i + 1] for i in range(1, 9)]}}, 3),
 ])
 def test_a_failed_run_creates_no_out_dir(tmp_path, command, overrides, code):
     scn = write_scenario(tmp_path, **overrides)
@@ -385,11 +388,63 @@ def test_spectrum_rejects_a_disagreeing_fixed_space(tmp_path, monkeypatch, capsy
 
 def test_spectrum_resource_cap(tmp_path, capsys):
     scn = write_scenario(
-        tmp_path, shape={"m": 7, "n": 2},
-        graph={"edges": [[i, i + 1] for i in range(1, 7)]},
-        initial_state="1000000")
+        tmp_path, shape={"m": 9, "n": 2},
+        graph={"edges": [[i, i + 1] for i in range(1, 9)]},
+        initial_state="100000000")
     assert cli.main(["spectrum", scn]) == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+def laplacian_gap(m, edges, weights):
+    lap = np.zeros((m, m))
+    for (j, k), q in zip(edges, weights):
+        u = np.zeros(m)
+        u[[j - 1, k - 1]] = 1.0, -1.0
+        lap += q * np.outer(u, u)
+    return np.linalg.eigvalsh(lap)[1]
+
+
+def test_spectrum_past_the_dense_cap(tmp_path):
+    # m=7 has 4**7 eigenvalues; the largest class block has 630 rows
+    m, alpha = 7, 0.7
+    edges = [[i, i % m + 1] for i in range(1, m + 1)] + [[1, 4]]
+    raw = np.arange(1.0, len(edges) + 1.0)
+    weights = list(raw / raw.sum())
+    scn = write_scenario(tmp_path, shape={"m": m, "n": 2},
+                         graph={"edges": edges, "weights": weights},
+                         gossip={"alpha": alpha}, initial_state="0" * m)
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", scn, "--out-dir", str(out)]) == 0
+    payload = json.loads((out / "scn_spectrum.json").read_text())
+    evals = np.array([re for re, _im in payload["eigenvalues"]])
+    unit = np.abs(evals - 1.0) <= 1e-9
+    assert len(evals) == 4 ** m and payload["max_imag"] == 0.0
+    assert unit.sum() == payload["unit_eigenvalue_count"] == math.comb(m + 3, m) == 120
+    assert payload["fixed_space_dimension"] == 120
+    expected = 1.0 - alpha * laplacian_gap(m, edges, weights)
+    assert evals[~unit].max() == pytest.approx(expected, abs=1e-12)
+    assert payload["second_largest_eigenvalue"] == pytest.approx(expected, abs=1e-12)
+    assert payload["disk_ok"] is True
+
+
+def test_spectrum_rejects_a_second_eigenvalue_off_the_laplacian(tmp_path, monkeypatch, capsys):
+    # raising the non-unit eigenvalues of one class block moves the top one
+    # off 1 - alpha lambda_2(L_q) while the disk and the unit count still hold
+    real = cli.synchronous_classes
+
+    def perturbed(graph, alpha):
+        classes = list(real(graph, alpha))
+        k = max(range(len(classes)), key=lambda i: len(classes[i].rows))
+        size = len(classes[k].rows)
+        lift = 1e-6 * (np.eye(size) - np.full((size, size), 1.0 / size))
+        classes[k] = classes[k]._replace(block=classes[k].block + lift)
+        return iter(classes)
+    monkeypatch.setattr(cli, "synchronous_classes", perturbed)
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", scn, "--out-dir", str(out)]) == 2
+    assert "second-largest eigenvalue" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_memory_error_maps_to_exit_3(monkeypatch, capsys):

@@ -717,6 +717,59 @@ def test_synchronous_blocks_are_the_dense_blocks(g, alpha):
     assert not dense[vec_labels[:, None] != vec_labels[None, :]].any()
 
 
+@settings(max_examples=25, deadline=None)
+@given(g=graphs_with_edges([(m, 2) for m in range(2, 6)] + [(2, 3), (3, 3), (2, 4)]),
+       alpha=st.floats(0.01, 0.99))
+def test_class_blocks_certify_as_the_orbit_blocks(g, alpha):
+    # one real symmetric block per isomorphism class stands for `count` orbit blocks
+    classes = list(qg.synchronous_classes(g, alpha))
+    cert = qg.spectral_certificate(classes, q0=1.0 - alpha)
+    ref = qg.spectral_certificate(qg.synchronous_blocks(g, alpha), q0=1.0 - alpha)
+    np.testing.assert_allclose(np.sort(cert.eigenvalues), np.sort(ref.eigenvalues.real),
+                               rtol=0, atol=1e-13)
+    assert ref.max_imag <= 1e-13 and cert.max_imag == 0.0
+    assert cert.second_largest_eigenvalue == pytest.approx(ref.second_largest_eigenvalue,
+                                                           abs=1e-13)
+    d = g.shape.total_dim
+    labels, sizes = orbit_labels(g.shape.m, g.shape.n, g.components())
+    assert sum(c.count for c in classes) == cert.block_count == ref.block_count == len(sizes)
+    assert cert.unit_eigenvalue_count == ref.unit_eigenvalue_count
+    assert cert.disk_ok and ref.disk_ok
+    dense = qg.synchronous_superoperator(g, alpha).matrix
+    vec_labels = labels.reshape(d, d).ravel(order="F")
+    for c in classes:
+        assert c.block.dtype == np.float64
+        assert np.array_equal(c.rows, np.flatnonzero(vec_labels == vec_labels[c.rows[0]]))
+        assert np.array_equal(c.block, c.block.T)
+        assert np.array_equal(c.block, dense[np.ix_(c.rows, c.rows)].real)
+
+
+def test_synchronous_classes_fail_before_building():
+    # the largest block is the most even letter split: 9!/(3! 2! 2! 2!) rows at m=9
+    with pytest.raises(qg.ResourceLimitError, match="7560 rows"):
+        next(qg.synchronous_classes(path_graph(9), 0.5))
+    with pytest.raises(qg.ValidationError):
+        next(qg.synchronous_classes(qg.InteractionGraph(qg.NetworkShape(3, 2), []), 0.5))
+    assert next(qg.synchronous_classes(path_graph(8), 0.5)).count == 4  # 2520 rows fit
+    # small components keep every block small, whatever m
+    split = qg.InteractionGraph(qg.NetworkShape(9, 2), [(1, 2), (3, 4)])
+    assert max(len(c.rows) for c in qg.synchronous_classes(split, 0.5)) == 4
+    # but the certificate lists all 4**m eigenvalues
+    split = qg.InteractionGraph(qg.NetworkShape(10, 2), [(1, 2), (3, 4)])
+    with pytest.raises(qg.ResourceLimitError, match="1048576 eigenvalues"):
+        next(qg.synchronous_classes(split, 0.5))
+
+
+def test_modulus_gap_and_second_eigenvalue_differ_past_one_half():
+    # at alpha = 0.9 the negative end 1 - 2 alpha sets the modulus gap, not lambda_2
+    g = path_graph(3)  # L_q has lambda_2 = 1/2
+    cert = qg.spectral_certificate(qg.synchronous_classes(g, 0.9), q0=0.1)
+    assert cert.second_largest_eigenvalue == pytest.approx(1 - 0.9 * 0.5, abs=1e-13)
+    assert g.laplacian_gap() == pytest.approx(0.5, abs=1e-14)
+    assert cert.spectral_gap == pytest.approx(1 - 0.8, abs=1e-13)
+    assert np.min(cert.eigenvalues) == pytest.approx(1 - 2 * 0.9, abs=1e-13)
+
+
 def test_certificate_rejects_pure_swap():
     # a bare swap has eigenvalue -1, far outside the q0 = 0.5 disk
     shape = qg.NetworkShape(2, 2)
