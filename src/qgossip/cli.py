@@ -9,6 +9,7 @@ or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -154,11 +155,11 @@ def cmd_spectrum(args) -> int:
     manifest_name = _finish_manifest(
         out_dir, stem, scenario, "spectrum", started,
         "certificate_passed" if cert.passed else "certificate_failed")
+    ev = np.sort_complex(cert.eigenvalues)
     payload = {
         "alpha": alpha,
         "q0": cert.q0,
-        "eigenvalues": [[float(ev.real), float(ev.imag)]
-                        for ev in np.sort_complex(cert.eigenvalues)],
+        "eigenvalues": np.column_stack((ev.real, ev.imag)).tolist(),
         "disk_ok": bool(cert.disk_ok),
         "max_disk_violation": float(cert.max_disk_violation),
         "max_imag": float(cert.max_imag),
@@ -256,7 +257,11 @@ def tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first call. Each subcommand's
+    ``cmd_*`` function is bound into it then, so replacing a ``cmd_*`` later has
+    no effect on ``main``."""
     parser = argparse.ArgumentParser(
         prog="qgossip",
         description="Classify, evolve, and certify gossip consensus on "

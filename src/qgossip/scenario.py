@@ -19,7 +19,11 @@ Validation errors name the offending field. Every run writes a manifest
 (scenario hash, tool version, seeds, wall time, termination reason) and every
 output file references it: CSV files carry a leading ``# manifest:`` comment
 line, JSON files a "manifest" key. Identical scenario + seed produce
-byte-identical CSV output; wall time lives only in the manifest.
+byte-identical output; wall time lives only in the manifest. CSV floats are
+printed with 17 significant digits. JSON (results and manifests) is exactly
+``json.dumps(doc, indent=2, sort_keys=True)``, floats by their shortest
+round-trip ``repr``, written by one small encoder that joins each list of
+floats in one pass. Neither writer accepts a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +228,14 @@ def resolve_out_dir(scenario_dir: str, cli_override: str | None) -> Path:
     return Path(chosen)
 
 
+def _finite(text: str) -> str:
+    """``text``, a run of printed floats, unless one of them is a NaN or an infinity:
+    ``%.17g`` and ``repr`` spell finite doubles with ``[0-9.e+-]`` only."""
+    if "n" in text:
+        raise ConsistencyError("refusing to write a non-finite value")
+    return text
+
+
 def write_csv(path: Path, header: list[str], rows, manifest_name: str):
     """CSV with 17-significant-digit floats and a manifest reference line.
 
@@ -235,24 +248,53 @@ def write_csv(path: Path, header: list[str], rows, manifest_name: str):
         k = 0
         while k < len(row) and isinstance(row[k], (str, int, np.integer)):
             k += 1
-        values = ",".join(["%.17g"] * (len(row) - k)) % tuple(row[k:])
-        if "n" in values:  # %.17g spells finite doubles with [0-9.e+-] only
-            raise ConsistencyError("refusing to write a non-finite value")
+        values = _finite(",".join(["%.17g"] * (len(row) - k)) % tuple(row[k:]))
         cells = [v if isinstance(v, str) else str(int(v)) for v in row[:k]]
         lines.append(",".join(cells + [values] if k < len(row) else cells))
     path.write_text("\n".join(lines) + "\n")
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte,
+    for dicts with str keys, lists, tuples, str, int, float, bool and None.
+
+    A list of floats is joined in one pass through ``float.__repr__``, json's
+    own spelling of a finite float. A NaN or an infinity raises
+    ConsistencyError; any other type, or a non-str key, raises TypeError.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _finite(float.__repr__(obj))
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                                   for k, v in sorted(obj.items())])
+        return "{" + inner + body + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            body = _finite(("," + inner).join(map(float.__repr__, obj)))
+        except TypeError:  # not all floats
+            body = ("," + inner).join([_json_text(v, inner) for v in obj])
+        return "[" + inner + body + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path: Path, payload: dict, manifest_name: str | None = None):
+    """The payload (plus a "manifest" key) with sorted keys and a 2-space indent."""
     doc = dict(payload)
     if manifest_name is not None:
         doc["manifest"] = manifest_name
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # a NaN or an infinity anywhere in the payload
-        raise ConsistencyError("refusing to write a non-finite value") from exc
-    path.write_text(text + "\n")
+    path.write_text(_json_text(doc) + "\n")
 
 
 def write_manifest(path: Path, manifest: RunManifest):
-    path.write_text(json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(manifest.as_dict()) + "\n")

@@ -65,6 +65,16 @@ def test_classify_suite_table(tmp_path, capsys):
     assert byname["rhoC"]["smc_defect"] == pytest.approx(0.75)
 
 
+def test_the_parser_is_built_once_and_keeps_no_parsed_values(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "report.json"
+    assert cli.main(["classify", "--state", "rhoB", "--sigma", "z", "--tol", "0.5",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerance"] == 0.5
+    assert cli.main(["classify", "--state", "rhoB", "--sigma", "z", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerance"] == 1e-8
+
+
 def test_classify_requires_arguments(capsys):
     assert cli.main(["classify"]) == 1
     assert "state" in capsys.readouterr().err

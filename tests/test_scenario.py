@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgossip as qg
-from qgossip.scenario import (OUT_DIR_ENV, RunManifest, resolve_out_dir,
+from qgossip.scenario import (OUT_DIR_ENV, RunManifest, _json_text, resolve_out_dir,
                               write_csv, write_json, write_manifest)
 
 FIG3 = files("qgossip") / "scenarios" / "fig3.json"
@@ -227,6 +229,39 @@ def test_write_json_sorted_and_manifest_key(tmp_path):
         write_json(tmp_path / "bad.json", {"v": float("nan")}, "m.json")
 
 
+JSON_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5]))
+JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", "\n", 'a "b" \\c\nd', "ünï©ødé ✓ 𝄞"])
+JSON_SCALARS = (st.none() | st.booleans() | JSON_FLOATS | JSON_STRINGS
+                | st.integers() | st.integers(2**63, 2**80))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS | st.lists(JSON_FLOATS, max_size=6),
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(JSON_STRINGS, kids, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+def test_json_text_is_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("place", [lambda v: v, lambda v: {"a": v},
+                                   lambda v: [0.5, v, 1.5], lambda v: {"a": [["s"], [1, v]]}],
+                         ids=["top", "dict_value", "float_list", "nested_list"])
+def test_json_text_rejects_non_finite(bad, place):
+    with pytest.raises(qg.ConsistencyError):
+        _json_text(place(bad))
+
+
+@pytest.mark.parametrize("doc", [np.int64(3), {"a": [1.0, np.int64(3)]}, {1: "a"}, {"a": {2}}])
+def test_json_text_rejects_unsupported_types(doc):
+    with pytest.raises(TypeError):
+        _json_text(doc)
+
+
 def test_write_manifest_round_trip(tmp_path):
     p = tmp_path / "run_manifest.json"
     manifest = RunManifest(scenario_hash="ab" * 32, tool_version="0.1.0",
@@ -237,3 +272,11 @@ def test_write_manifest_round_trip(tmp_path):
     assert data["scenario_hash"] == "ab" * 32
     assert data["seeds"] == [7]
     assert data["termination"] == "steps_exhausted"
+
+
+def test_write_manifest_rejects_non_finite(tmp_path):
+    manifest = RunManifest(scenario_hash="ab" * 32, tool_version="0.1.0",
+                           command="evolve", seeds=[7], wall_time_s=float("nan"),
+                           termination="steps_exhausted")
+    with pytest.raises(qg.ConsistencyError):
+        write_manifest(tmp_path / "run_manifest.json", manifest)
