@@ -24,8 +24,10 @@ dense superoperators and swap unitaries, and the brute-force
 
 The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
 steps all trials of a chunk at once, as one ``(trials, d**2)`` array: one
-gather, an in-place mix and one distance reduction per time step. A chunk's
-working arrays fit in ``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is one trial.
+gather, an in-place mix and one distance reduction per time step. The gather
+index is copied from a table of every edge's flat gather when that table is
+small. A chunk's working arrays fit in ``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it
+is one trial.
 """
 
 from __future__ import annotations
@@ -799,13 +801,15 @@ class ConvergenceExperiment:
         return asdict(self)
 
 
-def _sq_distances(diff: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``Tr[D^dagger D]`` of each row ``D`` of a complex ``(rows, d**2)`` array,
-    which is overwritten. Each row is summed on its own (pairwise), so its
-    result does not depend on how many rows there are."""
-    flat = diff.view(np.float64)
-    np.square(flat, out=flat)
-    return np.sum(flat, axis=1, out=out)
+def _sq_distances(x: np.ndarray, star: np.ndarray, scratch: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """``||x_r - star||^2`` of each row ``x_r`` of the ``float64`` view of a
+    complex ``(rows, d**2)`` array, through ``scratch`` of the same shape:
+    subtract, then square the entries. Each row is summed on its own
+    (pairwise), so its result does not depend on how many rows there are."""
+    np.subtract(x, star, out=scratch)
+    np.square(scratch, out=scratch)
+    return np.add.reduce(scratch, axis=1, out=out)
 
 
 def probability_one_convergence_experiment(
@@ -828,11 +832,14 @@ def probability_one_convergence_experiment(
     steps at a time: the stream :func:`edge_schedule` yields for it. A step
     gathers every trial's entries through its edge's swap (a transposition is
     its own inverse, so the gather is ``U x U^dagger``), mixes in place, and
-    takes all squared distances in one reduction. The chunk's states, gathers,
-    gather indices and edge draws fit in ``ENSEMBLE_CHUNK_BYTES``; when one
-    trial's state does not fit, a chunk is a single trial, whose state, gather
-    and gather index take 2.5 complex ``d x d`` matrices and whose edge draws
-    stay within half the budget.
+    takes all squared distances in one reduction. The gather index is copied
+    from a table of every edge's flat gather when the table fits in a quarter
+    of ``ENSEMBLE_CHUNK_BYTES``, and built from the edges' basis maps
+    otherwise. The table, and the chunk's states, gathers, gather indices and
+    edge draws, fit in ``ENSEMBLE_CHUNK_BYTES``; when one trial's state does
+    not fit, a chunk is a single trial, whose state, gather and gather index
+    take 2.5 complex ``d x d`` matrices besides ``rho_0`` and the twirl, and
+    whose edge draws stay within half the budget.
     """
     shape = rho0.shape
     if graph.shape != shape:
@@ -845,12 +852,16 @@ def probability_one_convergence_experiment(
     d = shape.total_dim
     dd = d * d
     start_state = rho0.matrix.reshape(1, dd)
-    star = twirl_matrix(rho0.matrix, shape).reshape(dd)
+    star = twirl_matrix(rho0.matrix, shape).reshape(dd).view(np.float64)
     cum = np.cumsum(graph.weights)
     bmaps = np.stack([_edge_basis_map(e, shape) for e in graph.edges])
-    # Half the budget holds states, gathers and indices (at most 48 bytes per
-    # entry of rho), the other half edge draws (8 bytes per trial and step).
-    chunk = min(num_trials, max(1, ENSEMBLE_CHUNK_BYTES // (2 * 48 * dd)))
+    table = None
+    if 8 * len(bmaps) * dd <= ENSEMBLE_CHUNK_BYTES // 4:
+        table = (bmaps[:, :, None] * d + bmaps[:, None, :]).reshape(len(bmaps), dd)
+    # Half the budget holds the table, states, gathers and indices (40 bytes
+    # per entry of rho), the other half edge draws (8 bytes per trial and step).
+    trial_bytes = ENSEMBLE_CHUNK_BYTES // 2 - (0 if table is None else table.nbytes)
+    chunk = min(num_trials, max(1, trial_bytes // (40 * dd)))
     block = min(horizon, max(1, ENSEMBLE_CHUNK_BYTES // (2 * 8 * chunk)))
     x = np.empty((chunk, dd), dtype=np.complex128)
     g = np.empty_like(x)
@@ -860,7 +871,7 @@ def probability_one_convergence_experiment(
     offsets = np.arange(chunk)[:, None] * dd
     schedule = np.empty((block, chunk), dtype=np.intp)
     dist, new_dist, rise = np.empty(chunk), np.empty(chunk), np.empty(chunk)
-    first = _sq_distances(start_state - star, np.empty(1))[0]
+    keep = 1.0 - alpha
 
     successes = 0
     worst_final = 0.0
@@ -869,37 +880,42 @@ def probability_one_convergence_experiment(
         k = min(chunk, num_trials - lo)
         rngs = [trial_rng(seed, trial) for trial in range(lo, lo + k)]
         xs, gs, index = x[:k], g[:k], gather[:k]
+        xs_f, gs_f = xs.view(np.float64), gs.view(np.float64)
         maps_k, base_k, offsets_k = maps[:k], row_base[:k], offsets[:k]
         dist_k, new_k, rise_k = dist[:k], new_dist[:k], rise[:k]
         xs_flat, index3 = xs.reshape(-1), index.reshape(k, d, d)
+        rows, cols = base_k[:, :, None], maps_k[:, None, :]
         xs[:] = start_state
-        dist_k[:] = first
+        _sq_distances(xs_f, star, gs_f, dist_k)
         for t0 in range(0, horizon, block):
             steps = min(block, horizon - t0)
             for j, r in enumerate(rngs):
                 schedule[:steps, j] = draw_index(r, cum, size=steps)
             for edges in schedule[:steps, :k]:
                 # entry (i, j) of trial r is read from (b[i], b[j]) of the same trial
-                np.take(bmaps, edges, axis=0, out=maps_k, mode="clip")
-                np.multiply(maps_k, d, out=base_k)
-                base_k += offsets_k
-                np.add(base_k[:, :, None], maps_k[:, None, :], out=index3)
-                np.take(xs_flat, index, out=gs, mode="clip")
-                xs *= 1.0 - alpha
+                if table is None:
+                    bmaps.take(edges, axis=0, out=maps_k, mode="clip")
+                    np.multiply(maps_k, d, out=base_k)
+                    base_k += offsets_k
+                    np.add(rows, cols, out=index3)
+                else:
+                    table.take(edges, axis=0, out=index, mode="clip")
+                    index += offsets_k
+                xs_flat.take(index, out=gs, mode="clip")
+                xs *= keep
                 gs *= alpha
                 xs += gs
-                np.subtract(xs, star, out=gs)
-                _sq_distances(gs, new_k)
+                _sq_distances(xs_f, star, gs_f, new_k)
                 np.subtract(new_k, dist_k, out=rise_k)
-                top = float(rise_k.max())
+                top = float(np.maximum.reduce(rise_k))
                 if top > CONTRACTION_TOL:
                     j = int(np.argmax(rise_k > CONTRACTION_TOL))
                     raise ConsistencyError(
                         f"squared distance to the twirl increased by "
                         f"{rise_k[j]:.3e} in trial {lo + j}")
                 worst_rise = max(worst_rise, top)
-                dist_k[:] = new_k
-        worst_final = max(worst_final, float(dist_k.max()))
+                dist_k, new_k = new_k, dist_k
+        worst_final = max(worst_final, float(np.maximum.reduce(dist_k)))
         successes += int(np.count_nonzero(dist_k <= eps))
     return ConvergenceExperiment(
         num_trials=num_trials, horizon=horizon, eps=eps, successes=successes,

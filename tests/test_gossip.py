@@ -1,7 +1,11 @@
 """Tests for gossip channels, trajectories, superoperators, and certificates."""
 
+import importlib.util
 import itertools
+import json
 import math
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,7 @@ from qgossip import gossip as gossip_module
 from qgossip import states as states_module
 from qgossip.consensus import ssc_gap
 from qgossip.rng import draw_index, make_rng, trial_rng
+from qgossip.scenario import load_scenario
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels, twirl_matrix)
 
@@ -1051,7 +1056,7 @@ def test_batched_experiment_matches_the_per_trial_loop(g, alpha, trials, horizon
     # chunks of one trial and one-step draw blocks, or of two trials, change
     # nothing: every trial's arithmetic is independent of its chunk
     dd = g.shape.total_dim ** 2
-    for budget in (1, 2 * 48 * dd * 2):
+    for budget in (1, 2 * (2 * 40 + 8 * len(g.edges)) * dd):
         with mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
             chunked = qg.probability_one_convergence_experiment(
                 g, alpha, rho, eps=eps, num_trials=trials, horizon=horizon, seed=seed)
@@ -1099,3 +1104,53 @@ def test_experiment_rejects_a_rising_distance(monkeypatch):
     with pytest.raises(qg.ConsistencyError, match=r"increased by .* in trial \d+"):
         qg.probability_one_convergence_experiment(
             g, 0.5, rho, eps=1e-10, num_trials=4, horizon=10, seed=3)
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_single_trial_chunk_allocates_little(m):
+    # one trial's state, gather and gather index (2.5 complex matrices) and
+    # the twirl take 56 bytes per entry of rho; numpy's reduction buffers and
+    # the small arrays stay within 256 KiB
+    g = path_graph(m)
+    rho = qg.random_density(g.shape, m)
+    # warm the orbit labels and the swap basis maps outside the measurement
+    qg.probability_one_convergence_experiment(
+        g, 0.5, rho, eps=1e-10, num_trials=1, horizon=1, seed=m)
+    dd = g.shape.total_dim ** 2
+    assert gossip_module.ENSEMBLE_CHUNK_BYTES < 2 * 40 * dd * 2  # one trial a chunk
+    tracemalloc.start()
+    try:
+        qg.probability_one_convergence_experiment(
+            g, 0.5, rho, eps=1e-10, num_trials=2, horizon=3, seed=m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * dd + 2 ** 18
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ensemble_pool_matches_the_benchmark_reference(tmp_path):
+    # every ensemble pool entry of the benchmark, by check_ensemble's rule
+    workloads = _perfbench_workloads()
+    reference = json.loads(workloads.REFERENCE_PATH.read_text())
+    scenario_path = tmp_path / "job.json"
+    problems = {}
+    for m in sorted(set(workloads.CYCLES["ensemble"])):
+        for k in range(workloads.ENSEMBLE_POOL):
+            scenario_path.write_text(json.dumps(workloads.ensemble_pool_entry(m, k)))
+            scenario = load_scenario(scenario_path)
+            exp = qg.probability_one_convergence_experiment(
+                scenario.graph, scenario.config.alpha, scenario.initial_state(),
+                eps=workloads.ENSEMBLE_EPS, num_trials=workloads.ENSEMBLE_TRIALS[m],
+                horizon=workloads.ENSEMBLE_HORIZON, seed=scenario.config.seed)
+            key = f"{m}/{k}"
+            problems[key] = workloads.check_ensemble(exp.as_dict(), key, reference)
+    assert len(problems) == len(reference["ensemble"]) == 96
+    assert {key: p for key, p in problems.items() if p} == {}
