@@ -29,7 +29,7 @@ from .errors import ConsistencyError, ValidationError
 from .linalg import NetworkShape, as_operator, eigh, frobenius_distance, kron_all
 from .states import (DensityOperator, Observable, PAULI, check_projector_family,
                      local_expectations, local_hermitian_basis,
-                     local_reduced_states, twirl_matrix)
+                     local_reduced_states, pair_trace_index, twirl_matrix)
 
 DEFAULT_TOL = 1e-8
 
@@ -116,7 +116,11 @@ class SymProjector:
 
 
 def sym_projector(sigma: Observable, m: int) -> SymProjector:
-    """Build the symmetrized outcome projector on m sites."""
+    """Build the symmetrized outcome projector on m sites as a dense d x d matrix.
+
+    ``classify`` and ``evolve`` take ``Tr[Pi_sym x]`` from :func:`sym_kets`
+    instead; this Kronecker sum serves :func:`nogo_check` (m = 2).
+    """
     shape = NetworkShape(m, sigma.dim)
     d = shape.total_dim
     acc = np.zeros((d, d), dtype=np.complex128)
@@ -125,52 +129,83 @@ def sym_projector(sigma: Observable, m: int) -> SymProjector:
     return SymProjector(acc, shape, sigma.projectors)
 
 
+def sym_kets(sigma: Observable, m: int) -> np.ndarray:
+    """``K = [V_1^(x)m | V_2^(x)m | ...]`` with ``K K^dagger = Pi_sym``.
+
+    ``V_j`` is the ``n x r_j`` isometry of sigma's spectral group j
+    (``Observable.isometries``), so ``V_j^(x)m (V_j^(x)m)^dagger = P_j^(x)m``.
+    K has ``sum_j r_j**m <= n**m`` columns, one per outcome when sigma is
+    nondegenerate. Each power is built by broadcast outer products, site 1
+    leftmost as in :func:`kron_all`.
+    """
+    blocks = []
+    for v in sigma.isometries:
+        k = v
+        for _ in range(m - 1):
+            k = (k[:, None, :, None] * v[None, :, None, :]).reshape(
+                k.shape[0] * v.shape[0], k.shape[1] * v.shape[1])
+        blocks.append(k)
+    return np.hstack(blocks)
+
+
+def sym_overlap(x: np.ndarray, kets: np.ndarray) -> float:
+    """``Re Tr[Pi_sym x] = Re sum_j Tr[K_j^dagger x K_j]`` for the
+    :func:`sym_kets` matrix K: one product ``x K`` and one inner product,
+    O(d**2) per column of K, with no d x d ``Pi_sym``."""
+    return float(np.vdot(kets, x @ kets).real)
+
+
+def matrix_smc_defect(x: np.ndarray, kets: np.ndarray) -> float:
+    """``max(1 - Tr[Pi_sym x], 0)`` for a raw matrix, with the overlap taken
+    from the :func:`sym_kets` matrix (:func:`sym_overlap`).
+
+    This is the one definition of the SMC defect: :func:`check_smc` calls it,
+    and a trajectory records it without wrapping each step's state.
+    """
+    return max(1.0 - sym_overlap(x, kets), 0.0)
+
+
 def smc_pairwise_gap(rho: DensityOperator, sigma: Observable) -> float:
     """Raw pairwise agreement deviation over all outcomes j and site pairs.
 
     ``max_{j,k!=l} |Tr[Pi_j^(k) Pi_j^(l) rho] - Tr[Pi_j^(l) rho]|``, the
     definition the symmetrized projector criterion compresses.
 
-    Computed from reduced states, with no d x d lift: the single-site terms
-    are ``Tr[Pi_j rho_l]`` and, since ``Pi_j^(k)`` and ``Pi_j^(l)`` act on
-    different sites, the joint term is ``Tr[(Pi_j (x) Pi_j) rho_kl]``, which
-    is symmetric in (k, l). That is m one-site and m(m-1)/2 two-site partial
-    traces, O(m^2 d^2) in all. The one-site traces are taken one at a time,
-    so the ``16 m n d`` bytes of :func:`reduced_states`'s gather (64 KB at
-    m=8, n=2) are never held at once.
+    Computed from two-site reduced states, with no d x d lift and nothing
+    shared with :func:`sym_overlap`'s kets. Since ``Pi_j^(k)`` and
+    ``Pi_j^(l)`` act on different sites, the joint term is
+    ``Tr[(Pi_j (x) Pi_j) rho_kl]``, symmetric in (k, l), and the single-site
+    terms are ``Tr[(Pi_j (x) I) rho_kl]`` and ``Tr[(I (x) Pi_j) rho_kl]``.
+    Each ``rho_kl`` is one gather through :func:`pair_trace_index` and one
+    sum, a pair at a time, so at most ``n**(m+2)`` entries (16 KB at m=8,
+    n=2) are gathered at once.
     """
-    shape = rho.shape
-    singles = np.array([[np.einsum("ij,ji->", p, rho.reduced_state(i)).real
-                         for p in sigma.projectors]
-                        for i in shape.sites()])
-    pair_projectors = [np.kron(p, p) for p in sigma.projectors]
-    gap = 0.0
-    for k, l in itertools.combinations(shape.sites(), 2):
-        rho_kl = linalg.partial_trace(rho.matrix, shape, {k, l})
-        for j, pp in enumerate(pair_projectors):
-            joint = np.einsum("ij,ji->", pp, rho_kl).real
-            gap = max(gap, abs(joint - singles[k - 1, j]),
-                      abs(joint - singles[l - 1, j]))
-    return float(gap)
-
-
-def matrix_smc_defect(x: np.ndarray, pi_sym: np.ndarray) -> float:
-    """``max(1 - Tr[Pi_sym x], 0)`` for a raw matrix and the :func:`sym_projector`
-    matrix, so a trajectory can record it without wrapping each step's state."""
-    return max(1.0 - np.einsum("ij,ji->", pi_sym, x).real, 0.0)
+    n = rho.shape.n
+    idx = pair_trace_index(rho.shape.m, n)
+    flat = rho.matrix.ravel()
+    pair_states = np.empty(idx.shape[:3], dtype=np.complex128)
+    for p, pair_idx in enumerate(idx):
+        np.sum(flat[pair_idx], axis=-1, out=pair_states[p])
+    t = pair_states.reshape(-1, n, n, n, n)  # [pair, a_k, a_l, b_k, b_l]
+    projs = np.array(sigma.projectors)
+    joint = np.einsum("pabcd,jca,jdb->pj", t, projs, projs).real
+    first = np.einsum("pabcb,jca->pj", t, projs).real
+    second = np.einsum("pabad,jdb->pj", t, projs).real
+    return float(np.maximum(abs(joint - first), abs(joint - second)).max(initial=0.0))
 
 
 def check_smc(rho: DensityOperator, sigma: Observable, tol: float = DEFAULT_TOL):
     """Return (flag, defect) with defect = 1 - Tr[Pi_sym rho] in [0, 1].
 
-    The verdict is cross-validated against the raw pairwise definition, which
-    takes an independent route (partial traces instead of the Kronecker-built
-    ``Pi_sym``); a disagreement at the same tolerance indicates an internal
-    fault and raises ConsistencyError.
+    Two independent routes must agree on the verdict. The defect takes its
+    overlap from sigma's product kets (:func:`sym_kets`, no d x d
+    ``Pi_sym``); the raw pairwise definition (:func:`smc_pairwise_gap`) reads
+    the two-site reduced states. A disagreement at the same tolerance
+    indicates an internal fault and raises ConsistencyError.
     """
     if sigma.dim != rho.shape.n:
         raise ValidationError("observable dimension does not match the network")
-    defect = float(matrix_smc_defect(rho.matrix, sym_projector(sigma, rho.shape.m).matrix))
+    defect = matrix_smc_defect(rho.matrix, sym_kets(sigma, rho.shape.m))
     flag = defect <= tol
     pairwise = smc_pairwise_gap(rho, sigma)
     if (pairwise <= tol) != flag:

@@ -300,7 +300,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     raises ConsistencyError. Each step is one :func:`gossip_update`, O(d^2)
     per edge touched.
     """
-    from .consensus import matrix_smc_defect, sym_projector  # local import avoids a cycle
+    from .consensus import matrix_smc_defect, sym_kets  # local import avoids a cycle
 
     shape = rho0.shape
     if graph.shape != shape:
@@ -314,7 +314,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
         warnings.warn("interaction graph is disconnected; consensus will be "
                       "blockwise only", stacklevel=2)
 
-    proj_sym = sym_projector(obs, shape.m).matrix
+    kets = sym_kets(obs, shape.m)
     star = twirl_matrix(rho0.matrix, shape)
 
     bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
@@ -331,7 +331,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
         z[t] = local_expectations(mat, shape, obs.matrix)
         s_expect[t] = z[t].mean()
         gap_arr[t] = frobenius_distance(mat, star)
-        defect_arr[t] = matrix_smc_defect(mat, proj_sym)
+        defect_arr[t] = matrix_smc_defect(mat, kets)
         if t:
             drift, rise = abs(s_expect[t] - s_expect[t - 1]), gap_arr[t] - gap_arr[t - 1]
             if drift > CONSERVATION_TOL:

@@ -1,10 +1,15 @@
 """Tests for the four consensus classifiers, witnesses, and the no-go bound."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgossip as qg
-from qgossip.consensus import ssc_gap
+from qgossip import consensus
+from qgossip.consensus import ssc_gap, sym_kets, sym_overlap
 from qgossip.states import Observable, parse_sigma
 
 SZ = qg.PAULI["z"]
@@ -140,6 +145,43 @@ def test_sym_projector_rejects_a_bad_local_family():
         matrix = sum(np.kron(q, q) for q in family)
         with pytest.raises(qg.ConsistencyError, match=message):
             qg.SymProjector((matrix + matrix.conj().T) / 2, shape, family)
+
+
+def _overlap_sigma(n, kind, seed):
+    if kind == "random":
+        return qg.random_hermitian(n, seed)
+    if n == 2:
+        return qg.PAULI[kind]
+    # a degenerate qutrit, one rank-2 group, in a random eigenbasis
+    _, u = np.linalg.eigh(qg.random_hermitian(3, seed))
+    return u @ np.diag([1.0, 1.0, -0.5]) @ u.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(
+           st.tuples(st.integers(1, 6), st.just(2),
+                     st.sampled_from(["random", "x", "y", "z", "identity"])),
+           st.tuples(st.integers(1, 4), st.just(3), st.sampled_from(["random", "degenerate"]))),
+       seed=st.integers(0, 2**16))
+def test_ket_overlap_matches_dense_sym_projector(case, seed):
+    # the product-ket overlap against the Kronecker-built Pi_sym, on Hermitian x
+    m, n, kind = case
+    obs = Observable(_overlap_sigma(n, kind, seed))
+    x = qg.random_hermitian(n ** m, seed + 1)
+    kets = sym_kets(obs, m)
+    assert kets.shape == (n ** m, sum(v.shape[1] ** m for v in obs.isometries))
+    dense = np.einsum("ij,ji->", qg.sym_projector(obs, m).matrix, x).real
+    assert abs(sym_overlap(x, kets) - dense) <= 1e-13 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_classify_and_evolve_build_no_dense_sym_projector(monkeypatch, m):
+    monkeypatch.setattr(consensus, "sym_projector",
+                        mock.Mock(side_effect=AssertionError("built the dense Pi_sym")))
+    g = qg.InteractionGraph(qg.NetworkShape(m, 2), [(i, i + 1) for i in range(1, m)])
+    rho = qg.random_density(g.shape, 30 + m)
+    qg.classify(rho, SX)
+    qg.evolve(rho, g, qg.GossipConfig(alpha=0.4, strategy="cyclic", steps=m), SX)
 
 
 def test_smc_pairwise_gap_values():

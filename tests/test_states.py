@@ -13,8 +13,8 @@ from qgossip.rng import complex_ginibre, make_rng
 from qgossip.states import (Permutation, basis_index_map, conjugate_by_basis_map,
                             is_permutation_invariant, local_expectations,
                             local_hermitian_basis, local_reduced_states,
-                            orbit_labels, parse_sigma, site_trace_index,
-                            transposition_maps)
+                            orbit_labels, pair_trace_index, parse_sigma,
+                            site_trace_index, transposition_maps)
 
 SZ = qg.PAULI["z"]
 SX = qg.PAULI["x"]
@@ -188,6 +188,21 @@ def test_gathered_reduced_states_match_partial_traces(m, n):
     assert idx.shape == (m, n, n, n ** (m - 1)) and not idx.flags.writeable
 
 
+@pytest.mark.parametrize("m,n", [(m, 2) for m in range(2, 8)] + [(3, 3), (2, 4)])
+def test_gathered_pair_states_match_partial_traces(m, n):
+    # one gather per site pair, against the einsum partial trace
+    shape = qg.NetworkShape(m, n)
+    x = complex_ginibre(make_rng(900 + 10 * m + n), shape.total_dim)
+    x /= np.linalg.norm(x)  # a non-Hermitian X of unit Frobenius norm
+    idx = pair_trace_index(m, n)
+    pairs = list(itertools.combinations(shape.sites(), 2))
+    assert idx.shape == (len(pairs), n * n, n * n, n ** (m - 2))
+    for p, (k, l) in enumerate(pairs):
+        np.testing.assert_allclose(x.ravel()[idx[p]].sum(axis=-1),
+                                   qg.partial_trace(x, shape, {k, l}), rtol=0, atol=1e-14)
+    assert idx is pair_trace_index(m, n) and not idx.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # density operators
 # ---------------------------------------------------------------------------
@@ -283,6 +298,11 @@ def test_observable_groups_degenerate_eigenvalues():
     assert len(obs.eigenvalues) == 2
     assert not obs.nondegenerate
     np.testing.assert_allclose(obs.projectors[0], np.diag([1.0, 1.0, 0.0]), atol=0)
+    # each group keeps its read-only isometry, with V_j V_j^dagger = P_j
+    assert [v.shape for v in obs.isometries] == [(3, 2), (3, 1)]
+    for v, p in zip(obs.isometries, obs.projectors):
+        assert not v.flags.writeable
+        np.testing.assert_allclose(v @ v.conj().T, p, atol=1e-15)
     # a featureless observable collapses to a single projector
     flat = qg.Observable(np.eye(4))
     assert len(flat.projectors) == 1
