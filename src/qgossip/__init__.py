@@ -8,30 +8,27 @@ exact correspondence with classical gossip.
 from .classical import (ClassicalTrajectory, CorrespondenceResult,
                         classical_gossip_step, correspondence_run,
                         disagreement, run_classical)
-from .consensus import (ConsensusReport, NogoReport, SymProjector,
-                        check_rsc, check_sigma_ec, check_smc, check_ssc,
-                        classify, nogo_check, pure_rsc_implies_ssc_check,
-                        reduced_states, rsc_iff_all_sigma_ec,
+from .consensus import (ConsensusReport, NogoReport, check_rsc, check_sigma_ec,
+                        check_smc, check_ssc, classify, nogo_check,
+                        pure_rsc_implies_ssc_check, rsc_iff_all_sigma_ec,
                         rsc_not_ssc_witness, smc_pairwise_gap, sym_projector)
 from .errors import (CertificateError, ConsistencyError, DimensionError,
                      QGossipError, ResourceLimitError, ScenarioError,
                      ValidationError)
 from .gossip import (ClassBlock, ConvergenceExperiment, GossipConfig, InteractionGraph,
                      SpectralCertificate, Superoperator, TrajectoryRecord,
-                     build_superoperator, commutant_dimension,
-                     cycle_superoperator, dual_fixed_point_check,
-                     edge_schedule, evolve, fixed_point_space,
-                     gossip_channel, gossip_update,
+                     commutant_dimension, cycle_superoperator,
+                     dual_fixed_point_check, edge_schedule, evolve,
+                     fixed_point_space, gossip_update,
                      probability_one_convergence_experiment, s_average_check,
                      spectral_certificate, synchronous_blocks,
                      synchronous_classes, synchronous_superoperator)
 from .linalg import (NetworkShape, eigh, frobenius_distance, kron, kron_all,
                      partial_trace, unvectorize, vectorize)
 from .scenario import RunManifest, Scenario, load_scenario
-from .states import (DensityOperator, KrausChannel, Observable, Permutation,
-                     PAULI, apply_channel, basis_ket, dual_apply, lift_local,
-                     named_state, permutation_unitary, random_density,
-                     random_hermitian, rho_g, site_average, swap_unitary,
-                     twirl, twirl_matrix, von_neumann_entropy)
+from .states import (DensityOperator, Observable, Permutation, PAULI,
+                     basis_ket, lift_local, named_state, permutation_unitary,
+                     random_density, random_hermitian, rho_g, site_average,
+                     swap_unitary, twirl, twirl_matrix, von_neumann_entropy)
 
 __version__ = "0.1.0"

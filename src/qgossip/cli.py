@@ -21,7 +21,7 @@ from .classical import correspondence_run
 from .consensus import classify, nogo_check
 from .errors import (CertificateError, ConsistencyError, ResourceLimitError,
                      ScenarioError, ValidationError)
-from .gossip import (ALL_EDGE_STRATEGIES, DISK_TOL,
+from .gossip import (ALL_EDGE_STRATEGIES, DISK_TOL, evolve,
                      probability_one_convergence_experiment, spectral_certificate,
                      synchronous_classes)
 from .linalg import NetworkShape
@@ -108,8 +108,6 @@ def cmd_evolve(args) -> int:
     stem = scenario.stem
     rho0 = scenario.initial_state()
     sigma = scenario.sigma()
-
-    from .gossip import evolve
     record, _ = evolve(rho0, scenario.graph, scenario.config, sigma)
 
     manifest_name = _finish_manifest(out_dir, stem, scenario, "evolve",

@@ -27,9 +27,9 @@ import numpy as np
 from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .linalg import NetworkShape, as_operator, eigh, frobenius_distance, kron_all
-from .states import (DensityOperator, Observable, PAULI, check_projector_family,
-                     local_expectations, local_hermitian_basis,
-                     local_reduced_states, pair_trace_index, twirl_matrix)
+from .states import (DensityOperator, Observable, PAULI, local_expectations,
+                     local_hermitian_basis, local_reduced_states, trace_index,
+                     twirl_matrix)
 
 DEFAULT_TOL = 1e-8
 
@@ -64,16 +64,10 @@ def check_sigma_ec(rho: DensityOperator, sigma, tol: float = DEFAULT_TOL):
     return gap <= tol, gap
 
 
-def reduced_states(rho: DensityOperator) -> np.ndarray:
-    """The single-site reduced states as one ``(m, n, n)`` array, row ``i - 1``
-    for site i, from the one gather of :func:`local_reduced_states`."""
-    return local_reduced_states(rho.matrix, rho.shape)
-
-
 def check_rsc(rho: DensityOperator, tol: float = DEFAULT_TOL):
     """Return (flag, gap) with gap = max pairwise Frobenius distance of
     single-site reduced states."""
-    reds = reduced_states(rho)
+    reds = local_reduced_states(rho.matrix, rho.shape)
     gap = 0.0
     for a, b in itertools.combinations(reds, 2):
         gap = max(gap, frobenius_distance(a, b))
@@ -96,37 +90,16 @@ def check_ssc(rho: DensityOperator, tol: float = DEFAULT_TOL):
     return gap <= tol, gap
 
 
-@dataclass(frozen=True)
-class SymProjector:
-    """``Pi_sym = sum_j Pi_j^(x)m`` for a grouped local spectral family.
+def sym_projector(sigma: Observable, m: int) -> np.ndarray:
+    """The symmetrized outcome projector ``Pi_sym = K K^dagger`` on m sites as a
+    dense d x d matrix, with K from :func:`sym_kets`.
 
-    The sum is a projector because the local ``P_j`` are Hermitian, mutually
-    orthogonal projectors summing to ``I_n``; that is checked on the
-    ``n x n`` family, not by an O(d^3) product of the ``d x d`` sum.
+    ``classify`` and ``evolve`` take ``Tr[Pi_sym x]`` from the kets instead;
+    the dense matrix serves :func:`nogo_check` (m = 2). It is a projector
+    because ``Observable`` checks sigma's spectral family when it is built.
     """
-
-    matrix: np.ndarray
-    shape: NetworkShape
-    projectors: tuple
-
-    def __post_init__(self):
-        if linalg.hermiticity_defect(self.matrix) > 1e-10:
-            raise ConsistencyError("symmetrized projector is not Hermitian")
-        check_projector_family(self.projectors, self.shape.n)
-
-
-def sym_projector(sigma: Observable, m: int) -> SymProjector:
-    """Build the symmetrized outcome projector on m sites as a dense d x d matrix.
-
-    ``classify`` and ``evolve`` take ``Tr[Pi_sym x]`` from :func:`sym_kets`
-    instead; this Kronecker sum serves :func:`nogo_check` (m = 2).
-    """
-    shape = NetworkShape(m, sigma.dim)
-    d = shape.total_dim
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for p in sigma.projectors:
-        acc += kron_all(p for _ in range(m))
-    return SymProjector(acc, shape, sigma.projectors)
+    kets = sym_kets(sigma, m)
+    return kets @ kets.conj().T
 
 
 def sym_kets(sigma: Observable, m: int) -> np.ndarray:
@@ -176,12 +149,12 @@ def smc_pairwise_gap(rho: DensityOperator, sigma: Observable) -> float:
     ``Pi_j^(l)`` act on different sites, the joint term is
     ``Tr[(Pi_j (x) Pi_j) rho_kl]``, symmetric in (k, l), and the single-site
     terms are ``Tr[(Pi_j (x) I) rho_kl]`` and ``Tr[(I (x) Pi_j) rho_kl]``.
-    Each ``rho_kl`` is one gather through :func:`pair_trace_index` and one
+    Each ``rho_kl`` is one gather through :func:`trace_index` and one
     sum, a pair at a time, so at most ``n**(m+2)`` entries (16 KB at m=8,
     n=2) are gathered at once.
     """
     n = rho.shape.n
-    idx = pair_trace_index(rho.shape.m, n)
+    idx = trace_index(rho.shape.m, n, 2)
     flat = rho.matrix.ravel()
     pair_states = np.empty(idx.shape[:3], dtype=np.complex128)
     for p, pair_idx in enumerate(idx):
@@ -279,7 +252,7 @@ def pure_rsc_implies_ssc_check(kets, tol: float = DEFAULT_TOL) -> bool:
     rsc_flag, _ = check_rsc(rho, tol)
     purity_ok = all(
         abs(np.einsum("ij,ji->", r, r).real - 1.0) <= 10 * tol
-        for r in reduced_states(rho))
+        for r in local_reduced_states(rho.matrix, shape))
     if not (rsc_flag and purity_ok):
         return True
     ssc_flag, gap = check_ssc(rho, tol)
@@ -346,8 +319,8 @@ def rsc_not_ssc_witness(rho_bar, m: int, tol: float = DEFAULT_TOL) -> DensityOpe
         mat = mat + q2 * kron_all(r2_hat for _ in range(m))
     witness = DensityOperator(mat, shape)
 
-    for i in shape.sites():
-        if frobenius_distance(witness.reduced_state(i), rb) > 10 * tol:
+    for r in local_reduced_states(witness.matrix, shape):
+        if frobenius_distance(r, rb) > 10 * tol:
             raise ConsistencyError("witness reduced state drifted from rho_bar")
     rsc_flag, rsc_g = check_rsc(witness, tol)
     ssc_flag, ssc_g = check_ssc(witness, tol)
@@ -390,8 +363,8 @@ def nogo_check(n: int) -> NogoReport:
     j = np.arange(n)
     levels = np.diag(j)
     fourier = np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-    pi_sym = sym_projector(Observable(levels), 2).matrix
-    pi_prime = sym_projector(Observable(fourier @ levels @ fourier.conj().T), 2).matrix
+    pi_sym = sym_projector(Observable(levels), 2)
+    pi_prime = sym_projector(Observable(fourier @ levels @ fourier.conj().T), 2)
     h = pi_sym @ pi_prime @ pi_sym
     lam_max = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[-1])
     feasible = lam_max >= 1.0 - 1e-10
@@ -402,7 +375,7 @@ def nogo_check(n: int) -> NogoReport:
         total = np.zeros((4, 4), dtype=np.complex128)
         for name in ("x", "y", "z"):
             obs = Observable(PAULI[name])
-            total += eye4 - sym_projector(obs, 2).matrix
+            total += eye4 - sym_projector(obs, 2)
         evals = np.linalg.eigvalsh((total + total.conj().T) / 2.0)
         triple_dim = int(np.sum(evals < 1e-10))
     return NogoReport(n=n, lambda_max=lam_max, feasible=feasible,

@@ -18,9 +18,9 @@ Orbits whose letter counts agree have permutation-similar, real symmetric
 blocks, so the spectrum is certified from one block per isomorphism class
 (:func:`synchronous_classes`, solved with ``eigvalsh``); its size, not the
 dense ``MAX_SUPEROP_DIM``, is what is capped. The per-orbit blocks
-(:func:`synchronous_blocks`), the Kraus form (:func:`gossip_channel`), the
-dense superoperators and swap unitaries, and the brute-force
-:func:`commutant_dimension` are kept as independent references for the tests.
+(:func:`synchronous_blocks`), the dense superoperators and swap unitaries,
+and the brute-force :func:`commutant_dimension` are kept as independent
+references for the tests.
 
 The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
 steps all trials of a chunk at once, as one ``(trials, d**2)`` array: one
@@ -41,16 +41,16 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .consensus import matrix_smc_defect, sym_kets
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
                      as_operator, frobenius_distance, require_hermitian, unvectorize,
                      vectorize)
 from .rng import draw_index, make_rng, trial_rng
-from .states import (DensityOperator, KrausChannel, Observable,
-                     conjugate_by_basis_map, is_permutation_invariant,
-                     lift_local, local_expectations, local_hermitian_basis,
-                     orbit_labels, site_average, swap_unitary,
-                     transposition_maps, twirl_matrix)
+from .states import (DensityOperator, Observable, conjugate_by_basis_map,
+                     is_permutation_invariant, lift_local, local_expectations,
+                     local_hermitian_basis, orbit_labels, site_average,
+                     swap_unitary, transposition_maps, twirl_matrix)
 
 ALL_EDGE_STRATEGIES = ("synchronous", "expected")  # every step applies every edge
 STRATEGIES = ("random", "cyclic") + ALL_EDGE_STRATEGIES
@@ -232,18 +232,6 @@ def _edge_basis_map(edge, shape: NetworkShape) -> np.ndarray:
     return transposition_maps(shape.m, shape.n)[edge]
 
 
-def gossip_channel(edge, alpha: float, shape: NetworkShape) -> KrausChannel:
-    """Kraus form of one pairwise gossip interaction (the dense reference)."""
-    check_alpha(alpha)
-    j, k = (int(v) for v in edge)
-    if not (1 <= j <= shape.m and 1 <= k <= shape.m and j != k):
-        raise ValidationError(f"edge ({j}, {k}) invalid for m={shape.m}")
-    d = shape.total_dim
-    ops = [np.sqrt(1.0 - alpha) * np.eye(d, dtype=np.complex128),
-           np.sqrt(alpha) * swap_unitary(j, k, shape)]
-    return KrausChannel(ops, shape)
-
-
 def gossip_update(x: np.ndarray, bmaps, weights, alpha: float) -> np.ndarray:
     """One gossip step ``(1 - alpha) x + alpha sum_e q_e U_e x U_e^dagger``.
 
@@ -300,8 +288,6 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     raises ConsistencyError. Each step is one :func:`gossip_update`, O(d^2)
     per edge touched.
     """
-    from .consensus import matrix_smc_defect, sym_kets  # local import avoids a cycle
-
     shape = rho0.shape
     if graph.shape != shape:
         raise ValidationError("graph and state shapes differ")
@@ -385,15 +371,6 @@ def _check_superop_dim(shape: NetworkShape) -> int:
         raise ResourceLimitError(
             f"superoperator work limited to total dimension {MAX_SUPEROP_DIM}, got {d}")
     return d
-
-
-def build_superoperator(channel: KrausChannel) -> Superoperator:
-    """Assemble the dense superoperator of a channel (the Kraus reference)."""
-    d = _check_superop_dim(channel.shape)
-    acc = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in channel.ops:
-        acc += np.kron(a.conj(), a)
-    return Superoperator(acc)
 
 
 def _vec_permutation(edge, shape: NetworkShape) -> np.ndarray:

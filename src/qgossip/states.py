@@ -1,4 +1,4 @@
-"""States, observables, permutations, and channels on a subsystem network.
+"""States, observables, permutations and twirls on a subsystem network.
 
 Local operators act on C^n; joint operators act on the m-fold tensor product
 with site 1 as the leftmost factor. The permutation unitaries follow the
@@ -32,7 +32,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z, "identity": I2}
 
 TRACE_TOL = 1e-10
-KRAUS_TOL = 1e-10
 GROUPING_TOL = 1e-8  # relative eigenvalue gap below which Observable merges projectors
 
 
@@ -125,53 +124,28 @@ def transposition_maps(m: int, n: int) -> MappingProxyType:
 
 
 @lru_cache(maxsize=16)
-def site_trace_index(m: int, n: int) -> np.ndarray:
-    """Read-only flat index ``idx[i, a, b, r]`` of shape ``(m, n, n, n**(m-1))``.
+def trace_index(m: int, n: int, k: int) -> np.ndarray:
+    """Read-only flat index ``idx[g, a, a', r]`` of shape
+    ``(C(m, k), n**k, n**k, n**(m-k))``.
 
-    Entry ``[i, a, b, r]`` is the position in ``x.ravel()`` of
-    ``<y|x|y'>``, where ``y`` holds ``a`` and ``y'`` holds ``b`` at (0-based)
-    site i and both hold the digits of ``r`` at the other sites, in site
-    order. ``x.ravel()[idx].sum(-1)`` is then every single-site partial trace
-    at once. Built once per shape: ``8 m n**(m+1)`` bytes (0.8 MB at m=12, n=2).
-    """
-    d = n ** m
-    rest = np.arange(n ** (m - 1))
-    digit = np.arange(n)
-    idx = np.empty((m, n, n, rest.size), dtype=np.intp)
-    for i in range(m):
-        stride = n ** (m - 1 - i)
-        row = (rest // stride) * (n * stride) + rest % stride  # row of y with a = 0
-        idx[i] = row * (d + 1) + (digit[:, None, None] * d + digit[None, :, None]) * stride
-    idx.setflags(write=False)
-    return idx
-
-
-@lru_cache(maxsize=16)
-def pair_trace_index(m: int, n: int) -> np.ndarray:
-    """Read-only flat index ``idx[p, a, a', r]`` of shape
-    ``(m(m-1)/2, n**2, n**2, n**(m-2))``, the two-site analogue of
-    :func:`site_trace_index`.
-
-    Pair p is the p-th ``(k, l)``, k < l, of ``itertools.combinations`` over
-    the sites. Entry ``[p, a, a', r]`` is the position in ``x.ravel()`` of
-    ``<y|x|y'>``, where ``y`` holds the two digits of ``a`` and ``y'`` those of
-    ``a'`` at sites (k, l), and both hold the digits of ``r`` at the other
-    sites, in site order. ``x.ravel()[idx[p]].sum(-1)`` is then
-    ``partial_trace(x, shape, {k, l})``. Built once per shape:
-    ``4 m (m-1) n**(m+2)`` bytes (8.7 MB at m=12, n=2).
+    Group g is the g-th k-site tuple of ``itertools.combinations`` over the
+    sites. Entry ``[g, a, a', r]`` is the position in ``x.ravel()`` of
+    ``<y|x|y'>``, where ``y`` holds the digits of ``a`` and ``y'`` those of
+    ``a'`` at the group's sites, and both hold the digits of ``r`` at the other
+    sites, in site order. ``x.ravel()[idx[g]].sum(-1)`` is then
+    ``partial_trace(x, shape, group)``. Built once per shape:
+    ``8 C(m, k) n**(m+k)`` bytes (0.8 MB at m=12, n=2, k=1).
     """
     d = n ** m
     weights = n ** np.arange(m - 1, -1, -1)
-    rest_digits = _site_digits(max(m - 2, 0), n)
-    pairs = list(itertools.combinations(range(m), 2))
-    # the digit at (k, l) of y and y' along the axes [a_k, a_l, a'_k, a'_l] of a pair block
-    a, b, a2, b2 = (np.arange(n).reshape([n if i == axis else 1 for i in range(5)])
-                    for axis in range(4))
-    idx = np.empty((len(pairs), n, n, n, n, rest_digits.shape[0]), dtype=np.intp)
-    for p, (k, l) in enumerate(pairs):
-        row = rest_digits @ weights[[s for s in range(m) if s not in (k, l)]]  # zeros at k, l
-        idx[p] = row * (d + 1) + (a * d + a2) * weights[k] + (b * d + b2) * weights[l]
-    idx = idx.reshape(len(pairs), n * n, n * n, rest_digits.shape[0])
+    group_digits = _site_digits(k, n)
+    rest_digits = _site_digits(max(m - k, 0), n)
+    groups = list(itertools.combinations(range(m), k))
+    idx = np.empty((len(groups), n ** k, n ** k, rest_digits.shape[0]), dtype=np.intp)
+    for g, sites in enumerate(groups):
+        row = rest_digits @ weights[[s for s in range(m) if s not in sites]]  # zeros in the group
+        offset = group_digits @ weights[list(sites)]
+        idx[g] = row * (d + 1) + offset[:, None, None] * d + offset[None, :, None]
     idx.setflags(write=False)
     return idx
 
@@ -354,10 +328,6 @@ class DensityOperator:
         x = as_operator(operator)
         return complex(np.einsum("ij,ji->", self.matrix, x))
 
-    def reduced_state(self, site: int) -> np.ndarray:
-        """Reduced density matrix of a single subsystem (1-based label)."""
-        return linalg.partial_trace(self.matrix, self.shape, {site})
-
     def purity(self) -> float:
         return float(np.real(np.einsum("ij,ji->", self.matrix, self.matrix)))
 
@@ -366,12 +336,12 @@ def local_reduced_states(x: np.ndarray, shape: NetworkShape) -> np.ndarray:
     """Every single-site reduced state of x as one ``(m, n, n)`` array.
 
     Row ``i - 1`` is ``partial_trace(x, shape, {i})``; all m come from one
-    gather of ``m n d`` entries through :func:`site_trace_index` and one sum.
+    gather of ``m n d`` entries through :func:`trace_index` and one sum.
     """
     a = as_operator(x)
     if a.shape[0] != shape.total_dim:
         raise DimensionError("operator does not match the network shape")
-    return a.ravel()[site_trace_index(shape.m, shape.n)].sum(axis=-1)
+    return a.ravel()[trace_index(shape.m, shape.n, 1)].sum(axis=-1)
 
 
 def local_expectations(x: np.ndarray, shape: NetworkShape,
@@ -498,83 +468,6 @@ def is_permutation_invariant(x: np.ndarray, shape: NetworkShape, tol: float = 1e
     """Whether x is constant on every entry orbit: ``max |x - twirl(x)| <= tol``."""
     a = as_operator(x)
     return float(np.max(np.abs(a - twirl_matrix(a, shape)))) <= tol
-
-
-# ---------------------------------------------------------------------------
-# channels
-# ---------------------------------------------------------------------------
-
-class KrausChannel:
-    """A completely positive trace-preserving map in operator-sum form.
-
-    Validates trace preservation ``sum_k A_k^dagger A_k = I`` to 1e-10 at
-    construction; ``unital`` reports whether ``sum_k A_k A_k^dagger = I`` to
-    the same tolerance.
-    """
-
-    __slots__ = ("shape", "ops")
-
-    def __init__(self, ops: Sequence[np.ndarray], shape: NetworkShape):
-        d = shape.total_dim
-        mats = []
-        for k, op in enumerate(ops):
-            a = as_operator(op)
-            if a.shape[0] != d:
-                raise DimensionError(f"Kraus operator {k} has dim {a.shape[0]} != {d}")
-            mats.append(a)
-        if not mats:
-            raise ValidationError("a channel needs at least one Kraus operator")
-        total = sum(a.conj().T @ a for a in mats)
-        defect = float(np.max(np.abs(total - np.eye(d))))
-        if defect > KRAUS_TOL:
-            raise ValidationError(
-                f"not trace preserving: max |sum A^dagger A - I| = {defect:.3e}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "ops", tuple(mats))
-
-    def __setattr__(self, *_):
-        raise AttributeError("KrausChannel is immutable")
-
-    @property
-    def unital(self) -> bool:
-        d = self.shape.total_dim
-        total = sum(a @ a.conj().T for a in self.ops)
-        return float(np.max(np.abs(total - np.eye(d)))) <= KRAUS_TOL
-
-    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for a in self.ops:
-            out += a @ x @ a.conj().T
-        return out
-
-    def dual_matrix(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for a in self.ops:
-            out += a.conj().T @ x @ a
-        return out
-
-
-def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    """Apply a channel to a state; the result is fully re-validated.
-
-    An invariant violation in the output signals a malformed channel and
-    surfaces as a ValidationError from the DensityOperator constructor.
-    """
-    if channel.shape != rho.shape:
-        raise DimensionError("channel and state shapes differ")
-    return DensityOperator(channel.apply_matrix(rho.matrix), rho.shape)
-
-
-def dual_apply(channel: KrausChannel, observable) -> np.ndarray:
-    """Heisenberg-picture action ``X -> sum_k A_k^dagger X A_k``.
-
-    Satisfies the duality ``Tr[X E(rho)] = Tr[E^dagger(X) rho]`` and maps the
-    identity to itself exactly when the channel is unital.
-    """
-    x = as_operator(observable)
-    if x.shape[0] != channel.shape.total_dim:
-        raise DimensionError("observable does not match the channel dimension")
-    return channel.dual_matrix(x)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_criterion_2_cyclic_convergence_and_conservation():
     defect_final = float(rec.smc_defect[-1])
     assert defect_final >= 1 - 2 / 6 - 1e-8
     assert abs(defect_final - 1.0) <= 1e-8
-    proj = qg.sym_projector(Observable(SZ), 4).matrix
+    proj = qg.sym_projector(Observable(SZ), 4)
     w, v = qg.eigh(star.matrix)
     support = v[:, w > 1e-12] @ v[:, w > 1e-12].conj().T
     overlap = float(np.trace(proj @ support).real)
@@ -198,7 +198,7 @@ def test_criterion_6_hierarchy_and_witnesses():
     shape3 = qg.NetworkShape(3, 2)
     shape_q = qg.NetworkShape(2, 3)
     obs_z = Observable(SZ)
-    proj3 = qg.sym_projector(obs_z, 3).matrix
+    proj3 = qg.sym_projector(obs_z, 3)
     sigma_q = Observable(qg.random_hermitian(3, 4242))
     assert sigma_q.nondegenerate
 
@@ -220,7 +220,7 @@ def test_criterion_6_hierarchy_and_witnesses():
     for rho, sigma in batch:
         rep = qg.classify(rho, sigma, tol=1e-8)  # raises on hierarchy violation
         # symmetrized-projector test agrees with projector invariance
-        proj = qg.sym_projector(sigma, rho.shape.m).matrix
+        proj = qg.sym_projector(sigma, rho.shape.m)
         residual = qg.frobenius_distance(proj @ rho.matrix @ proj, rho.matrix)
         if rep.smc_defect <= 1e-8:
             assert residual <= 1e-7

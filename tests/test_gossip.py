@@ -21,6 +21,7 @@ from qgossip.rng import draw_index, make_rng, trial_rng
 from qgossip.scenario import load_scenario
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels, twirl_matrix)
+from reference import conjugate, gossip_superoperator
 
 SZ = qg.PAULI["z"]
 
@@ -29,6 +30,10 @@ def path_graph(m, n=2, weights=None):
     shape = qg.NetworkShape(m, n)
     return qg.InteractionGraph(shape, [(i, i + 1) for i in range(1, m)],
                                weights=weights)
+
+
+def edge_bmap(edge, shape):
+    return basis_index_map(qg.Permutation.transposition(shape.m, *edge), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +107,6 @@ def test_gossip_config_validation():
 
 ALPHA_ENTRY_POINTS = {
     "GossipConfig": lambda a: qg.GossipConfig(alpha=a, strategy="cyclic", steps=1),
-    "gossip_channel": lambda a: qg.gossip_channel((1, 2), a, qg.NetworkShape(2, 2)),
     "dual_fixed_point_check": lambda a: qg.dual_fixed_point_check(
         path_graph(2), a, np.eye(4)),
     "ensemble": lambda a: qg.probability_one_convergence_experiment(
@@ -121,32 +125,25 @@ def test_every_alpha_entry_point_rejects_the_closed_ends_and_nan(entry, alpha):
 
 
 def test_gossip_channel_kraus_structure():
+    # one edge is the trace-preserving, unital operator sum with Kraus operators
+    # sqrt(1 - alpha) I and sqrt(alpha) U
     shape = qg.NetworkShape(2, 2)
-    ch = qg.gossip_channel((1, 2), 0.3, shape)
-    assert len(ch.ops) == 2
-    np.testing.assert_allclose(ch.ops[0], np.sqrt(0.7) * np.eye(4), atol=0)
-    np.testing.assert_allclose(ch.ops[1], np.sqrt(0.3) * qg.swap_unitary(1, 2, shape),
-                               atol=0)
-    assert ch.unital
+    ops = [np.sqrt(0.7) * np.eye(4), np.sqrt(0.3) * qg.swap_unitary(1, 2, shape)]
+    np.testing.assert_allclose(sum(a.conj().T @ a for a in ops), np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(sum(a @ a.conj().T for a in ops), np.eye(4), atol=1e-15)
+    rng = make_rng(60)
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    out = qg.gossip_update(x, [edge_bmap((1, 2), shape)], [1.0], 0.3)
+    np.testing.assert_allclose(out, sum(conjugate(a, x) for a in ops), atol=1e-15)
 
 
 def test_gossip_channel_on_antialigned_pair():
     shape = qg.NetworkShape(2, 2)
     rho = qg.DensityOperator.from_ket(qg.basis_ket("01", 2), shape)
-    out = qg.apply_channel(qg.gossip_channel((1, 2), 0.5, shape), rho)
+    out = qg.gossip_update(rho.matrix, [edge_bmap((1, 2), shape)], [1.0], 0.5)
     expected = 0.5 * rho.matrix + 0.5 * np.outer(qg.basis_ket("10", 2),
                                                  qg.basis_ket("10", 2))
-    np.testing.assert_allclose(out.matrix, expected, atol=1e-15)
-
-
-def test_gossip_channel_validates_inputs():
-    shape = qg.NetworkShape(2, 2)
-    with pytest.raises(qg.ValidationError):
-        qg.gossip_channel((1, 2), 1.0, shape)
-    with pytest.raises(qg.ValidationError):
-        qg.gossip_channel((1, 3), 0.5, shape)
-    with pytest.raises(qg.ValidationError):
-        qg.gossip_channel((2, 2), 0.5, shape)
+    np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
 def test_cycle_map_equals_sequential_application():
@@ -154,10 +151,9 @@ def test_cycle_map_equals_sequential_application():
     alpha = 0.35
     sweep = qg.cycle_superoperator(g, [0, 1], alpha)
     rho = qg.random_density(g.shape, 77)
-    step1 = qg.apply_channel(qg.gossip_channel(g.edges[0], alpha, g.shape), rho)
-    step2 = qg.apply_channel(qg.gossip_channel(g.edges[1], alpha, g.shape), step1)
-    np.testing.assert_allclose(sweep.apply_to_matrix(rho.matrix), step2.matrix,
-                               atol=1e-12)
+    step1 = qg.gossip_update(rho.matrix, [edge_bmap(g.edges[0], g.shape)], [1.0], alpha)
+    step2 = qg.gossip_update(step1, [edge_bmap(g.edges[1], g.shape)], [1.0], alpha)
+    np.testing.assert_allclose(sweep.apply_to_matrix(rho.matrix), step2, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +465,12 @@ def test_disconnected_graph_warns_and_misses_global_twirl():
 def test_superoperator_matches_channel_action():
     g = path_graph(3)
     sop = qg.synchronous_superoperator(g, 0.5)
-    channels = [qg.gossip_channel(e, 0.5, g.shape) for e in g.edges]
+    swaps = [qg.swap_unitary(*e, g.shape) for e in g.edges]
     rng = make_rng(61)
     for _ in range(20):
         x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        expected = sum(q * ch.apply_matrix(x) for q, ch in zip(g.weights, channels))
+        expected = sum(q * (0.5 * x + 0.5 * conjugate(u, x))
+                       for q, u in zip(g.weights, swaps))
         np.testing.assert_allclose(sop.apply_to_matrix(x), expected, atol=1e-10)
 
 
@@ -512,8 +509,7 @@ def test_gossip_maps_are_frobenius_contractions():
 def test_cycle_superoperator_composition():
     g = path_graph(3)
     sweep = qg.cycle_superoperator(g, [0, 1], 0.35)
-    first, second = (qg.build_superoperator(qg.gossip_channel(e, 0.35, g.shape)).matrix
-                     for e in g.edges)
+    first, second = (gossip_superoperator([e], [1.0], 0.35, g.shape) for e in g.edges)
     np.testing.assert_allclose(sweep.matrix, second @ first, atol=1e-12)
     for bad in ([0], [(1, 2), (2, 3)], [0, 1.0], [True, 1], ["0", 1]):
         with pytest.raises(qg.ValidationError):
@@ -562,16 +558,11 @@ def test_evolve_record_matches_a_dense_replay(g, strategy, alpha, data):
         assert abs(rec.ssc_gap[t] - ssc_gap(qg.DensityOperator.trusted(x, shape))) <= 1e-14
 
 
-def edge_bmap(edge, shape):
-    return basis_index_map(qg.Permutation.transposition(shape.m, *edge), shape)
-
-
 @settings(max_examples=15, deadline=None)
 @given(g=weighted_graphs([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]),
        alpha=st.floats(0.01, 0.99), data=st.data())
 def test_permutation_superoperators_match_kraus_oracle(g, alpha, data):
-    per_edge = [qg.build_superoperator(qg.gossip_channel(e, alpha, g.shape)).matrix
-                for e in g.edges]
+    per_edge = [gossip_superoperator([e], [1.0], alpha, g.shape) for e in g.edges]
     sync = qg.synchronous_superoperator(g, alpha)
     oracle = sum(q * s for q, s in zip(g.weights, per_edge))
     np.testing.assert_allclose(sync.matrix, oracle, rtol=0, atol=1e-14)
@@ -779,8 +770,7 @@ def test_certificate_rejects_pure_swap():
     # a bare swap has eigenvalue -1, far outside the q0 = 0.5 disk
     shape = qg.NetworkShape(2, 2)
     u = qg.swap_unitary(1, 2, shape)
-    sop = qg.build_superoperator(qg.KrausChannel([u], shape))
-    cert = qg.spectral_certificate([sop.matrix], q0=0.5)
+    cert = qg.spectral_certificate([np.kron(u.conj(), u)], q0=0.5)
     assert not cert.disk_ok and not cert.passed
     assert cert.max_disk_violation == pytest.approx(1.0, abs=1e-9)
 

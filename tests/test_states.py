@@ -1,4 +1,5 @@
-"""Tests for states, observables, permutations, twirling, and channels."""
+"""Tests for states, observables, permutations, twirling, and the one-edge
+gossip channel."""
 
 import itertools
 import math
@@ -10,11 +11,12 @@ import qgossip as qg
 from qgossip.consensus import ssc_gap
 from qgossip.linalg import PSD_TOL
 from qgossip.rng import complex_ginibre, make_rng
-from qgossip.states import (Permutation, basis_index_map, conjugate_by_basis_map,
-                            is_permutation_invariant, local_expectations,
-                            local_hermitian_basis, local_reduced_states,
-                            orbit_labels, pair_trace_index, parse_sigma,
-                            site_trace_index, transposition_maps)
+from qgossip.states import (Permutation, basis_index_map, check_projector_family,
+                            conjugate_by_basis_map, is_permutation_invariant,
+                            local_expectations, local_hermitian_basis,
+                            local_reduced_states, orbit_labels, parse_sigma,
+                            trace_index, transposition_maps)
+from reference import gossip_superoperator
 
 SZ = qg.PAULI["z"]
 SX = qg.PAULI["x"]
@@ -167,40 +169,36 @@ def test_local_hermitian_basis_is_orthonormal_and_complete():
                 np.testing.assert_allclose(ip, 1.0 if i == j else 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2),
-                                 (3, 3), (2, 4), (4, 4)])
-def test_gathered_reduced_states_match_partial_traces(m, n):
-    # one gather for all sites, against the einsum partial trace and the dense lift
-    shape = qg.NetworkShape(m, n)
-    x = complex_ginibre(make_rng(500 + 10 * m + n), shape.total_dim)
-    x /= np.linalg.norm(x)  # a non-Hermitian X of unit Frobenius norm
-    sigma = complex_ginibre(make_rng(7 * m + n), n)
-    reds = local_reduced_states(x, shape)
-    z = local_expectations(x, shape, sigma)
-    assert reds.shape == (m, n, n) and z.shape == (m,)
-    for i in shape.sites():
-        np.testing.assert_allclose(reds[i - 1], qg.partial_trace(x, shape, {i}),
-                                   rtol=0, atol=1e-14)
-        dense = np.trace(qg.lift_local(sigma, i, shape) @ x).real
-        np.testing.assert_allclose(z[i - 1], dense, rtol=0, atol=1e-14)
-    idx = site_trace_index(m, n)
-    assert idx is site_trace_index(m, n)
-    assert idx.shape == (m, n, n, n ** (m - 1)) and not idx.flags.writeable
+GATHER_SHAPES = [(m, 2) for m in range(1, 8)] + [(3, 3), (2, 4), (4, 4)]
 
 
-@pytest.mark.parametrize("m,n", [(m, 2) for m in range(2, 8)] + [(3, 3), (2, 4)])
-def test_gathered_pair_states_match_partial_traces(m, n):
-    # one gather per site pair, against the einsum partial trace
+@pytest.mark.parametrize("k,m,n", [
+    # single-site cases keep the plain m-n id
+    pytest.param(k, m, n, id=f"{m}-{n}" if k == 1 else f"{m}-{n}-k{k}")
+    for m, n in GATHER_SHAPES for k in (1, 2, 3) if k <= m])
+def test_gathered_reduced_states_match_partial_traces(k, m, n):
+    # one gather per k-site group, against the einsum partial trace
     shape = qg.NetworkShape(m, n)
-    x = complex_ginibre(make_rng(900 + 10 * m + n), shape.total_dim)
+    x = complex_ginibre(make_rng(100 + 400 * k + 10 * m + n), shape.total_dim)
     x /= np.linalg.norm(x)  # a non-Hermitian X of unit Frobenius norm
-    idx = pair_trace_index(m, n)
-    pairs = list(itertools.combinations(shape.sites(), 2))
-    assert idx.shape == (len(pairs), n * n, n * n, n ** (m - 2))
-    for p, (k, l) in enumerate(pairs):
-        np.testing.assert_allclose(x.ravel()[idx[p]].sum(axis=-1),
-                                   qg.partial_trace(x, shape, {k, l}), rtol=0, atol=1e-14)
-    assert idx is pair_trace_index(m, n) and not idx.flags.writeable
+    idx = trace_index(m, n, k)
+    groups = list(itertools.combinations(shape.sites(), k))
+    assert idx.shape == (len(groups), n ** k, n ** k, n ** (m - k))
+    for g, group in enumerate(groups):
+        np.testing.assert_allclose(x.ravel()[idx[g]].sum(axis=-1),
+                                   qg.partial_trace(x, shape, group), rtol=0, atol=1e-14)
+    assert idx is trace_index(m, n, k) and not idx.flags.writeable
+    if k == 1:
+        # every site from one gather, and z_i against the dense lift
+        sigma = complex_ginibre(make_rng(7 * m + n), n)
+        reds = local_reduced_states(x, shape)
+        z = local_expectations(x, shape, sigma)
+        assert reds.shape == (m, n, n) and z.shape == (m,)
+        for i in shape.sites():
+            np.testing.assert_allclose(reds[i - 1], qg.partial_trace(x, shape, {i}),
+                                       rtol=0, atol=1e-14)
+            dense = np.trace(qg.lift_local(sigma, i, shape) @ x).real
+            np.testing.assert_allclose(z[i - 1], dense, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,8 @@ def test_expectation_and_reduced_state():
     rho = qg.DensityOperator.from_ket(qg.basis_ket("01", 2), shape)
     assert rho.expectation(qg.lift_local(SZ, 1, shape)) == pytest.approx(1.0)
     assert rho.expectation(qg.lift_local(SZ, 2, shape)) == pytest.approx(-1.0)
-    np.testing.assert_allclose(rho.reduced_state(2), np.diag([0.0, 1.0]), atol=0)
+    np.testing.assert_allclose(local_reduced_states(rho.matrix, shape)[1],
+                               np.diag([0.0, 1.0]), atol=0)
 
 
 def test_entropy_values():
@@ -307,6 +306,18 @@ def test_observable_groups_degenerate_eigenvalues():
     flat = qg.Observable(np.eye(4))
     assert len(flat.projectors) == 1
     assert not flat.nondegenerate
+
+
+def test_check_projector_family_rejects_a_bad_family():
+    good = qg.Observable(SZ).projectors
+    check_projector_family(good, 2)
+    skew = np.array([[0.5, 0.5j], [0.5j, 0.5]])  # not Hermitian
+    tilted = np.array([[1.0, 0.1], [0.1, 0.0]])  # Hermitian, not a projector
+    for family, message in [((good[0],), "sum to the identity"),
+                            ((skew, np.eye(2) - skew), "not Hermitian"),
+                            ((tilted, np.eye(2) - tilted), "not orthogonal")]:
+        with pytest.raises(qg.ConsistencyError, match=message):
+            check_projector_family(family, 2)
 
 
 def test_observable_rejects_non_hermitian():
@@ -507,48 +518,38 @@ def test_twirl_observable_duality():
 
 
 # ---------------------------------------------------------------------------
-# channels
+# the gossip map as a channel
 # ---------------------------------------------------------------------------
 
-def test_kraus_channel_validates_trace_preservation():
-    shape = qg.NetworkShape(1, 2)
-    with pytest.raises(qg.ValidationError):
-        qg.KrausChannel([np.eye(2) * 0.5], shape)
-    ch = qg.KrausChannel([np.eye(2) / np.sqrt(2), SX / np.sqrt(2)], shape)
-    assert ch.unital
+def _one_edge_update(x, alpha):
+    """``(1 - alpha) x + alpha U x U^dagger`` for the swap of a two-site network."""
+    return qg.gossip_update(x, [transposition_maps(2, 2)[1, 2]], [1.0], alpha)
+
+
+def _one_edge_dual(x, alpha):
+    """The Heisenberg-picture map, from the adjoint of the dense superoperator."""
+    sop = gossip_superoperator([(1, 2)], [1.0], alpha, qg.NetworkShape(2, 2))
+    return qg.unvectorize(sop.conj().T @ qg.vectorize(x))
 
 
 def test_channel_duality_random_sweep():
     shape = qg.NetworkShape(2, 2)
-    ch = qg.gossip_channel((1, 2), 0.3, shape)
     rng = make_rng(111)
     for _ in range(20):
         rho = qg.random_density(shape, int(rng.integers(0, 10 ** 6)))
         x = qg.random_hermitian(4, int(rng.integers(0, 10 ** 6)))
-        lhs = np.trace(x @ qg.apply_channel(ch, rho).matrix)
-        rhs = np.trace(qg.dual_apply(ch, x) @ rho.matrix)
+        lhs = np.trace(x @ _one_edge_update(rho.matrix, 0.3))
+        rhs = np.trace(_one_edge_dual(x, 0.3) @ rho.matrix)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_unital_channel_fixes_identity_and_raises_entropy():
     shape = qg.NetworkShape(2, 2)
-    ch = qg.gossip_channel((1, 2), 0.4, shape)
-    np.testing.assert_allclose(qg.dual_apply(ch, np.eye(4)), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(_one_edge_dual(np.eye(4), 0.4), np.eye(4), atol=1e-12)
     for seed in range(8):
         rho = qg.random_density(shape, seed)
-        out = qg.apply_channel(ch, rho)
+        out = qg.DensityOperator(_one_edge_update(rho.matrix, 0.4), shape)
         assert qg.von_neumann_entropy(out) >= qg.von_neumann_entropy(rho) - 1e-9
-
-
-def test_apply_channel_revalidates_output():
-    shape = qg.NetworkShape(1, 2)
-    # a trace-preserving but non-positive "channel" is rejected on application
-    bad = qg.KrausChannel.__new__(qg.KrausChannel)
-    object.__setattr__(bad, "ops", (np.array([[1.0, 0.4], [0.0, 1.0]]),))
-    object.__setattr__(bad, "shape", shape)
-    rho = qg.DensityOperator(np.diag([0.5, 0.5]), shape)
-    with pytest.raises(qg.ValidationError):
-        qg.apply_channel(bad, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +572,8 @@ def test_named_state_lookup_and_digits():
                                atol=0)
     shape = qg.NetworkShape(2, 2)
     rho01 = qg.named_state("01", shape)
-    np.testing.assert_allclose(rho01.reduced_state(1), np.diag([1.0, 0.0]), atol=0)
+    np.testing.assert_allclose(local_reduced_states(rho01.matrix, shape)[0],
+                               np.diag([1.0, 0.0]), atol=0)
     seeded = qg.named_state("random:5", shape)
     np.testing.assert_array_equal(seeded.matrix, qg.random_density(shape, 5).matrix)
     with pytest.raises(qg.ValidationError):
