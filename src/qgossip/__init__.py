@@ -16,19 +16,18 @@ from .errors import (CertificateError, ConsistencyError, DimensionError,
                      QGossipError, ResourceLimitError, ScenarioError,
                      ValidationError)
 from .gossip import (ClassBlock, ConvergenceExperiment, GossipConfig, InteractionGraph,
-                     SpectralCertificate, Superoperator, TrajectoryRecord,
-                     commutant_dimension, cycle_superoperator,
+                     SpectralCertificate, TrajectoryRecord, commutant_dimension,
                      dual_fixed_point_check, edge_schedule, evolve,
                      fixed_point_space, gossip_update,
                      probability_one_convergence_experiment, s_average_check,
                      spectral_certificate, synchronous_blocks,
                      synchronous_classes, synchronous_superoperator)
 from .linalg import (NetworkShape, eigh, frobenius_distance, kron, kron_all,
-                     partial_trace, unvectorize, vectorize)
+                     partial_trace)
 from .scenario import RunManifest, Scenario, load_scenario
 from .states import (DensityOperator, Observable, Permutation, PAULI,
-                     basis_ket, lift_local, named_state, permutation_unitary,
-                     random_density, random_hermitian, rho_g, site_average,
-                     swap_unitary, twirl, twirl_matrix, von_neumann_entropy)
+                     basis_ket, lift_local, named_state, random_density,
+                     random_hermitian, rho_g, site_average, twirl, twirl_matrix,
+                     von_neumann_entropy)
 
 __version__ = "0.1.0"

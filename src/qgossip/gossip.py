@@ -12,14 +12,17 @@ state; fixed points of the expected map are exactly the operators commuting
 with every edge swap.
 
 A swap only relabels computational basis indices, so the map is applied by
-relabelling: :func:`gossip_update` is the one trajectory step kernel, and the
-superoperators permute the d**2 entries of ``vec(rho)`` within their orbits.
-Orbits whose letter counts agree have permutation-similar, real symmetric
-blocks, so the spectrum is certified from one block per isomorphism class
-(:func:`synchronous_classes`, solved with ``eigvalsh``); its size, not the
-dense ``MAX_SUPEROP_DIM``, is what is capped. The per-orbit blocks
-(:func:`synchronous_blocks`), the dense superoperators and swap unitaries,
-and the brute-force :func:`commutant_dimension` are kept as independent
+relabelling: :func:`gossip_update` is the one trajectory step kernel, and a
+superoperator is the ``(d**2, d**2)`` array ``(1 - alpha) I + alpha sum_e q_e
+P_e`` acting on ``rho.ravel()``, with ``P_e`` the flat gather of edge e's swap,
+which keeps every entry in its orbit. A swap is a real symmetric permutation
+matrix, so these maps commute with transposition and need no other
+flattening. Orbits whose letter counts agree have permutation-similar, real
+symmetric blocks, so the spectrum is certified from one block per isomorphism
+class (:func:`synchronous_classes`, solved with ``eigvalsh``); its size, not
+the dense ``MAX_SUPEROP_DIM``, is what is capped. The per-orbit blocks
+(:func:`synchronous_blocks`), the dense :func:`synchronous_superoperator` and
+the brute-force :func:`commutant_dimension` are kept as independent
 references for the tests.
 
 The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
@@ -44,13 +47,12 @@ import numpy as np
 from .consensus import matrix_smc_defect, sym_kets
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
-                     as_operator, frobenius_distance, require_hermitian, unvectorize,
-                     vectorize)
+                     as_operator, frobenius_distance, require_hermitian)
 from .rng import draw_index, make_rng, trial_rng
 from .states import (DensityOperator, Observable, conjugate_by_basis_map,
                      is_permutation_invariant, lift_local, local_expectations,
                      local_hermitian_basis, orbit_labels, site_average,
-                     swap_unitary, transposition_maps, twirl_matrix)
+                     transposition_maps, twirl_matrix)
 
 ALL_EDGE_STRATEGIES = ("synchronous", "expected")  # every step applies every edge
 STRATEGIES = ("random", "cyclic") + ALL_EDGE_STRATEGIES
@@ -351,20 +353,6 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
 # superoperators and certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Superoperator:
-    """Column-stacking matrix form of a channel, ``vec(E(X)) = matrix @ vec(X)``."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply_to_matrix(self, x: np.ndarray) -> np.ndarray:
-        return unvectorize(self.matrix @ vectorize(x))
-
-
 def _check_superop_dim(shape: NetworkShape) -> int:
     d = shape.total_dim
     if d > MAX_SUPEROP_DIM:
@@ -373,27 +361,27 @@ def _check_superop_dim(shape: NetworkShape) -> int:
     return d
 
 
-def _vec_permutation(edge, shape: NetworkShape) -> np.ndarray:
-    """``perm`` with ``vec(U_e X U_e) == vec(X)[perm]`` for the swap on ``edge``.
+def _flat_gathers(graph: InteractionGraph) -> np.ndarray:
+    """Row e is the flat gather of edge e's swap: ``(U_e x U_e).ravel() ==
+    x.ravel()[row]``. A transposition's basis map ``b`` is its own inverse,
+    so entry ``(i, j)`` of ``U_e x U_e`` is ``x[b[i], b[j]]``."""
+    b = np.stack([_edge_basis_map(e, graph.shape) for e in graph.edges])
+    d = graph.shape.total_dim
+    return (b[:, :, None] * d + b[:, None, :]).reshape(len(b), d * d)
 
-    A transposition's basis map is its own inverse, so entry ``(i, j)`` of
-    ``U_e X U_e`` is ``X[b[i], b[j]]``; column stacking puts it at ``i + d j``.
-    """
-    b = _edge_basis_map(edge, shape)
-    return (b[:, None] + shape.total_dim * b[None, :]).ravel(order="F")
 
-
-def synchronous_superoperator(graph: InteractionGraph, alpha: float) -> Superoperator:
-    """``(1 - alpha) I + alpha sum_e q_e P_e`` with ``P_e`` the entry permutations."""
+def synchronous_superoperator(graph: InteractionGraph, alpha: float) -> np.ndarray:
+    """``(1 - alpha) I + alpha sum_e q_e P_e``, the ``(d**2, d**2)`` array acting
+    on ``x.ravel()``, with ``P_e`` the entry permutation of edge e's swap."""
     if not graph.edges:
         raise ValidationError("the synchronous map needs at least one edge")
     d = _check_superop_dim(graph.shape)
     acc = np.zeros((d * d, d * d), dtype=np.complex128)
     rows = np.arange(d * d)
     acc[rows, rows] = 1.0 - alpha
-    for edge, q in zip(graph.edges, graph.weights):
-        acc[rows, _vec_permutation(edge, graph.shape)] += alpha * q
-    return Superoperator(acc)
+    for gather, q in zip(_flat_gathers(graph), graph.weights):
+        acc[rows, gather] += alpha * q
+    return acc
 
 
 def synchronous_blocks(graph: InteractionGraph, alpha: float) -> Iterator[np.ndarray]:
@@ -405,25 +393,24 @@ def synchronous_blocks(graph: InteractionGraph, alpha: float) -> Iterator[np.nda
     """
     if not graph.edges:
         raise ValidationError("the synchronous map needs at least one edge")
-    d = _check_superop_dim(graph.shape)
-    labels, sizes = orbit_labels(graph.shape.m, graph.shape.n, graph.components())
-    lab = labels.reshape(d, d).ravel(order="F")  # the orbit of each vec(rho) index
+    _check_superop_dim(graph.shape)
+    lab, sizes = orbit_labels(graph.shape.m, graph.shape.n, graph.components())
     # rank[v]: v's place in its orbit; block entry (v, w) is flat[row[v] + rank[w]]
     rank = np.argsort(np.argsort(lab, kind="stable")) - (np.cumsum(sizes) - sizes)[lab]
     offsets = np.cumsum(sizes * sizes) - sizes * sizes
     row = offsets[lab] + rank * sizes[lab]
     flat = np.zeros(np.dot(sizes, sizes), dtype=np.complex128)
     flat[row + rank] = 1.0 - alpha
-    for e, q in zip(graph.edges, graph.weights):
-        flat[row + rank[_vec_permutation(e, graph.shape)]] += alpha * q
+    for gather, q in zip(_flat_gathers(graph), graph.weights):
+        flat[row + rank[gather]] += alpha * q
     for offset, size in zip(offsets, sizes):
         yield flat[offset:offset + size * size].reshape(size, size)
 
 
 class ClassBlock(NamedTuple):
     """One isomorphism class of orbit blocks: the real block of a representative
-    orbit, whose ``vec(rho)`` indices are ``rows`` (increasing), and the number
-    of orbits, ``count``, whose blocks are permutation-similar to it."""
+    orbit, whose ``rho.ravel()`` indices are ``rows`` (increasing), and the
+    number of orbits, ``count``, whose blocks are permutation-similar to it."""
 
     block: np.ndarray
     count: int
@@ -461,12 +448,15 @@ def synchronous_classes(graph: InteractionGraph, alpha: float) -> Iterator[Class
     is one partition of each component's size into at most ``n**2`` parts. Its
     representative takes letters ``0, 1, ...`` with those counts, its rows are
     built from the letter arrangements alone, and its ``count`` is the number
-    of ways to give the parts distinct letters. The block is ``float64``,
-    bitwise the real part of the dense block, and exactly symmetric, since
-    each ``P_e`` is an involution. Before anything is built, the largest
-    block (the most even split of each component) is sized from multinomials
-    and may have at most ``MAX_TOTAL_DIM`` rows, and the map's ``d**2``
-    eigenvalues, which the certificate lists, at most ``MAX_LISTED_EIGENVALUES``.
+    of ways to give the parts distinct letters. Letter ``i_k n + j_k`` stands
+    for entry ``(i, j)``, but ``rows`` holds ``i + d j``: the ``rho.ravel()``
+    indices of the transposed representative, an orbit of the same class.
+    The block is ``float64``, bitwise the real part of the dense block, and
+    exactly symmetric, since each ``P_e`` is an involution. Before anything is
+    built, the largest block (the most even split of each component) is sized
+    from multinomials and may have at most ``MAX_TOTAL_DIM`` rows, and the
+    map's ``d**2`` eigenvalues, which the certificate lists, at most
+    ``MAX_LISTED_EIGENVALUES``.
     """
     if not graph.edges:
         raise ValidationError("the synchronous map needs at least one edge")
@@ -502,22 +492,6 @@ def synchronous_classes(graph: InteractionGraph, alpha: float) -> Iterator[Class
         for b, w in zip(bmaps, graph.weights):
             block[diag, np.searchsorted(rows, b[i] + d * b[j])] += alpha * w
         yield ClassBlock(block, count, rows)
-
-
-def cycle_superoperator(graph: InteractionGraph, order: Sequence[int],
-                        alpha: float) -> Superoperator:
-    """Superoperator of one cyclic sweep, composed edge by edge.
-
-    Each edge multiplies from the left by ``(1 - alpha) I + alpha P_e``,
-    i.e. mixes the accumulated matrix with a row gather: O(d^4) per edge.
-    """
-    d = _check_superop_dim(graph.shape)
-    order = _check_cycle_order(order, graph)
-    acc = np.eye(d * d, dtype=np.complex128)
-    for idx in order:
-        perm = _vec_permutation(graph.edges[idx], graph.shape)
-        acc = (1.0 - alpha) * acc + alpha * acc[perm]
-    return Superoperator(acc)
 
 
 @dataclass(frozen=True)
@@ -559,7 +533,7 @@ def spectral_certificate(blocks: Iterable[np.ndarray | ClassBlock],
     symmetric: it is solved once with ``eigvalsh`` and its eigenvalues repeat
     ``count`` times, one copy per orbit it stands for. Any other item is a
     square matrix solved with ``eigvals``: an orbit block of
-    :func:`synchronous_blocks`, or ``[sop.matrix]`` for a dense map such as a
+    :func:`synchronous_blocks`, or ``[sop]`` for a dense map such as a
     cyclic sweep, which is not symmetric.
     """
     if not 0.0 < q0 <= 1.0:
@@ -595,9 +569,10 @@ def spectral_certificate(blocks: Iterable[np.ndarray | ClassBlock],
 def commutant_dimension(graph: InteractionGraph) -> int:
     """Dimension of {X : [X, U_e] = 0 for every edge}, by brute force.
 
-    Solves the stacked linear system ``(I (x) U - U^T (x) I) vec(X) = 0``
-    through the nullity of the positive semidefinite normal matrix. This is
-    the independent oracle for :func:`fixed_point_space`.
+    Solves the stacked linear system ``(I (x) U - U (x) I) x.ravel() = 0``,
+    i.e. ``X U - U X = 0`` (each swap ``U`` is symmetric), through the nullity
+    of the positive semidefinite normal matrix. This is the independent oracle
+    for :func:`fixed_point_space`.
     """
     d = _check_superop_dim(graph.shape)
     if not graph.edges:
@@ -605,8 +580,8 @@ def commutant_dimension(graph: InteractionGraph) -> int:
     eye = np.eye(d, dtype=np.complex128)
     normal = np.zeros((d * d, d * d), dtype=np.complex128)
     for edge in graph.edges:
-        u = swap_unitary(*edge, graph.shape)
-        c = np.kron(eye, u) - np.kron(u.T, eye)
+        u = eye[_edge_basis_map(edge, graph.shape)]
+        c = np.kron(eye, u) - np.kron(u, eye)
         normal += c.conj().T @ c
     evals = np.linalg.eigvalsh((normal + normal.conj().T) / 2.0)
     return int(np.sum(evals < 1e-9))
@@ -680,9 +655,9 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
         raise ValidationError("the consensus check needs a connected graph")
 
     basis = local_hermitian_basis(shape.n)
-    columns = [vectorize(site_average(b, shape)) for b in basis]
+    columns = [site_average(b, shape).ravel() for b in basis]
     a = np.stack([np.concatenate([c.real, c.imag]) for c in columns], axis=1)
-    b_vec = vectorize(s_mat)
+    b_vec = s_mat.ravel()
     b = np.concatenate([b_vec.real, b_vec.imag])
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - b))
@@ -834,7 +809,7 @@ def probability_one_convergence_experiment(
     bmaps = np.stack([_edge_basis_map(e, shape) for e in graph.edges])
     table = None
     if 8 * len(bmaps) * dd <= ENSEMBLE_CHUNK_BYTES // 4:
-        table = (bmaps[:, :, None] * d + bmaps[:, None, :]).reshape(len(bmaps), dd)
+        table = _flat_gathers(graph)
     # Half the budget holds the table, states, gathers and indices (40 bytes
     # per entry of rho), the other half edge draws (8 bytes per trial and step).
     trial_bytes = ENSEMBLE_CHUNK_BYTES // 2 - (0 if table is None else table.nbytes)

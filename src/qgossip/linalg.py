@@ -1,9 +1,8 @@
 """Dense complex linear algebra on multipartite operator spaces.
 
 Operators are plain ``numpy.ndarray`` matrices of ``complex128`` in row-major
-layout (column index fastest). Vectorization uses column stacking, so
-``vectorize(A @ X @ B) == kron(B.T, A) @ vectorize(X)``. All functions are
-pure and never mutate their arguments.
+layout (column index fastest). All functions are pure and never mutate
+their arguments.
 """
 
 from __future__ import annotations
@@ -164,17 +163,3 @@ def frobenius_distance(a, b) -> float:
     if am.shape != bm.shape:
         raise DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
     return float(np.linalg.norm(am - bm, ord="fro"))
-
-
-def vectorize(x) -> np.ndarray:
-    """Column-stacking vectorization of a square matrix."""
-    return as_operator(x).flatten(order="F")
-
-
-def unvectorize(v) -> np.ndarray:
-    """Inverse of :func:`vectorize`; the length must be a perfect square."""
-    a = np.asarray(v, dtype=np.complex128).ravel()
-    d = int(round(np.sqrt(a.size)))
-    if d * d != a.size:
-        raise DimensionError(f"vector length {a.size} is not a perfect square")
-    return a.reshape((d, d), order="F")

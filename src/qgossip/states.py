@@ -43,8 +43,7 @@ class Permutation:
     """A bijection pi of the site labels {1, ..., m}.
 
     ``mapping[i-1] == pi(i)``. Composition is defined so that the induced
-    unitaries satisfy ``permutation_unitary(p.compose(q)) ==
-    permutation_unitary(p) @ permutation_unitary(q)``; under the tensor-leg
+    unitaries satisfy ``U_{p.compose(q)} == U_p U_q``; under the tensor-leg
     convention above that means ``compose(p, q)(i) == q(p(i))``.
     """
 
@@ -205,19 +204,6 @@ def basis_index_map(perm: Permutation, shape: NetworkShape) -> np.ndarray:
     cols = [perm(i) - 1 for i in range(1, shape.m + 1)]
     weights = shape.n ** np.arange(shape.m - 1, -1, -1, dtype=np.int64)
     return digits[:, cols] @ weights
-
-
-def permutation_unitary(perm: Permutation, shape: NetworkShape) -> np.ndarray:
-    """Dense unitary representation of a site permutation."""
-    d = shape.total_dim
-    bmap = basis_index_map(perm, shape)
-    u = np.zeros((d, d), dtype=np.complex128)
-    u[bmap, np.arange(d)] = 1.0
-    return u
-
-
-def swap_unitary(j: int, k: int, shape: NetworkShape) -> np.ndarray:
-    return permutation_unitary(Permutation.transposition(shape.m, j, k), shape)
 
 
 def conjugate_by_basis_map(x: np.ndarray, bmap: np.ndarray) -> np.ndarray:

@@ -125,12 +125,15 @@ def test_criterion_4_spectral_certificates():
         (qg.InteractionGraph(shape3, [(1, 2), (2, 3), (1, 3)]), 20),
     ]
     for graph, expected_dim in cases:
-        cert = qg.spectral_certificate(qg.synchronous_blocks(graph, 0.5), q0=0.5)
-        assert cert.disk_ok
-        assert cert.max_imag <= 1e-9
-        ev = cert.eigenvalues.real
-        assert np.all(ev >= -1e-9) and np.all(ev <= 1.0 + 1e-9)
-        assert cert.unit_eigenvalue_count == expected_dim
+        # the orbit blocks, and the class blocks that `qgossip spectrum` certifies
+        certs = [qg.spectral_certificate(blocks(graph, 0.5), q0=0.5)
+                 for blocks in (qg.synchronous_blocks, qg.synchronous_classes)]
+        for cert in certs:
+            assert cert.disk_ok
+            assert cert.max_imag <= 1e-9
+            ev = cert.eigenvalues.real
+            assert np.all(ev >= -1e-9) and np.all(ev <= 1.0 + 1e-9)
+            assert cert.unit_eigenvalue_count == cert.block_count == expected_dim
         dim, _ = qg.fixed_point_space(graph)
         oracle = qg.commutant_dimension(graph)
         assert dim == oracle == expected_dim

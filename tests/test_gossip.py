@@ -21,7 +21,7 @@ from qgossip.rng import draw_index, make_rng, trial_rng
 from qgossip.scenario import load_scenario
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels, twirl_matrix)
-from reference import conjugate, gossip_superoperator
+from reference import apply, conjugate, gossip_superoperator, swap_unitary
 
 SZ = qg.PAULI["z"]
 
@@ -96,9 +96,10 @@ def test_gossip_config_validation():
                         cycle_order=(0,))
     cfg = qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=3)
     assert cfg.resolved_cycle_order(path_graph(3)) == (0, 1)
-    with pytest.raises(qg.ValidationError):
-        qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=3,
-                        cycle_order=(0,)).resolved_cycle_order(path_graph(3))
+    for bad in ([0], [(1, 2), (2, 3)], [0, 1.0], [True, 1], ["0", 1]):
+        with pytest.raises(qg.ValidationError):
+            qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=3,
+                            cycle_order=bad).resolved_cycle_order(path_graph(3))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,7 @@ def test_gossip_channel_kraus_structure():
     # one edge is the trace-preserving, unital operator sum with Kraus operators
     # sqrt(1 - alpha) I and sqrt(alpha) U
     shape = qg.NetworkShape(2, 2)
-    ops = [np.sqrt(0.7) * np.eye(4), np.sqrt(0.3) * qg.swap_unitary(1, 2, shape)]
+    ops = [np.sqrt(0.7) * np.eye(4), np.sqrt(0.3) * swap_unitary(1, 2, shape)]
     np.testing.assert_allclose(sum(a.conj().T @ a for a in ops), np.eye(4), atol=1e-15)
     np.testing.assert_allclose(sum(a @ a.conj().T for a in ops), np.eye(4), atol=1e-15)
     rng = make_rng(60)
@@ -144,16 +145,6 @@ def test_gossip_channel_on_antialigned_pair():
     expected = 0.5 * rho.matrix + 0.5 * np.outer(qg.basis_ket("10", 2),
                                                  qg.basis_ket("10", 2))
     np.testing.assert_allclose(out, expected, atol=1e-15)
-
-
-def test_cycle_map_equals_sequential_application():
-    g = path_graph(3)
-    alpha = 0.35
-    sweep = qg.cycle_superoperator(g, [0, 1], alpha)
-    rho = qg.random_density(g.shape, 77)
-    step1 = qg.gossip_update(rho.matrix, [edge_bmap(g.edges[0], g.shape)], [1.0], alpha)
-    step2 = qg.gossip_update(step1, [edge_bmap(g.edges[1], g.shape)], [1.0], alpha)
-    np.testing.assert_allclose(sweep.apply_to_matrix(rho.matrix), step2, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +314,7 @@ def test_expected_strategy_equals_superoperator_iteration():
     sop = qg.synchronous_superoperator(g, 0.4)
     x = rho.matrix
     for _ in range(10):
-        x = sop.apply_to_matrix(x)
+        x = apply(sop, x)
     np.testing.assert_allclose(final.matrix, x, atol=1e-12)
     # synchronous is an alias strategy for the same deterministic map
     cfg_sync = qg.GossipConfig(alpha=0.4, strategy="synchronous", steps=10)
@@ -465,13 +456,13 @@ def test_disconnected_graph_warns_and_misses_global_twirl():
 def test_superoperator_matches_channel_action():
     g = path_graph(3)
     sop = qg.synchronous_superoperator(g, 0.5)
-    swaps = [qg.swap_unitary(*e, g.shape) for e in g.edges]
+    swaps = [swap_unitary(*e, g.shape) for e in g.edges]
     rng = make_rng(61)
     for _ in range(20):
         x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         expected = sum(q * (0.5 * x + 0.5 * conjugate(u, x))
                        for q, u in zip(g.weights, swaps))
-        np.testing.assert_allclose(sop.apply_to_matrix(x), expected, atol=1e-10)
+        np.testing.assert_allclose(apply(sop, x), expected, atol=1e-10)
 
 
 def test_superoperator_dimension_cap():
@@ -490,8 +481,8 @@ def test_synchronous_blocks_fail_before_building():
 
 def test_synchronous_superoperator_is_real_symmetric():
     sop = qg.synchronous_superoperator(path_graph(3), 0.5)
-    assert np.max(np.abs(sop.matrix.imag)) < 1e-14
-    assert np.max(np.abs(sop.matrix - sop.matrix.T)) < 1e-12
+    assert np.max(np.abs(sop.imag)) < 1e-14
+    assert np.max(np.abs(sop - sop.T)) < 1e-12
 
 
 def test_gossip_maps_are_frobenius_contractions():
@@ -502,18 +493,8 @@ def test_gossip_maps_are_frobenius_contractions():
         a = qg.random_density(g.shape, int(rng.integers(0, 10 ** 6))).matrix
         b = qg.random_density(g.shape, int(rng.integers(0, 10 ** 6))).matrix
         before = qg.frobenius_distance(a, b)
-        after = qg.frobenius_distance(sop.apply_to_matrix(a), sop.apply_to_matrix(b))
+        after = qg.frobenius_distance(apply(sop, a), apply(sop, b))
         assert after <= before + 1e-12
-
-
-def test_cycle_superoperator_composition():
-    g = path_graph(3)
-    sweep = qg.cycle_superoperator(g, [0, 1], 0.35)
-    first, second = (gossip_superoperator([e], [1.0], 0.35, g.shape) for e in g.edges)
-    np.testing.assert_allclose(sweep.matrix, second @ first, atol=1e-12)
-    for bad in ([0], [(1, 2), (2, 3)], [0, 1.0], [True, 1], ["0", 1]):
-        with pytest.raises(qg.ValidationError):
-            qg.cycle_superoperator(g, bad, 0.35)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +527,7 @@ def test_evolve_record_matches_a_dense_replay(g, strategy, alpha, data):
     cfg = qg.GossipConfig(alpha=alpha, strategy=strategy, steps=6, seed=seeds[2])
     rec, _ = qg.evolve(rho, g, cfg, sigma)
     s_mat = qg.site_average(sigma, shape)
-    swaps = {e: qg.swap_unitary(*e, shape) for e in g.edges}
+    swaps = {e: swap_unitary(*e, shape) for e in g.edges}
     x = rho.matrix
     for t in range(rec.steps + 1):
         if t:
@@ -560,27 +541,19 @@ def test_evolve_record_matches_a_dense_replay(g, strategy, alpha, data):
 
 @settings(max_examples=15, deadline=None)
 @given(g=weighted_graphs([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]),
-       alpha=st.floats(0.01, 0.99), data=st.data())
-def test_permutation_superoperators_match_kraus_oracle(g, alpha, data):
+       alpha=st.floats(0.01, 0.99))
+def test_permutation_superoperators_match_kraus_oracle(g, alpha):
     per_edge = [gossip_superoperator([e], [1.0], alpha, g.shape) for e in g.edges]
     sync = qg.synchronous_superoperator(g, alpha)
     oracle = sum(q * s for q, s in zip(g.weights, per_edge))
-    np.testing.assert_allclose(sync.matrix, oracle, rtol=0, atol=1e-14)
-
-    order = data.draw(st.permutations(range(len(g.edges))))
-    order += data.draw(st.lists(st.integers(0, len(g.edges) - 1), max_size=2))
-    product = np.eye(sync.dim, dtype=complex)
-    for idx in order:
-        product = per_edge[idx] @ product
-    sweep = qg.cycle_superoperator(g, order, alpha)
-    np.testing.assert_allclose(sweep.matrix, product, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sync, oracle, rtol=0, atol=1e-14)
 
     d = g.shape.total_dim
     rng = make_rng(5)
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     bmaps = [edge_bmap(e, g.shape) for e in g.edges]
     np.testing.assert_allclose(qg.gossip_update(x, bmaps, g.weights, alpha),
-                               sync.apply_to_matrix(x), rtol=0, atol=1e-13)
+                               apply(sync, x), rtol=0, atol=1e-13)
 
 
 @settings(max_examples=25, deadline=None)
@@ -633,7 +606,7 @@ def test_recorded_edges_are_the_schedule_prefix(g, alpha, data):
 def test_certificate_for_synchronous_maps():
     for graph, expected_dim in ((path_graph(2), 10), (path_graph(3), 20)):
         sop = qg.synchronous_superoperator(graph, 0.5)
-        cert = qg.spectral_certificate([sop.matrix], q0=0.5)
+        cert = qg.spectral_certificate([sop], q0=0.5)
         assert cert.passed and cert.disk_ok
         assert cert.max_imag <= 1e-9
         assert cert.unit_eigenvalue_count == expected_dim
@@ -644,23 +617,31 @@ def test_certificate_for_synchronous_maps():
 
 def test_certificate_gap_value_for_three_site_path():
     sop = qg.synchronous_superoperator(path_graph(3), 0.5)
-    cert = qg.spectral_certificate([sop.matrix], q0=0.5)
+    cert = qg.spectral_certificate([sop], q0=0.5)
     assert cert.spectral_gap == pytest.approx(0.25, abs=1e-12)
 
 
 def test_certificate_disk_for_asymmetric_alpha():
     sop = qg.synchronous_superoperator(path_graph(3), 0.3)
-    cert = qg.spectral_certificate([sop.matrix], q0=0.7)
+    cert = qg.spectral_certificate([sop], q0=0.7)
     assert cert.disk_ok
     assert np.all(np.abs(cert.eigenvalues - 0.7) <= 0.3 + 1e-9)
+
+
+def sweep_superoperator(g, order, alpha):
+    """One cyclic sweep on ``x.ravel()``: the per-edge maps composed in ``order``."""
+    sweep = np.eye(g.shape.total_dim ** 2, dtype=complex)
+    for idx in order:
+        sweep = gossip_superoperator([g.edges[idx]], [1.0], alpha, g.shape) @ sweep
+    return sweep
 
 
 def test_certificate_covers_cycle_superoperator():
     # one sweep is a convex combination with identity weight (1-alpha)^T
     g = path_graph(3)
     alpha = 0.4
-    sweep = qg.cycle_superoperator(g, [0, 1], alpha)
-    cert = qg.spectral_certificate([sweep.matrix], q0=(1 - alpha) ** 2)
+    sweep = sweep_superoperator(g, [0, 1], alpha)
+    cert = qg.spectral_certificate([sweep], q0=(1 - alpha) ** 2)
     assert cert.disk_ok
     assert cert.unit_eigenvalue_count == 20
 
@@ -676,11 +657,11 @@ def test_blockwise_certificate_matches_the_dense_eigensolve(g, alpha, data):
     # the certificate solves the synchronous map one orbit block at a time
     order = data.draw(st.permutations(range(len(g.edges))))
     sync = qg.synchronous_superoperator(g, alpha)
-    sweep = qg.cycle_superoperator(g, order, alpha)
-    for blocks, sop in ((qg.synchronous_blocks(g, alpha), sync), ([sweep.matrix], sweep)):
+    sweep = sweep_superoperator(g, order, alpha)
+    for blocks, sop in ((qg.synchronous_blocks(g, alpha), sync), ([sweep], sweep)):
         cert = qg.spectral_certificate(blocks, q0=1.0 - alpha)
         np.testing.assert_allclose(sorted_spectrum(cert.eigenvalues),
-                                   sorted_spectrum(np.linalg.eigvals(sop.matrix)),
+                                   sorted_spectrum(np.linalg.eigvals(sop)),
                                    rtol=0, atol=1e-10)
         assert cert.unit_eigenvalue_count == np.prod(
             [math.comb(len(c) + g.shape.n ** 2 - 1, len(c)) for c in g.components()])
@@ -700,17 +681,15 @@ def graphs_with_edges(draw, shapes):
 @given(g=graphs_with_edges([(m, 2) for m in range(2, 6)] + [(2, 3), (3, 3), (2, 4)]),
        alpha=st.floats(0.01, 0.99))
 def test_synchronous_blocks_are_the_dense_blocks(g, alpha):
-    dense = qg.synchronous_superoperator(g, alpha).matrix
-    d = g.shape.total_dim
+    dense = qg.synchronous_superoperator(g, alpha)
     labels, sizes = orbit_labels(g.shape.m, g.shape.n, g.components())
-    vec_labels = labels.reshape(d, d).ravel(order="F")  # orbit of each vec(rho) index
     blocks = list(qg.synchronous_blocks(g, alpha))
     assert len(blocks) == len(sizes)
     for o, block in enumerate(blocks):
-        rows = np.flatnonzero(vec_labels == o)
+        rows = np.flatnonzero(labels == o)
         assert block.dtype == np.complex128
         assert np.array_equal(block, dense[np.ix_(rows, rows)])
-    assert not dense[vec_labels[:, None] != vec_labels[None, :]].any()
+    assert not dense[labels[:, None] != labels[None, :]].any()
 
 
 @settings(max_examples=25, deadline=None)
@@ -726,16 +705,14 @@ def test_class_blocks_certify_as_the_orbit_blocks(g, alpha):
     assert ref.max_imag <= 1e-13 and cert.max_imag == 0.0
     assert cert.second_largest_eigenvalue == pytest.approx(ref.second_largest_eigenvalue,
                                                            abs=1e-13)
-    d = g.shape.total_dim
     labels, sizes = orbit_labels(g.shape.m, g.shape.n, g.components())
     assert sum(c.count for c in classes) == cert.block_count == ref.block_count == len(sizes)
     assert cert.unit_eigenvalue_count == ref.unit_eigenvalue_count
     assert cert.disk_ok and ref.disk_ok
-    dense = qg.synchronous_superoperator(g, alpha).matrix
-    vec_labels = labels.reshape(d, d).ravel(order="F")
+    dense = qg.synchronous_superoperator(g, alpha)
     for c in classes:
         assert c.block.dtype == np.float64
-        assert np.array_equal(c.rows, np.flatnonzero(vec_labels == vec_labels[c.rows[0]]))
+        assert np.array_equal(c.rows, np.flatnonzero(labels == labels[c.rows[0]]))
         assert np.array_equal(c.block, c.block.T)
         assert np.array_equal(c.block, dense[np.ix_(c.rows, c.rows)].real)
 
@@ -769,8 +746,8 @@ def test_modulus_gap_and_second_eigenvalue_differ_past_one_half():
 def test_certificate_rejects_pure_swap():
     # a bare swap has eigenvalue -1, far outside the q0 = 0.5 disk
     shape = qg.NetworkShape(2, 2)
-    u = qg.swap_unitary(1, 2, shape)
-    cert = qg.spectral_certificate([np.kron(u.conj(), u)], q0=0.5)
+    u = swap_unitary(1, 2, shape)
+    cert = qg.spectral_certificate([np.kron(u, u.conj())], q0=0.5)
     assert not cert.disk_ok and not cert.passed
     assert cert.max_disk_violation == pytest.approx(1.0, abs=1e-9)
 
@@ -778,9 +755,9 @@ def test_certificate_rejects_pure_swap():
 def test_certificate_validates_q0():
     sop = qg.synchronous_superoperator(path_graph(2), 0.5)
     with pytest.raises(qg.ValidationError):
-        qg.spectral_certificate([sop.matrix], q0=0.0)
+        qg.spectral_certificate([sop], q0=0.0)
     with pytest.raises(qg.ValidationError):
-        qg.spectral_certificate([sop.matrix], q0=1.5)
+        qg.spectral_certificate([sop], q0=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +777,7 @@ def test_certificate_counts_one_block_per_fixed_point():
         cert = qg.spectral_certificate(qg.synchronous_blocks(g, 0.4), q0=0.6)
         assert cert.block_count == qg.fixed_point_space(g)[0] == cert.unit_eigenvalue_count
     dense = qg.synchronous_superoperator(path_graph(3), 0.4)
-    assert qg.spectral_certificate([dense.matrix], q0=0.6).block_count == 1
+    assert qg.spectral_certificate([dense], q0=0.6).block_count == 1
 
 
 def test_fixed_point_dimension_matches_commutant():
@@ -830,19 +807,19 @@ def test_fixed_point_basis_properties():
     dim, basis = qg.fixed_point_space(g)
     assert len(basis) == dim
     sop = qg.synchronous_superoperator(g, 0.5)
-    swaps = [qg.swap_unitary(*e, g.shape) for e in g.edges]
+    swaps = [swap_unitary(*e, g.shape) for e in g.edges]
     for i, x in enumerate(basis):
         assert np.max(np.abs(x - x.conj().T)) < 1e-9
-        np.testing.assert_allclose(sop.apply_to_matrix(x), x, atol=1e-8)
+        np.testing.assert_allclose(apply(sop, x), x, atol=1e-8)
         for u in swaps:
             np.testing.assert_allclose(u @ x, x @ u, atol=1e-8)
         for j, y in enumerate(basis):
             ip = np.trace(x.conj().T @ y).real
             np.testing.assert_allclose(ip, 1.0 if i == j else 0.0, atol=1e-9)
     # the identity and the conserved site average live in the span
-    coords = np.stack([qg.vectorize(b) for b in basis])
+    coords = np.stack([b.ravel() for b in basis])
     for target in (np.eye(8, dtype=complex), qg.site_average(SZ, g.shape)):
-        v = qg.vectorize(target)
+        v = target.ravel()
         proj = coords.conj() @ v
         np.testing.assert_allclose(coords.T @ proj, v, atol=1e-9)
 
@@ -891,8 +868,8 @@ def test_cyclic_decay_rate_matches_cycle_spectrum():
     # second-largest modulus of the sweep superoperator (within 20 percent)
     g = path_graph(3)
     alpha = 0.5
-    sweep = qg.cycle_superoperator(g, [0, 1], alpha)
-    moduli = np.abs(np.linalg.eigvals(sweep.matrix))
+    sweep = sweep_superoperator(g, [0, 1], alpha)
+    moduli = np.abs(np.linalg.eigvals(sweep))
     lam2 = float(np.max(moduli[moduli < 1 - 1e-9]))
     rho = qg.DensityOperator.from_ket(qg.basis_ket("100", 2), g.shape)
     star = qg.twirl(rho).matrix
@@ -900,7 +877,7 @@ def test_cyclic_decay_rate_matches_cycle_spectrum():
     x = rho.matrix
     for _ in range(15):
         dists.append(qg.frobenius_distance(x, star))
-        x = sweep.apply_to_matrix(x)
+        x = apply(sweep, x)
     ts = np.arange(4, 15)
     slope = np.polyfit(ts, np.log(np.asarray(dists)[4:15]), 1)[0]
     assert abs(np.exp(slope) - lam2) / lam2 < 0.2

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import qgossip as qg
 from qgossip.linalg import (as_operator, hermiticity_defect, frobenius_norm,
@@ -199,30 +197,3 @@ def test_frobenius_distance_hand_value():
 
 def test_frobenius_norm_value():
     assert frobenius_norm(np.ones((2, 2))) == 2.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 9))
-def test_vectorize_round_trip(seed):
-    rng = make_rng(seed)
-    d = int(rng.integers(1, 7))
-    x = complex_ginibre(rng, d)
-    np.testing.assert_allclose(qg.unvectorize(qg.vectorize(x)), x, atol=0)
-
-
-def test_vectorize_column_stacking_identity():
-    # vec(A X B) == kron(B.T, A) vec(X)
-    rng = make_rng(23)
-    for _ in range(25):
-        d = int(rng.integers(2, 6))
-        a = complex_ginibre(rng, d)
-        x = complex_ginibre(rng, d)
-        b = complex_ginibre(rng, d)
-        lhs = qg.vectorize(a @ x @ b)
-        rhs = np.kron(b.T, a) @ qg.vectorize(x)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-def test_unvectorize_rejects_bad_length():
-    with pytest.raises(qg.DimensionError):
-        qg.unvectorize(np.zeros(5))

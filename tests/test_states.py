@@ -16,7 +16,7 @@ from qgossip.states import (Permutation, basis_index_map, check_projector_family
                             local_expectations, local_hermitian_basis,
                             local_reduced_states, orbit_labels, parse_sigma,
                             trace_index, transposition_maps)
-from reference import gossip_superoperator
+from reference import apply, gossip_superoperator, permutation_unitary, swap_unitary
 
 SZ = qg.PAULI["z"]
 SX = qg.PAULI["x"]
@@ -77,7 +77,7 @@ def test_permutation_unitary_relabels_sites():
     xs = [complex_ginibre(rng, 2) for _ in range(3)]
     joint = qg.kron_all(xs)
     for perm in S3:
-        u = qg.permutation_unitary(perm, shape)
+        u = permutation_unitary(perm, shape)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
         expected = qg.kron_all([xs[perm(i) - 1] for i in (1, 2, 3)])
         np.testing.assert_allclose(u @ joint @ u.conj().T, expected, atol=1e-12)
@@ -85,7 +85,7 @@ def test_permutation_unitary_relabels_sites():
 
 def test_permutation_unitary_qutrit_swap():
     shape = qg.NetworkShape(2, 3)
-    u = qg.swap_unitary(1, 2, shape)
+    u = swap_unitary(1, 2, shape)
     ket = np.kron(qg.basis_ket("1", 3), qg.basis_ket("2", 3))
     np.testing.assert_allclose(u @ ket, np.kron(qg.basis_ket("2", 3),
                                                 qg.basis_ket("1", 3)), atol=0)
@@ -95,26 +95,28 @@ def test_compose_matches_unitary_product():
     # compose is defined so that U_{p.compose(q)} == U_p @ U_q
     shape = qg.NetworkShape(3, 2)
     for p, q in itertools.product(S3, repeat=2):
-        up = qg.permutation_unitary(p, shape)
-        uq = qg.permutation_unitary(q, shape)
-        ur = qg.permutation_unitary(p.compose(q), shape)
+        up = permutation_unitary(p, shape)
+        uq = permutation_unitary(q, shape)
+        ur = permutation_unitary(p.compose(q), shape)
         np.testing.assert_allclose(ur, up @ uq, atol=0)
 
 
 def test_basis_index_map_consistent_with_unitary():
-    shape = qg.NetworkShape(3, 2)
+    # all of S3 at (3, 2) and (3, 3), all of S4 at (4, 2)
     rng = make_rng(33)
-    x = complex_ginibre(rng, 8)
-    for perm in S3:
-        u = qg.permutation_unitary(perm, shape)
-        bmap = basis_index_map(perm, shape)
-        np.testing.assert_allclose(conjugate_by_basis_map(x, bmap),
-                                   u @ x @ u.conj().T, atol=0)
+    for m, n in ((3, 2), (4, 2), (3, 3)):
+        shape = qg.NetworkShape(m, n)
+        x = complex_ginibre(rng, shape.total_dim)
+        for perm in map(Permutation, itertools.permutations(range(1, m + 1))):
+            u = permutation_unitary(perm, shape)
+            bmap = basis_index_map(perm, shape)
+            np.testing.assert_allclose(conjugate_by_basis_map(x, bmap),
+                                       u @ x @ u.conj().T, atol=0)
 
 
 def test_swap_unitary_on_kets():
     shape = qg.NetworkShape(2, 2)
-    u = qg.swap_unitary(1, 2, shape)
+    u = swap_unitary(1, 2, shape)
     np.testing.assert_allclose(u @ qg.basis_ket("01", 2), qg.basis_ket("10", 2), atol=0)
     np.testing.assert_allclose(u @ u, np.eye(4), atol=0)
 
@@ -529,7 +531,7 @@ def _one_edge_update(x, alpha):
 def _one_edge_dual(x, alpha):
     """The Heisenberg-picture map, from the adjoint of the dense superoperator."""
     sop = gossip_superoperator([(1, 2)], [1.0], alpha, qg.NetworkShape(2, 2))
-    return qg.unvectorize(sop.conj().T @ qg.vectorize(x))
+    return apply(sop.conj().T, x)
 
 
 def test_channel_duality_random_sweep():
