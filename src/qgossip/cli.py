@@ -37,18 +37,20 @@ def _edge_label(edge) -> str:
     return f"{edge[0]}-{edge[1]}"
 
 
+def _step_labels(edges, all_edges: bool = False) -> list:
+    """The ``t, edge`` cells of rows 0..len(edges): the edge applied to reach
+    step t, "all" for a step that applies every edge."""
+    return [[0, ""]] + [[t, "all" if all_edges else _edge_label(e)]
+                        for t, e in enumerate(edges, 1)]
+
+
 def _write_trajectory(path: Path, record, manifest_name: str):
     m = record.z.shape[1]
     header = (["t", "edge"] + [f"z_{i}" for i in range(1, m + 1)]
               + ["S_expect", "ssc_gap", "smc_defect"])
-    rows = [[0, ""] + list(record.z[0]) + [record.s_expect[0],
-                                           record.ssc_gap[0], record.smc_defect[0]]]
-    for t in range(1, len(record.z)):
-        edge = record.edges[t - 1]
-        label = "all" if record.strategy in ALL_EDGE_STRATEGIES else _edge_label(edge)
-        rows.append([t, label] + list(record.z[t])
-                    + [record.s_expect[t], record.ssc_gap[t], record.smc_defect[t]])
-    write_csv(path, header, rows, manifest_name)
+    values = np.column_stack([record.z, record.s_expect, record.ssc_gap, record.smc_defect])
+    labels = _step_labels(record.edges, record.strategy in ALL_EDGE_STRATEGIES)
+    write_csv(path, header, labels, values, manifest_name)
 
 
 def _finish_manifest(out_dir: Path, stem: str, scenario: Scenario, command: str,
@@ -188,13 +190,9 @@ def cmd_correspond(args) -> int:
     _write_trajectory(out_dir / f"{stem}_trajectory.csv", result.quantum, manifest_name)
     m = scenario.shape.m
     cheader = ["t", "edge"] + [f"x_{i}" for i in range(1, m + 1)] + ["W"]
-    crows = [[0, ""] + list(result.classical.x[0, :, 0])
-             + [result.classical.disagreement[0]]]
-    for t in range(1, len(result.classical.x)):
-        crows.append([t, _edge_label(result.classical.edges[t - 1])]
-                     + list(result.classical.x[t, :, 0])
-                     + [result.classical.disagreement[t]])
-    write_csv(out_dir / f"{stem}_classical.csv", cheader, crows, manifest_name)
+    cvalues = np.column_stack([result.classical.x[:, :, 0], result.classical.disagreement])
+    write_csv(out_dir / f"{stem}_classical.csv", cheader,
+              _step_labels(result.classical.edges), cvalues, manifest_name)
     payload = {
         "max_deviation": result.max_deviation,
         "classical_limit_deviation": result.classical_limit_deviation,

@@ -109,7 +109,7 @@ def sym_kets(sigma: Observable, m: int) -> np.ndarray:
     (``Observable.isometries``), so ``V_j^(x)m (V_j^(x)m)^dagger = P_j^(x)m``.
     K has ``sum_j r_j**m <= n**m`` columns, one per outcome when sigma is
     nondegenerate. Each power is built by broadcast outer products, site 1
-    leftmost as in :func:`kron_all`.
+    leftmost as in :func:`kron_all`, and K is C-contiguous.
     """
     blocks = []
     for v in sigma.isometries:
@@ -118,24 +118,40 @@ def sym_kets(sigma: Observable, m: int) -> np.ndarray:
             k = (k[:, None, :, None] * v[None, :, None, :]).reshape(
                 k.shape[0] * v.shape[0], k.shape[1] * v.shape[1])
         blocks.append(k)
-    return np.hstack(blocks)
+    return np.ascontiguousarray(np.hstack(blocks))
 
 
-def sym_overlap(x: np.ndarray, kets: np.ndarray) -> float:
-    """``Re Tr[Pi_sym x] = Re sum_j Tr[K_j^dagger x K_j]`` for the
-    :func:`sym_kets` matrix K: one product ``x K`` and one inner product,
-    O(d**2) per column of K, with no d x d ``Pi_sym``."""
-    return float(np.vdot(kets, x @ kets).real)
+def sym_overlap_rows(rows: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """``Re Tr[Pi_sym x_r] = Re sum_j Tr[K_j^dagger x_r K_j]`` for every row
+    ``x_r = x.ravel()`` of a complex ``(rows, d**2)`` array, with K the
+    :func:`sym_kets` matrix and no d x d ``Pi_sym``.
+
+    One stacked product ``x_r K`` (numpy runs the same BLAS product per row
+    as for one matrix), O(d**2) per column of K, then the inner product with
+    K on the ``float64`` views, summed per row on its own: a row's value does
+    not depend on how many rows there are.
+    """
+    d = kets.shape[0]
+    xk = np.matmul(rows.reshape(-1, d, d), kets)
+    terms = xk.view(np.float64) * kets.view(np.float64)
+    return np.add.reduce(terms.reshape(len(xk), -1), axis=1)
+
+
+def smc_defect_rows(rows: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """``max(1 - Tr[Pi_sym x_r], 0)`` for every row of a complex ``(rows, d**2)``
+    array, the overlap from :func:`sym_overlap_rows`.
+
+    This is the one definition of the SMC defect: :func:`matrix_smc_defect`
+    is its one-row case, which :func:`check_smc` calls, and a trajectory
+    records it a block of states at a time.
+    """
+    return np.maximum(1.0 - sym_overlap_rows(rows, kets), 0.0)
 
 
 def matrix_smc_defect(x: np.ndarray, kets: np.ndarray) -> float:
-    """``max(1 - Tr[Pi_sym x], 0)`` for a raw matrix, with the overlap taken
-    from the :func:`sym_kets` matrix (:func:`sym_overlap`).
-
-    This is the one definition of the SMC defect: :func:`check_smc` calls it,
-    and a trajectory records it without wrapping each step's state.
-    """
-    return max(1.0 - sym_overlap(x, kets), 0.0)
+    """``max(1 - Tr[Pi_sym x], 0)`` for a raw matrix: the one-row case of
+    :func:`smc_defect_rows`."""
+    return float(smc_defect_rows(np.ascontiguousarray(x).reshape(1, -1), kets)[0])
 
 
 def smc_pairwise_gap(rho: DensityOperator, sigma: Observable) -> float:
@@ -145,7 +161,7 @@ def smc_pairwise_gap(rho: DensityOperator, sigma: Observable) -> float:
     definition the symmetrized projector criterion compresses.
 
     Computed from two-site reduced states, with no d x d lift and nothing
-    shared with :func:`sym_overlap`'s kets. Since ``Pi_j^(k)`` and
+    shared with :func:`sym_overlap_rows`'s kets. Since ``Pi_j^(k)`` and
     ``Pi_j^(l)`` act on different sites, the joint term is
     ``Tr[(Pi_j (x) Pi_j) rho_kl]``, symmetric in (k, l), and the single-site
     terms are ``Tr[(Pi_j (x) I) rho_kl]`` and ``Tr[(I (x) Pi_j) rho_kl]``.

@@ -25,12 +25,20 @@ the dense ``MAX_SUPEROP_DIM``, is what is capped. The per-orbit blocks
 the brute-force :func:`commutant_dimension` are kept as independent
 references for the tests.
 
+:func:`evolve` steps a trajectory into a block of states, one ``rho.ravel()``
+per row of a buffer of ``RECORD_BLOCK_BYTES`` (128 KiB, and never fewer than
+the current state and the next one), and records the whole block at once:
+one gather for every ``z`` row, one row-wise distance reduction, one stacked
+SMC overlap product. The record kernels take a block of rows; the functions
+that measure one matrix are their one-row case, so a row's record does not
+depend on the block.
+
 The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
 steps all trials of a chunk at once, as one ``(trials, d**2)`` array: one
-gather, an in-place mix and one distance reduction per time step. The gather
-index is copied from a table of every edge's flat gather when that table is
-small. A chunk's working arrays fit in ``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it
-is one trial.
+gather, an in-place mix and one distance reduction per time step, through the
+same row-wise distance kernel. The gather index is copied from a table of
+every edge's flat gather when that table is small. A chunk's working arrays
+fit in ``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is one trial.
 """
 
 from __future__ import annotations
@@ -44,15 +52,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .consensus import matrix_smc_defect, sym_kets
+from .consensus import smc_defect_rows, sym_kets
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
-                     as_operator, frobenius_distance, require_hermitian)
+                     as_operator, require_hermitian, sq_distance_rows)
 from .rng import draw_index, make_rng, trial_rng
 from .states import (DensityOperator, Observable, conjugate_by_basis_map,
-                     is_permutation_invariant, lift_local, local_expectations,
-                     local_hermitian_basis, orbit_labels, site_average,
-                     transposition_maps, twirl_matrix)
+                     is_permutation_invariant, lift_local, local_expectation_rows,
+                     local_expectations, local_hermitian_basis, orbit_labels,
+                     site_average, transposition_maps, twirl_matrix)
 
 ALL_EDGE_STRATEGIES = ("synchronous", "expected")  # every step applies every edge
 STRATEGIES = ("random", "cyclic") + ALL_EDGE_STRATEGIES
@@ -61,6 +69,7 @@ CONTRACTION_TOL = 1e-12    # largest rise of a (squared) distance to twirl(rho_0
 DISK_TOL = 1e-9           # spectral certificate: disk violation and unit eigenvalues
 DECOMPOSITION_TOL = 1e-10  # s_average_check: residual of S against single-site lifts
 ENSEMBLE_CHUNK_BYTES = 1 << 22  # working arrays of one chunk of ensemble trials
+RECORD_BLOCK_BYTES = 1 << 17    # the block of trajectory states evolve records at once
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +213,35 @@ def _check_cycle_order(order, graph: InteractionGraph) -> tuple[int, ...]:
 
 
 def edge_schedule(graph: InteractionGraph, config: GossipConfig,
-                  rng: np.random.Generator | None = None) -> Iterator[int | None]:
+                  rng: np.random.Generator | None = None,
+                  block: int | None = None) -> Iterator:
     """The edge each step applies: an endless iterator of 0-based edge indices.
 
     "random" draws one index per step by inverse CDF over the edge weights
     (Boyd et al., randomized gossip) from ``make_rng(config.seed)``, or from
-    ``rng`` when given (one sub-stream per ensemble trial, which the ensemble
-    draws in blocks with the same :func:`draw_index`);
+    ``rng`` when given (one sub-stream per ensemble trial);
     "cyclic" repeats ``config.resolved_cycle_order(graph)``. Synchronous and
     expected steps touch every edge at once and yield None, as does every
-    step on a graph with no edges. Both engines read their edges from here,
-    so classical replays see exactly the quantum sequence.
+    step on a graph with no edges. With ``block``, the same sequence comes
+    ``block`` steps at a time, as arrays of indices (or None): random blocks
+    are one :func:`draw_index` call each, which draws exactly what ``block``
+    single draws give. :func:`evolve` and the ensemble read their edges from
+    here, and classical replays take the edges a trajectory recorded, so
+    every engine sees the same sequence.
     """
     if config.strategy in ALL_EDGE_STRATEGIES or not graph.edges:
         return itertools.repeat(None)
     if config.strategy == "cyclic":
-        return itertools.cycle(config.resolved_cycle_order(graph))
+        order = config.resolved_cycle_order(graph)
+        if block is None:
+            return itertools.cycle(order)
+        # every window of `block` steps, starting anywhere in the first sweep
+        sweeps = np.tile(np.array(order, dtype=np.intp), block // len(order) + 2)
+        starts = itertools.cycle([i * block % len(order) for i in range(len(order))])
+        return (sweeps[p:p + block] for p in starts)
     rng = make_rng(config.seed) if rng is None else rng
     cum = np.cumsum(graph.weights)
-    return (draw_index(rng, cum) for _ in itertools.count())
+    return (draw_index(rng, cum, size=block) for _ in itertools.count())
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +253,26 @@ def _edge_basis_map(edge, shape: NetworkShape) -> np.ndarray:
     return transposition_maps(shape.m, shape.n)[edge]
 
 
-def gossip_update(x: np.ndarray, bmaps, weights, alpha: float) -> np.ndarray:
+def gossip_update(x: np.ndarray, bmaps, weights, alpha: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """One gossip step ``(1 - alpha) x + alpha sum_e q_e U_e x U_e^dagger``.
 
     Each ``U_e`` is given by its basis map, so every edge costs one O(d^2)
     relabelling. A single edge of weight 1.0 gives exactly
     ``(1 - alpha) x + alpha U x U^dagger``; no edges give a copy of ``x``.
+    The result is written into ``out`` (which must not overlap ``x``) when it
+    is given, and returned.
     """
     if not len(bmaps):
-        return x.copy()
-    out = (1.0 - alpha) * x
+        if out is None:
+            return x.copy()
+        np.copyto(out, x)
+        return out
+    out = np.multiply(x, 1.0 - alpha, out=out)
     for bmap, q in zip(bmaps, weights):
-        out += alpha * q * conjugate_by_basis_map(x, bmap)
+        moved = conjugate_by_basis_map(x, bmap)
+        moved *= alpha * q
+        out += moved
     return out
 
 
@@ -278,6 +305,26 @@ class TrajectoryRecord:
         return len(self.edges)
 
 
+def _step_into(x: np.ndarray, out: np.ndarray, bmaps, weights, alpha: float) -> None:
+    """Write the :func:`gossip_update` of ``x`` into ``out``, also when a
+    wrapped update returns an array of its own."""
+    new = gossip_update(x, bmaps, weights, alpha, out)
+    if new is not out:
+        out[...] = new
+
+
+def _record_rows(block: np.ndarray, shape: NetworkShape, sigma: np.ndarray,
+                 star_row: np.ndarray, kets: np.ndarray, z, s_expect, gap, defect) -> None:
+    """Write the record of every row of a complex ``(rows, d**2)`` block of
+    states into the given rows of the record arrays: ``z``, its row means,
+    the distance to the ``float64`` row ``star_row`` and the SMC defect."""
+    z[...] = local_expectation_rows(block, shape, sigma)
+    np.mean(z, axis=1, out=s_expect)
+    f = block.view(np.float64)
+    np.sqrt(sq_distance_rows(f, star_row, np.empty_like(f)), out=gap)
+    defect[...] = smc_defect_rows(block, kets)
+
+
 def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
            sigma) -> tuple[TrajectoryRecord, DensityOperator]:
     """Run a gossip trajectory, recording consensus diagnostics at every step.
@@ -287,8 +334,22 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     the SSC gap ``||rho_t - T||_F`` on the entries, with ``T = twirl(rho_0)``
     computed once (every gossip channel fixes it), and the sigma-SMC defect.
     A drift of ``Tr[S rho_t]``, a rise of the gap, or a final twirl off ``T``
-    raises ConsistencyError. Each step is one :func:`gossip_update`, O(d^2)
-    per edge touched.
+    raises ConsistencyError naming the step; ``stop_gap`` ends the run at the
+    first step whose gap is below it.
+
+    States advance a block at a time in one complex ``(rows, d**2)`` buffer
+    of ``RECORD_BLOCK_BYTES``, or of two rows when one state does not fit:
+    row 0 holds the last recorded state and each further row is one
+    :func:`gossip_update` of the row before, O(d^2) per edge touched, with
+    the block's edges drawn from :func:`edge_schedule` at once. The new rows
+    are then recorded at once (``rho_0`` on its own, first): the ``z`` rows
+    from one gather (:func:`local_expectation_rows`), ``S_expect`` as row
+    means, the gaps from one row-wise reduction (:func:`sq_distance_rows`)
+    and the SMC defects from one stacked product (:func:`smc_defect_rows`).
+    Each kernel measures a row as its one-row case measures a single matrix,
+    bit for bit. The checks then run on the block in step order, so an error
+    names the step a step-by-step loop would name; a stop inside a block
+    truncates the record and returns that step's state.
     """
     shape = rho0.shape
     if graph.shape != shape:
@@ -304,46 +365,67 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
 
     kets = sym_kets(obs, shape.m)
     star = twirl_matrix(rho0.matrix, shape)
-
+    star_row = star.reshape(1, -1).view(np.float64)
     bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
-    schedule = edge_schedule(graph, config)
-    alpha = config.alpha
+    steps, d = config.steps, shape.total_dim
+    rows = min(max(2, RECORD_BLOCK_BYTES // (16 * d * d)), steps + 1)
+    schedule = edge_schedule(graph, config, block=rows - 1)
 
-    steps = config.steps
     z = np.empty((steps + 1, shape.m))
     s_expect, gap_arr, defect_arr = np.empty((3, steps + 1))
     edges_used: list = []
-    mat = rho0.matrix.copy()
-    termination = "steps_exhausted"
-    for t in range(steps + 1):
-        z[t] = local_expectations(mat, shape, obs.matrix)
-        s_expect[t] = z[t].mean()
-        gap_arr[t] = frobenius_distance(mat, star)
-        defect_arr[t] = matrix_smc_defect(mat, kets)
-        if t:
-            drift, rise = abs(s_expect[t] - s_expect[t - 1]), gap_arr[t] - gap_arr[t - 1]
-            if drift > CONSERVATION_TOL:
-                raise ConsistencyError(f"conserved quantity drifted by {drift:.3e} at step {t}")
-            if rise > CONTRACTION_TOL:
+    buf = np.empty((rows, d * d), dtype=np.complex128)
+    buf[0] = rho0.matrix.ravel()
+    # buf[0] is rho_t; a block steps rows 1..k and records them (the first
+    # block takes no step and records rho_0 alone)
+    t, k, last = 0, 0, None
+    while last is None:
+        if k:
+            idx = next(schedule)
+            for r in range(k):
+                maps, weights = (bmaps, graph.weights) if idx is None else ([bmaps[idx[r]]], [1.0])
+                _step_into(buf[r].reshape(d, d), buf[r + 1].reshape(d, d), maps, weights,
+                           config.alpha)
+            edges_used += [None] * k if idx is None else [graph.edges[i] for i in idx[:k].tolist()]
+        first = 1 if k else 0
+        lo, hi = t + first, t + k + 1
+        _record_rows(buf[first:k + 1], shape, obs.matrix, star_row, kets,
+                     z[lo:hi], s_expect[lo:hi], gap_arr[lo:hi], defect_arr[lo:hi])
+        # the checks of a step run before its stop test, in step order
+        u0 = max(lo, 1)
+        drift = np.abs(np.diff(s_expect[u0 - 1:hi]))
+        rise = np.diff(gap_arr[u0 - 1:hi])
+        failed = np.flatnonzero((drift > CONSERVATION_TOL) | (rise > CONTRACTION_TOL))
+        stops = [] if config.stop_gap is None else np.flatnonzero(
+            gap_arr[lo:min(hi, steps)] < config.stop_gap) + lo
+        if len(failed) and (not len(stops) or u0 + failed[0] <= stops[0]):
+            j = int(failed[0])
+            if drift[j] > CONSERVATION_TOL:
                 raise ConsistencyError(
-                    f"distance to the twirl increased by {rise:.3e} at step {t}")
-        if t == steps:
-            break
-        if config.stop_gap is not None and gap_arr[t] < config.stop_gap:
-            termination = f"converged_at_step_{t}"
-            break
-        idx = next(schedule)
-        maps, weights = (bmaps, graph.weights) if idx is None else ([bmaps[idx]], [1.0])
-        mat = gossip_update(mat, maps, weights, alpha)
-        edges_used.append(None if idx is None else graph.edges[idx])
+                    f"conserved quantity drifted by {drift[j]:.3e} at step {u0 + j}")
+            raise ConsistencyError(
+                f"distance to the twirl increased by {rise[j]:.3e} at step {u0 + j}")
+        if len(stops):
+            last = int(stops[0])
+            termination = f"converged_at_step_{last}"
+            del edges_used[last:]
+        elif hi == steps + 1:
+            last, termination = steps, "steps_exhausted"
+        else:
+            if k:
+                buf[0] = buf[k]
+            t += k
+            k = min(rows - 1, steps - t)
+    mat = buf[last - t].reshape(d, d).copy()
+    del buf  # the final check holds one state besides T
     drift = float(np.max(np.abs(twirl_matrix(mat, shape) - star)))
     if drift > CONSERVATION_TOL:
         raise ConsistencyError(
             f"twirl of the final state drifted by {drift:.3e} from twirl(rho_0)")
 
-    t_count = len(edges_used) + 1
+    t_count = last + 1
     rec = TrajectoryRecord(
-        strategy=config.strategy, alpha=alpha, edges=edges_used,
+        strategy=config.strategy, alpha=config.alpha, edges=edges_used,
         z=z[:t_count], s_expect=s_expect[:t_count], ssc_gap=gap_arr[:t_count],
         smc_defect=defect_arr[:t_count], termination=termination)
     return rec, DensityOperator.trusted(mat, shape)
@@ -753,17 +835,6 @@ class ConvergenceExperiment:
         return asdict(self)
 
 
-def _sq_distances(x: np.ndarray, star: np.ndarray, scratch: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """``||x_r - star||^2`` of each row ``x_r`` of the ``float64`` view of a
-    complex ``(rows, d**2)`` array, through ``scratch`` of the same shape:
-    subtract, then square the entries. Each row is summed on its own
-    (pairwise), so its result does not depend on how many rows there are."""
-    np.subtract(x, star, out=scratch)
-    np.square(scratch, out=scratch)
-    return np.add.reduce(scratch, axis=1, out=out)
-
-
 def probability_one_convergence_experiment(
         graph: InteractionGraph, alpha: float, rho0: DensityOperator,
         eps: float, num_trials: int, horizon: int, seed: int) -> ConvergenceExperiment:
@@ -779,19 +850,20 @@ def probability_one_convergence_experiment(
     so results are reproducible and trials independent.
 
     Trials run a chunk at a time, each chunk as one ``(trials, d**2)`` array
-    that takes one array step per time step. Trial ``k``'s edges are
-    :func:`draw_index` draws from ``trial_rng(seed, k)``, drawn a block of
-    steps at a time: the stream :func:`edge_schedule` yields for it. A step
-    gathers every trial's entries through its edge's swap (a transposition is
-    its own inverse, so the gather is ``U x U^dagger``), mixes in place, and
-    takes all squared distances in one reduction. The gather index is copied
-    from a table of every edge's flat gather when the table fits in a quarter
-    of ``ENSEMBLE_CHUNK_BYTES``, and built from the edges' basis maps
-    otherwise. The table, and the chunk's states, gathers, gather indices and
-    edge draws, fit in ``ENSEMBLE_CHUNK_BYTES``; when one trial's state does
-    not fit, a chunk is a single trial, whose state, gather and gather index
-    take 2.5 complex ``d x d`` matrices besides ``rho_0`` and the twirl, and
-    whose edge draws stay within half the budget.
+    that takes one array step per time step. Trial ``k``'s edges are the
+    blocks :func:`edge_schedule` yields for ``trial_rng(seed, k)``, a block of
+    steps at a time. A step gathers every trial's entries through its edge's
+    swap (a transposition is its own inverse, so the gather is
+    ``U x U^dagger``), mixes in place, and takes all squared distances in one
+    :func:`sq_distance_rows` against the twirl tiled to the chunk's rows. The
+    gather index is copied from a table of every edge's flat gather when the
+    table fits in a quarter of ``ENSEMBLE_CHUNK_BYTES``, and built from the
+    edges' basis maps otherwise. The table, and the chunk's states, gathers,
+    gather indices, twirl rows and edge draws, fit in
+    ``ENSEMBLE_CHUNK_BYTES``; when one trial's state does not fit, a chunk is
+    a single trial, whose state, gather, gather index and twirl take 3.5
+    complex ``d x d`` matrices besides ``rho_0``, and whose edge draws stay
+    within half the budget.
     """
     shape = rho0.shape
     if graph.shape != shape:
@@ -801,20 +873,21 @@ def probability_one_convergence_experiment(
     if num_trials < 1 or horizon < 1:
         raise ValidationError("num_trials and horizon must be positive")
     check_alpha(alpha)
+    config = GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
     d = shape.total_dim
     dd = d * d
     start_state = rho0.matrix.reshape(1, dd)
-    star = twirl_matrix(rho0.matrix, shape).reshape(dd).view(np.float64)
-    cum = np.cumsum(graph.weights)
     bmaps = np.stack([_edge_basis_map(e, shape) for e in graph.edges])
     table = None
     if 8 * len(bmaps) * dd <= ENSEMBLE_CHUNK_BYTES // 4:
         table = _flat_gathers(graph)
-    # Half the budget holds the table, states, gathers and indices (40 bytes
-    # per entry of rho), the other half edge draws (8 bytes per trial and step).
+    # Half the budget holds the table, states, gathers, indices and twirl rows
+    # (56 bytes per entry of rho), the other half edge draws (8 bytes per trial
+    # and step).
     trial_bytes = ENSEMBLE_CHUNK_BYTES // 2 - (0 if table is None else table.nbytes)
-    chunk = min(num_trials, max(1, trial_bytes // (40 * dd)))
+    chunk = min(num_trials, max(1, trial_bytes // (56 * dd)))
     block = min(horizon, max(1, ENSEMBLE_CHUNK_BYTES // (2 * 8 * chunk)))
+    star = np.tile(twirl_matrix(rho0.matrix, shape).reshape(1, dd).view(np.float64), (chunk, 1))
     x = np.empty((chunk, dd), dtype=np.complex128)
     g = np.empty_like(x)
     gather = np.empty((chunk, dd), dtype=np.intp)
@@ -830,19 +903,20 @@ def probability_one_convergence_experiment(
     worst_rise = 0.0
     for lo in range(0, num_trials, chunk):
         k = min(chunk, num_trials - lo)
-        rngs = [trial_rng(seed, trial) for trial in range(lo, lo + k)]
-        xs, gs, index = x[:k], g[:k], gather[:k]
+        schedules = [edge_schedule(graph, config, trial_rng(seed, trial), block)
+                     for trial in range(lo, lo + k)]
+        xs, gs, index, star_k = x[:k], g[:k], gather[:k], star[:k]
         xs_f, gs_f = xs.view(np.float64), gs.view(np.float64)
         maps_k, base_k, offsets_k = maps[:k], row_base[:k], offsets[:k]
         dist_k, new_k, rise_k = dist[:k], new_dist[:k], rise[:k]
         xs_flat, index3 = xs.reshape(-1), index.reshape(k, d, d)
         rows, cols = base_k[:, :, None], maps_k[:, None, :]
         xs[:] = start_state
-        _sq_distances(xs_f, star, gs_f, dist_k)
+        sq_distance_rows(xs_f, star_k, gs_f, dist_k)
         for t0 in range(0, horizon, block):
             steps = min(block, horizon - t0)
-            for j, r in enumerate(rngs):
-                schedule[:steps, j] = draw_index(r, cum, size=steps)
+            for j, trial_edges in enumerate(schedules):
+                schedule[:steps, j] = next(trial_edges)[:steps]
             for edges in schedule[:steps, :k]:
                 # entry (i, j) of trial r is read from (b[i], b[j]) of the same trial
                 if table is None:
@@ -857,7 +931,7 @@ def probability_one_convergence_experiment(
                 xs *= keep
                 gs *= alpha
                 xs += gs
-                _sq_distances(xs_f, star, gs_f, new_k)
+                sq_distance_rows(xs_f, star_k, gs_f, new_k)
                 np.subtract(new_k, dist_k, out=rise_k)
                 top = float(np.maximum.reduce(rise_k))
                 if top > CONTRACTION_TOL:

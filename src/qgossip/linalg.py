@@ -156,10 +156,26 @@ def frobenius_norm(x) -> float:
     return float(np.linalg.norm(np.asarray(x), ord="fro"))
 
 
+def sq_distance_rows(x: np.ndarray, y: np.ndarray, scratch: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``||x_r - y_r||^2`` for every row of a 2-D ``float64`` array ``x`` (the
+    view of complex rows), against the rows of ``y`` or one row broadcast,
+    through ``scratch`` of x's shape: subtract, square the entries, then sum
+    each row on its own (pairwise). A row's result does not depend on how
+    many rows there are, and it is taken on the entries, never as a
+    difference of norms, which would cancel near ``y``."""
+    np.subtract(x, y, out=scratch)
+    np.square(scratch, out=scratch)
+    return np.add.reduce(scratch, axis=1, out=out)
+
+
 def frobenius_distance(a, b) -> float:
-    """``||a - b||_F`` for same-shaped matrices."""
-    am = np.asarray(a, dtype=np.complex128)
-    bm = np.asarray(b, dtype=np.complex128)
+    """``||a - b||_F`` for same-shaped matrices: the one-row case of
+    :func:`sq_distance_rows`, so it equals a row of a block bit for bit."""
+    am = np.ascontiguousarray(a, dtype=np.complex128)
+    bm = np.ascontiguousarray(b, dtype=np.complex128)
     if am.shape != bm.shape:
         raise DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
-    return float(np.linalg.norm(am - bm, ord="fro"))
+    x = am.reshape(1, -1).view(np.float64)
+    return float(np.sqrt(sq_distance_rows(x, bm.reshape(1, -1).view(np.float64),
+                                          np.empty_like(x))[0]))

@@ -29,6 +29,7 @@ floats in one pass. Neither writer accepts a NaN or an infinity.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -236,21 +237,24 @@ def _finite(text: str) -> str:
     return text
 
 
-def write_csv(path: Path, header: list[str], rows, manifest_name: str):
+def write_csv(path: Path, header: list[str], labels, values, manifest_name: str):
     """CSV with 17-significant-digit floats and a manifest reference line.
 
-    A row is leading labels (strings and integers, written as they are)
-    followed by numbers, written through one ``%.17g`` format per row. A NaN
-    or an infinity raises ConsistencyError.
+    Row r is the cells ``labels[r]`` (strings and integers, written as they
+    are) followed by the numbers ``values[r]``: a row of a 2-D array, or a
+    sequence (rows may differ in length). The numbers of all rows go through
+    one ``%.17g`` format in one pass, as Python floats from one ``tolist()``
+    for an array. A NaN or an infinity raises ConsistencyError.
     """
+    rows = values.tolist() if isinstance(values, np.ndarray) else [list(v) for v in values]
+    if len(rows) != len(labels):
+        raise ValueError(f"{len(labels)} label rows for {len(rows)} value rows")
+    numbers = _finite("\n".join([("%.17g," * len(row))[:-1] for row in rows])
+                      % tuple(itertools.chain.from_iterable(rows)))
     lines = [f"# manifest: {manifest_name}", ",".join(header)]
-    for row in rows:
-        k = 0
-        while k < len(row) and isinstance(row[k], (str, int, np.integer)):
-            k += 1
-        values = _finite(",".join(["%.17g"] * (len(row) - k)) % tuple(row[k:]))
-        cells = [v if isinstance(v, str) else str(int(v)) for v in row[:k]]
-        lines.append(",".join(cells + [values] if k < len(row) else cells))
+    for cells, text in zip(labels, numbers.split("\n")):
+        cells = [c if isinstance(c, str) else str(int(c)) for c in cells]
+        lines.append(",".join(cells + [text] if text else cells))
     path.write_text("\n".join(lines) + "\n")
 
 

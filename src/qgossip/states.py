@@ -330,11 +330,31 @@ def local_reduced_states(x: np.ndarray, shape: NetworkShape) -> np.ndarray:
     return a.ravel()[trace_index(shape.m, shape.n, 1)].sum(axis=-1)
 
 
+def local_expectation_rows(rows: np.ndarray, shape: NetworkShape,
+                           sigma: np.ndarray) -> np.ndarray:
+    """``z[r, i] = Re Tr[sigma^(i) x_r]`` for every row ``x_r = x.ravel()`` of
+    a complex ``(rows, d**2)`` array, as a ``(rows, m)`` array.
+
+    All reduced states come from one gather through :func:`trace_index`.
+    ``Re Tr[sigma xbar]`` is the inner product of the ``float64`` views of
+    ``xbar`` and ``sigma^dagger``, summed per row on its own, so a row's
+    values do not depend on how many rows there are.
+    """
+    m, n = shape.m, shape.n
+    reds = rows.take(trace_index(m, n, 1), axis=1).sum(axis=-1)  # (rows, m, n, n)
+    weights = np.ascontiguousarray(np.asarray(sigma, dtype=np.complex128).conj().T)
+    terms = reds.view(np.float64) * weights.view(np.float64)
+    return np.add.reduce(terms.reshape(len(rows), m, 2 * n * n), axis=-1)
+
+
 def local_expectations(x: np.ndarray, shape: NetworkShape,
                        sigma: np.ndarray) -> np.ndarray:
-    """``z_i = Tr[sigma^(i) x] = Tr[sigma x_bar_i]`` for every site, from the
-    reduced states of :func:`local_reduced_states`."""
-    return np.einsum("kab,ba->k", local_reduced_states(x, shape), sigma).real
+    """``z_i = Tr[sigma^(i) x] = Tr[sigma x_bar_i]`` (real part) for every
+    site: the one-row case of :func:`local_expectation_rows`."""
+    a = as_operator(x)
+    if a.shape[0] != shape.total_dim:
+        raise DimensionError("operator does not match the network shape")
+    return local_expectation_rows(a.reshape(1, -1), shape, sigma)[0]
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -1,14 +1,21 @@
-"""Dense reference forms for the tests, built from Kronecker products and axis
-transposes alone.
+"""Reference forms for the tests.
 
+The dense forms are built from Kronecker products and axis transposes alone.
 They share nothing with the package's relabelling kernels, product kets or
 gather indices, so they serve as independent oracles for them. Superoperators
 act on ``x.ravel()``, where ``(A @ x @ B).ravel() == kron(A, B.T) @ x.ravel()``.
+
+:func:`evolve_per_step` is the trajectory loop one step at a time, the oracle
+for the blocks of :func:`qgossip.evolve`: it measures each state with the
+one-matrix forms of the record kernels and draws one edge per step.
 """
 
 import numpy as np
 
 import qgossip as qg
+from qgossip import gossip
+from qgossip.consensus import matrix_smc_defect, sym_kets
+from qgossip.states import local_expectations
 
 
 def permutation_unitary(perm, shape):
@@ -47,3 +54,51 @@ def apply(sop, x):
 def kron_sym_projector(sigma, m):
     """``Pi_sym = sum_j P_j^(x)m`` as a Kronecker sum of sigma's spectral projectors."""
     return sum(qg.kron_all([p] * m) for p in sigma.projectors)
+
+
+def evolve_per_step(rho0, graph, config, sigma):
+    """``evolve`` as a loop of single steps: record, check, stop test, then one
+    ``gossip.gossip_update`` (looked up at each step, so a patched update is
+    seen) on the edge ``next(edge_schedule(graph, config))``. Returns the
+    record and the final state; raises what ``evolve`` raises, at the same
+    step."""
+    shape = rho0.shape
+    obs = sigma if isinstance(sigma, qg.Observable) else qg.Observable(sigma)
+    kets = sym_kets(obs, shape.m)
+    star = qg.twirl_matrix(rho0.matrix, shape)
+    bmaps = [gossip._edge_basis_map(e, shape) for e in graph.edges]
+    schedule = qg.edge_schedule(graph, config)
+    steps = config.steps
+    z = np.empty((steps + 1, shape.m))
+    s_expect, gap, defect = np.empty((3, steps + 1))
+    edges, mat, termination = [], rho0.matrix.copy(), "steps_exhausted"
+    for t in range(steps + 1):
+        z[t] = local_expectations(mat, shape, obs.matrix)
+        s_expect[t] = z[t].mean()
+        gap[t] = qg.frobenius_distance(mat, star)
+        defect[t] = matrix_smc_defect(mat, kets)
+        if t:
+            drift, rise = abs(s_expect[t] - s_expect[t - 1]), gap[t] - gap[t - 1]
+            if drift > gossip.CONSERVATION_TOL:
+                raise qg.ConsistencyError(f"conserved quantity drifted by {drift:.3e} at step {t}")
+            if rise > gossip.CONTRACTION_TOL:
+                raise qg.ConsistencyError(
+                    f"distance to the twirl increased by {rise:.3e} at step {t}")
+        if t == steps:
+            break
+        if config.stop_gap is not None and gap[t] < config.stop_gap:
+            termination = f"converged_at_step_{t}"
+            break
+        idx = next(schedule)
+        maps, weights = (bmaps, graph.weights) if idx is None else ([bmaps[idx]], [1.0])
+        mat = gossip.gossip_update(mat, maps, weights, config.alpha)
+        edges.append(None if idx is None else graph.edges[idx])
+    drift = float(np.max(np.abs(qg.twirl_matrix(mat, shape) - star)))
+    if drift > gossip.CONSERVATION_TOL:
+        raise qg.ConsistencyError(
+            f"twirl of the final state drifted by {drift:.3e} from twirl(rho_0)")
+    n = len(edges) + 1
+    rec = qg.TrajectoryRecord(strategy=config.strategy, alpha=config.alpha, edges=edges,
+                              z=z[:n], s_expect=s_expect[:n], ssc_gap=gap[:n],
+                              smc_defect=defect[:n], termination=termination)
+    return rec, qg.DensityOperator.trusted(mat, shape)

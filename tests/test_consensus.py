@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qgossip as qg
 from qgossip import consensus
-from qgossip.consensus import ssc_gap, sym_kets, sym_overlap
+from qgossip.consensus import ssc_gap, sym_kets, sym_overlap_rows
 from qgossip.states import Observable, local_reduced_states, parse_sigma
 from reference import kron_sym_projector
 
@@ -162,7 +162,7 @@ def test_ket_overlap_matches_dense_sym_projector(case, seed):
     pi_sym = kron_sym_projector(obs, m)
     assert np.max(np.abs(qg.sym_projector(obs, m) - pi_sym)) <= 1e-14
     dense = np.einsum("ij,ji->", pi_sym, x).real
-    assert abs(sym_overlap(x, kets) - dense) <= 1e-13 * np.linalg.norm(x)
+    assert abs(sym_overlap_rows(x.reshape(1, -1), kets)[0] - dense) <= 1e-13 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])

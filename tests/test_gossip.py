@@ -21,7 +21,7 @@ from qgossip.rng import draw_index, make_rng, trial_rng
 from qgossip.scenario import load_scenario
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels, twirl_matrix)
-from reference import apply, conjugate, gossip_superoperator, swap_unitary
+from reference import apply, conjugate, evolve_per_step, gossip_superoperator, swap_unitary
 
 SZ = qg.PAULI["z"]
 
@@ -539,6 +539,78 @@ def test_evolve_record_matches_a_dense_replay(g, strategy, alpha, data):
         assert abs(rec.ssc_gap[t] - ssc_gap(qg.DensityOperator.trusted(x, shape))) <= 1e-14
 
 
+def block_and_step_runs(rho, g, cfg, sigma, per_block, fault=None, at=None):
+    """``(block route, per-step reference)``, each its ``(record, final matrix)``
+    or its ConsistencyError message. ``evolve`` takes ``per_block`` steps a
+    block; ``fault`` replaces the state of the ``at``-th gossip_update call."""
+    update = gossip_module.gossip_update
+    budget = (per_block + 1) * 16 * g.shape.total_dim ** 2
+    results = []
+    for route in (lambda: qg.evolve(rho, g, cfg, sigma), lambda: evolve_per_step(rho, g, cfg, sigma)):
+        calls = itertools.count(1)
+
+        def patched(x, *args):
+            new = update(x, *args)
+            return fault(new) if next(calls) == at else new
+
+        with mock.patch.object(gossip_module, "RECORD_BLOCK_BYTES", budget), \
+                mock.patch.object(gossip_module, "gossip_update", patched):
+            try:
+                rec, final = route()
+            except qg.ConsistencyError as exc:
+                results.append(str(exc))
+            else:
+                results.append((rec, final.matrix))
+    return results
+
+
+def assert_same_run(block, step):
+    assert type(block) is type(step)
+    if isinstance(step, str):
+        assert block == step
+        return
+    (rec, final), (ref, ref_final) = block, step
+    assert (rec.edges, rec.termination, rec.steps) == (ref.edges, ref.termination, ref.steps)
+    for name in ("z", "s_expect", "ssc_gap", "smc_defect"):
+        np.testing.assert_allclose(getattr(rec, name), getattr(ref, name), rtol=0, atol=1e-14)
+    assert np.array_equal(final, ref_final)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=weighted_graphs([(m, 2) for m in range(2, 6)] + [(2, 3), (3, 3)]),
+       strategy=st.sampled_from(gossip_module.STRATEGIES),
+       alpha=st.floats(0.01, 0.99), steps=st.integers(0, 9),
+       per_block=st.integers(1, 3), data=st.data())
+def test_block_record_matches_the_per_step_loop(g, strategy, alpha, steps, per_block, data):
+    # blocks of 1-3 steps against one step at a time: the record, a stop_gap
+    # that lands inside a block, and a faulty step reported at the same step
+    seeds = [data.draw(st.integers(0, 2 ** 31)) for _ in range(3)]
+    rho = qg.random_density(g.shape, seeds[0])
+    sigma = qg.random_hermitian(g.shape.n, seeds[1])
+    cfg = qg.GossipConfig(alpha=alpha, strategy=strategy, steps=steps, seed=seeds[2])
+    block, step = block_and_step_runs(rho, g, cfg, sigma, per_block)
+    assert_same_run(block, step)
+
+    if steps >= 2:
+        s = data.draw(st.integers(1, steps - 1))
+        gaps = step[0].ssc_gap
+        stop = qg.GossipConfig(alpha=alpha, strategy=strategy, steps=steps, seed=seeds[2],
+                               stop_gap=float(gaps[s] + gaps[s - 1]) / 2)
+        block, step = block_and_step_runs(rho, g, stop, sigma, per_block)
+        assert_same_run(block, step)
+        assert step[0].termination != "steps_exhausted" or gaps[s] == gaps[s - 1]
+
+    if steps:
+        d = g.shape.total_dim
+        delta = np.zeros((d, d), dtype=complex)
+        delta[0, 0] = 1e-6
+        fault = data.draw(st.sampled_from([lambda x: 2 * x - twirl_matrix(x, g.shape),
+                                           lambda x: x + delta]))
+        at = data.draw(st.integers(1, steps))
+        block, step = block_and_step_runs(rho, g, cfg, sigma, per_block, fault, at)
+        assert_same_run(block, step)
+
+
 @settings(max_examples=15, deadline=None)
 @given(g=weighted_graphs([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]),
        alpha=st.floats(0.01, 0.99))
@@ -1023,7 +1095,7 @@ def test_batched_experiment_matches_the_per_trial_loop(g, alpha, trials, horizon
     # chunks of one trial and one-step draw blocks, or of two trials, change
     # nothing: every trial's arithmetic is independent of its chunk
     dd = g.shape.total_dim ** 2
-    for budget in (1, 2 * (2 * 40 + 8 * len(g.edges)) * dd):
+    for budget in (1, 2 * (2 * 56 + 8 * len(g.edges)) * dd):
         with mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
             chunked = qg.probability_one_convergence_experiment(
                 g, alpha, rho, eps=eps, num_trials=trials, horizon=horizon, seed=seed)

@@ -180,7 +180,7 @@ def test_out_dir_precedence(tmp_path, monkeypatch):
 def test_write_csv_format_and_round_trip(tmp_path):
     p = tmp_path / "out.csv"
     third = 1.0 / 3.0
-    write_csv(p, ["t", "edge", "v"], [[0, "", third], [1, "1-2", -1.0]],
+    write_csv(p, ["t", "edge", "v"], [[0, ""], [1, "1-2"]], np.array([[third], [-1.0]]),
               "run_manifest.json")
     lines = p.read_text().splitlines()
     assert lines[0] == "# manifest: run_manifest.json"
@@ -192,15 +192,16 @@ def test_write_csv_format_and_round_trip(tmp_path):
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path):
-    # labels, then floats through one format per row: the same bytes as
-    # formatting every value on its own
+    # labels, then the numbers of every row through one format: the same
+    # bytes as formatting every value on its own
     rng = np.random.default_rng(5)
     floats = list(rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6))
-    rows = [[0, ""] + floats, [7, "3-4", -0.0, 5e-324, 1.7976931348623157e308,
-                               np.float64(1 / 3), 2, np.int64(-5), True],
-            [np.int64(12), "all"], ["x", 1.5], []]
+    labels = [[0, ""], [7, "3-4"], [np.int64(12), "all"], ["x"], []]
+    values = [floats, [-0.0, 5e-324, 1.7976931348623157e308, np.float64(1 / 3), 2,
+                       np.int64(-5), True], [], [1.5], []]
+    rows = [a + b for a, b in zip(labels, values)]
     p = tmp_path / "out.csv"
-    write_csv(p, ["a", "b"], rows, "m.json")
+    write_csv(p, ["a", "b"], labels, values, "m.json")
 
     def one(v):
         if isinstance(v, (int, np.integer)):
@@ -213,9 +214,9 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
 
 def test_write_csv_rejects_non_finite(tmp_path):
     with pytest.raises(qg.ConsistencyError):
-        write_csv(tmp_path / "bad.csv", ["v"], [[float("nan")]], "m.json")
+        write_csv(tmp_path / "bad.csv", ["v"], [[]], [[float("nan")]], "m.json")
     with pytest.raises(qg.ConsistencyError):
-        write_csv(tmp_path / "bad.csv", ["v"], [[float("inf")]], "m.json")
+        write_csv(tmp_path / "bad.csv", ["v"], [[]], np.array([[float("inf")]]), "m.json")
 
 
 def test_write_json_sorted_and_manifest_key(tmp_path):
