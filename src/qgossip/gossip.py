@@ -34,11 +34,13 @@ that measure one matrix are their one-row case, so a row's record does not
 depend on the block.
 
 The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
-steps all trials of a chunk at once, as one ``(trials, d**2)`` array: one
-gather, an in-place mix and one distance reduction per time step, through the
-same row-wise distance kernel. The gather index is copied from a table of
-every edge's flat gather when that table is small. A chunk's working arrays
-fit in ``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is one trial.
+steps all trials of a chunk at once, as one ``(trials, d**2)`` array, on
+:func:`evolve`'s pattern: edges drawn a block at a time, one gather, an
+in-place mix and one distance reduction per time step into a row of the
+block's distances, and one rise check per block. Every swap's flat gather,
+the edge table of small shapes and the per-step index of large ones, comes
+from :func:`_flat_gathers`. A chunk's working arrays fit in
+``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is one trial.
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ def check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
+def _is_int(v) -> bool:
+    """An integer and not a bool: floats and strings are rejected, never truncated."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 class InteractionGraph:
     """Undirected interaction graph on sites 1..m with positive edge weights.
 
@@ -98,9 +109,8 @@ class InteractionGraph:
         norm_edges = []
         seen = set()
         for e in edges:
-            if (not isinstance(e, (list, tuple, np.ndarray)) or len(e) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
-                           for v in e)):
+            if not isinstance(e, (list, tuple, np.ndarray)) or len(e) != 2 or not all(
+                    map(_is_int, e)):
                 raise ValidationError(f"edge {e!r} must be a pair of integer site labels")
             pair = tuple(sorted(int(v) for v in e))
             if pair[0] == pair[1]:
@@ -114,9 +124,7 @@ class InteractionGraph:
         if weights is None:
             w = [1.0 / len(norm_edges)] * len(norm_edges) if norm_edges else []
         else:
-            if any(isinstance(x, bool)
-                   or not isinstance(x, (int, float, np.integer, np.floating))
-                   or not 0.0 < x <= 1.0 for x in weights):
+            if any(not _is_real(x) or not 0.0 < x <= 1.0 for x in weights):
                 raise ValidationError(
                     f"edge weights must be real numbers in (0, 1], got {list(weights)!r}")
             w = [float(x) for x in weights]
@@ -161,8 +169,10 @@ class GossipConfig:
 
     ``strategy`` is one of "random", "cyclic", "synchronous", "expected"
     (the last two are the same map; the label is kept for records).
-    ``cycle_order`` lists 0-based indices into the graph's edge tuple and
-    must cover every edge at least once; it defaults to the natural order.
+    ``steps`` and ``seed`` are nonnegative integers (bools and floats are
+    rejected, never truncated); "random" needs a seed. ``cycle_order``
+    lists 0-based indices into the graph's edge tuple and must cover every
+    edge at least once; it defaults to the natural order.
     ``stop_gap``, when set, ends the run early once the recorded ssc gap
     falls below it.
     """
@@ -179,8 +189,10 @@ class GossipConfig:
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"strategy {self.strategy!r} not in {STRATEGIES}")
-        if not isinstance(self.steps, int) or self.steps < 0:
+        if not _is_int(self.steps) or self.steps < 0:
             raise ValidationError(f"steps must be a nonnegative integer, got {self.steps!r}")
+        if self.seed is not None and (not _is_int(self.seed) or self.seed < 0):
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.strategy == "random" and self.seed is None:
             raise ValidationError("random strategy requires a seed")
         if self.cycle_order is not None and self.strategy != "cyclic":
@@ -199,7 +211,7 @@ def _check_cycle_order(order, graph: InteractionGraph) -> tuple[int, ...]:
     rejected, never truncated).
     """
     order = tuple(order)
-    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in order):
+    if not all(map(_is_int, order)):
         raise ValidationError(
             f"cycle order must contain 0-based edge indices, got {list(order)!r}")
     order = tuple(int(i) for i in order)
@@ -248,9 +260,12 @@ def edge_schedule(graph: InteractionGraph, config: GossipConfig,
 # channels
 # ---------------------------------------------------------------------------
 
-def _edge_basis_map(edge, shape: NetworkShape) -> np.ndarray:
-    """The shared read-only basis map of the swap on a normalized ``(j, k)`` edge."""
-    return transposition_maps(shape.m, shape.n)[edge]
+def _basis_maps(graph: InteractionGraph) -> np.ndarray:
+    """The read-only ``(E, d)`` stack of the edges' swap basis maps, in edge order."""
+    maps = transposition_maps(graph.shape.m, graph.shape.n)
+    b = np.array([maps[e] for e in graph.edges], dtype=np.intp).reshape(-1, graph.shape.total_dim)
+    b.setflags(write=False)
+    return b
 
 
 def gossip_update(x: np.ndarray, bmaps, weights, alpha: float,
@@ -303,14 +318,6 @@ class TrajectoryRecord:
     @property
     def steps(self) -> int:
         return len(self.edges)
-
-
-def _step_into(x: np.ndarray, out: np.ndarray, bmaps, weights, alpha: float) -> None:
-    """Write the :func:`gossip_update` of ``x`` into ``out``, also when a
-    wrapped update returns an array of its own."""
-    new = gossip_update(x, bmaps, weights, alpha, out)
-    if new is not out:
-        out[...] = new
 
 
 def _record_rows(block: np.ndarray, shape: NetworkShape, sigma: np.ndarray,
@@ -366,7 +373,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     kets = sym_kets(obs, shape.m)
     star = twirl_matrix(rho0.matrix, shape)
     star_row = star.reshape(1, -1).view(np.float64)
-    bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
+    bmaps = _basis_maps(graph)
     steps, d = config.steps, shape.total_dim
     rows = min(max(2, RECORD_BLOCK_BYTES // (16 * d * d)), steps + 1)
     schedule = edge_schedule(graph, config, block=rows - 1)
@@ -384,8 +391,8 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
             idx = next(schedule)
             for r in range(k):
                 maps, weights = (bmaps, graph.weights) if idx is None else ([bmaps[idx[r]]], [1.0])
-                _step_into(buf[r].reshape(d, d), buf[r + 1].reshape(d, d), maps, weights,
-                           config.alpha)
+                gossip_update(buf[r].reshape(d, d), maps, weights, config.alpha,
+                              out=buf[r + 1].reshape(d, d))
             edges_used += [None] * k if idx is None else [graph.edges[i] for i in idx[:k].tolist()]
         first = 1 if k else 0
         lo, hi = t + first, t + k + 1
@@ -443,13 +450,16 @@ def _check_superop_dim(shape: NetworkShape) -> int:
     return d
 
 
-def _flat_gathers(graph: InteractionGraph) -> np.ndarray:
-    """Row e is the flat gather of edge e's swap: ``(U_e x U_e).ravel() ==
-    x.ravel()[row]``. A transposition's basis map ``b`` is its own inverse,
-    so entry ``(i, j)`` of ``U_e x U_e`` is ``x[b[i], b[j]]``."""
-    b = np.stack([_edge_basis_map(e, graph.shape) for e in graph.edges])
-    d = graph.shape.total_dim
-    return (b[:, :, None] * d + b[:, None, :]).reshape(len(b), d * d)
+def _flat_gathers(bmaps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row r is the flat gather of the swap whose basis map is ``bmaps[r]``:
+    ``(U x U).ravel() == x.ravel()[row]``. A transposition's basis map ``b``
+    is its own inverse, so entry ``(i, j)`` of ``U x U`` is ``x[b[i], b[j]]``.
+    Written into the ``(len(bmaps), d**2)`` intp array ``out`` when given."""
+    rows, d = bmaps.shape
+    if out is None:
+        out = np.empty((rows, d * d), dtype=np.intp)
+    np.add(bmaps[:, :, None] * d, bmaps[:, None, :], out=out.reshape(rows, d, d))
+    return out
 
 
 def synchronous_superoperator(graph: InteractionGraph, alpha: float) -> np.ndarray:
@@ -461,7 +471,7 @@ def synchronous_superoperator(graph: InteractionGraph, alpha: float) -> np.ndarr
     acc = np.zeros((d * d, d * d), dtype=np.complex128)
     rows = np.arange(d * d)
     acc[rows, rows] = 1.0 - alpha
-    for gather, q in zip(_flat_gathers(graph), graph.weights):
+    for gather, q in zip(_flat_gathers(_basis_maps(graph)), graph.weights):
         acc[rows, gather] += alpha * q
     return acc
 
@@ -483,7 +493,7 @@ def synchronous_blocks(graph: InteractionGraph, alpha: float) -> Iterator[np.nda
     row = offsets[lab] + rank * sizes[lab]
     flat = np.zeros(np.dot(sizes, sizes), dtype=np.complex128)
     flat[row + rank] = 1.0 - alpha
-    for gather, q in zip(_flat_gathers(graph), graph.weights):
+    for gather, q in zip(_flat_gathers(_basis_maps(graph)), graph.weights):
         flat[row + rank[gather]] += alpha * q
     for offset, size in zip(offsets, sizes):
         yield flat[offset:offset + size * size].reshape(size, size)
@@ -557,7 +567,7 @@ def synchronous_classes(graph: InteractionGraph, alpha: float) -> Iterator[Class
             f"the synchronous map has {d * d} eigenvalues to list, over the cap "
             f"{MAX_LISTED_EIGENVALUES}")
     place = n ** np.arange(m - 1, -1, -1)  # site 1 is the most significant digit
-    bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
+    bmaps = _basis_maps(graph)
     for profile in itertools.product(*(_partitions(len(c), q) for c in comps)):
         count = math.prod(_multinomial([q - len(lam), *Counter(lam).values()])
                           for lam in profile)
@@ -661,8 +671,8 @@ def commutant_dimension(graph: InteractionGraph) -> int:
         return d * d
     eye = np.eye(d, dtype=np.complex128)
     normal = np.zeros((d * d, d * d), dtype=np.complex128)
-    for edge in graph.edges:
-        u = eye[_edge_basis_map(edge, graph.shape)]
+    for b in _basis_maps(graph):
+        u = eye[b]
         c = np.kron(eye, u) - np.kron(u, eye)
         normal += c.conj().T @ c
     evals = np.linalg.eigvalsh((normal + normal.conj().T) / 2.0)
@@ -748,7 +758,7 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
     probe = (probe + probe.conj().T) / 2.0
     sigma = probe if decomposable else None
 
-    bmaps = [_edge_basis_map(e, shape) for e in graph.edges]
+    bmaps = _basis_maps(graph)
     drift = limit_dev = limit_mismatch = 0.0
     for rho0 in rho0_samples:
         if rho0.shape != shape:
@@ -799,7 +809,7 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
     check_alpha(alpha)
     if shape.m > 1 and not graph.edges:
         raise ValidationError("the dual fixed-point check needs at least one edge")
-    sweep = [[_edge_basis_map(e, shape)] for e in graph.edges] or [[]]  # one site: no edge
+    sweep = [[b] for b in _basis_maps(graph)] or [[]]  # one site: no edge
     defect = max(float(np.abs(gossip_update(s_mat, b, [1.0], alpha) - s_mat).max()) for b in sweep)
     s_ok = defect <= 1e-12
 
@@ -854,95 +864,83 @@ def probability_one_convergence_experiment(
     blocks :func:`edge_schedule` yields for ``trial_rng(seed, k)``, a block of
     steps at a time. A step gathers every trial's entries through its edge's
     swap (a transposition is its own inverse, so the gather is
-    ``U x U^dagger``), mixes in place, and takes all squared distances in one
-    :func:`sq_distance_rows` against the twirl tiled to the chunk's rows. The
-    gather index is copied from a table of every edge's flat gather when the
-    table fits in a quarter of ``ENSEMBLE_CHUNK_BYTES``, and built from the
-    edges' basis maps otherwise. The table, and the chunk's states, gathers,
-    gather indices, twirl rows and edge draws, fit in
-    ``ENSEMBLE_CHUNK_BYTES``; when one trial's state does not fit, a chunk is
-    a single trial, whose state, gather, gather index and twirl take 3.5
-    complex ``d x d`` matrices besides ``rho_0``, and whose edge draws stay
-    within half the budget.
+    ``U x U^dagger``), mixes in place, and writes all squared distances, in
+    one :func:`sq_distance_rows` against the twirl tiled to the chunk's rows,
+    into the step's row of the block's distances. After each block one
+    difference along the steps gives the largest rise and the first one above
+    ``CONTRACTION_TOL``, in step order and then trial order; chunks run in
+    trial order. The gather index comes from :func:`_flat_gathers`: copied
+    from a table of every edge's flat gather when the table fits in a quarter
+    of ``ENSEMBLE_CHUNK_BYTES``, and built from the step's basis maps
+    otherwise. Half the budget holds the table and the chunk's states,
+    gathers, gather indices and twirl rows, 56 bytes per trial and entry of
+    ``rho``; the other half holds the edge draws and distances, 16 bytes per
+    trial and step. When one trial's state does not fit, a chunk is a single
+    trial, whose state, gather, gather index and twirl take 3.5 complex
+    ``d x d`` matrices besides ``rho_0``.
     """
     shape = rho0.shape
     if graph.shape != shape:
         raise ValidationError("graph and state shapes differ")
     if not graph.edges:
         raise ValidationError("the experiment needs at least one edge")
-    if num_trials < 1 or horizon < 1:
-        raise ValidationError("num_trials and horizon must be positive")
+    if not (_is_int(num_trials) and _is_int(horizon)) or num_trials < 1 or horizon < 1:
+        raise ValidationError(f"num_trials and horizon must be positive integers, "
+                              f"got {num_trials!r} and {horizon!r}")
+    if not (_is_real(eps) and 0.0 <= eps < math.inf):
+        raise ValidationError(f"eps must be a finite nonnegative number, got {eps!r}")
     check_alpha(alpha)
     config = GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
-    d = shape.total_dim
-    dd = d * d
-    start_state = rho0.matrix.reshape(1, dd)
-    bmaps = np.stack([_edge_basis_map(e, shape) for e in graph.edges])
-    table = None
-    if 8 * len(bmaps) * dd <= ENSEMBLE_CHUNK_BYTES // 4:
-        table = _flat_gathers(graph)
-    # Half the budget holds the table, states, gathers, indices and twirl rows
-    # (56 bytes per entry of rho), the other half edge draws (8 bytes per trial
-    # and step).
+    dd = shape.total_dim ** 2
+    bmaps = _basis_maps(graph)
+    table = _flat_gathers(bmaps) if 8 * len(bmaps) * dd <= ENSEMBLE_CHUNK_BYTES // 4 else None
     trial_bytes = ENSEMBLE_CHUNK_BYTES // 2 - (0 if table is None else table.nbytes)
     chunk = min(num_trials, max(1, trial_bytes // (56 * dd)))
-    block = min(horizon, max(1, ENSEMBLE_CHUNK_BYTES // (2 * 8 * chunk)))
+    block = min(horizon, max(1, ENSEMBLE_CHUNK_BYTES // (2 * 16 * chunk)))
     star = np.tile(twirl_matrix(rho0.matrix, shape).reshape(1, dd).view(np.float64), (chunk, 1))
     x = np.empty((chunk, dd), dtype=np.complex128)
     g = np.empty_like(x)
-    gather = np.empty((chunk, dd), dtype=np.intp)
-    maps = np.empty((chunk, d), dtype=np.intp)
-    row_base = np.empty_like(maps)
+    index = np.empty((chunk, dd), dtype=np.intp)
     offsets = np.arange(chunk)[:, None] * dd
-    schedule = np.empty((block, chunk), dtype=np.intp)
-    dist, new_dist, rise = np.empty(chunk), np.empty(chunk), np.empty(chunk)
-    keep = 1.0 - alpha
+    edges = np.empty((block, chunk), dtype=np.intp)
+    dist = np.empty((block + 1, chunk))  # row 0: the distances before the block's steps
+    flat = x.reshape(-1)
 
-    successes = 0
-    worst_final = 0.0
-    worst_rise = 0.0
+    successes, worst_final, worst_rise = 0, 0.0, 0.0
     for lo in range(0, num_trials, chunk):
         k = min(chunk, num_trials - lo)
         schedules = [edge_schedule(graph, config, trial_rng(seed, trial), block)
                      for trial in range(lo, lo + k)]
-        xs, gs, index, star_k = x[:k], g[:k], gather[:k], star[:k]
+        xs, gs, index_k, offsets_k, star_k = x[:k], g[:k], index[:k], offsets[:k], star[:k]
         xs_f, gs_f = xs.view(np.float64), gs.view(np.float64)
-        maps_k, base_k, offsets_k = maps[:k], row_base[:k], offsets[:k]
-        dist_k, new_k, rise_k = dist[:k], new_dist[:k], rise[:k]
-        xs_flat, index3 = xs.reshape(-1), index.reshape(k, d, d)
-        rows, cols = base_k[:, :, None], maps_k[:, None, :]
-        xs[:] = start_state
-        sq_distance_rows(xs_f, star_k, gs_f, dist_k)
+        xs[:] = rho0.matrix.reshape(1, dd)
+        sq_distance_rows(xs_f, star_k, gs_f, dist[0, :k])
         for t0 in range(0, horizon, block):
             steps = min(block, horizon - t0)
             for j, trial_edges in enumerate(schedules):
-                schedule[:steps, j] = next(trial_edges)[:steps]
-            for edges in schedule[:steps, :k]:
+                edges[:steps, j] = next(trial_edges)[:steps]
+            for step_edges, step_dist in zip(edges[:steps, :k], dist[1:, :k]):
                 # entry (i, j) of trial r is read from (b[i], b[j]) of the same trial
                 if table is None:
-                    bmaps.take(edges, axis=0, out=maps_k, mode="clip")
-                    np.multiply(maps_k, d, out=base_k)
-                    base_k += offsets_k
-                    np.add(rows, cols, out=index3)
+                    _flat_gathers(bmaps[step_edges], out=index_k)
                 else:
-                    table.take(edges, axis=0, out=index, mode="clip")
-                    index += offsets_k
-                xs_flat.take(index, out=gs, mode="clip")
-                xs *= keep
+                    table.take(step_edges, axis=0, out=index_k, mode="clip")
+                index_k += offsets_k
+                flat.take(index_k, out=gs, mode="clip")
+                xs *= 1.0 - alpha
                 gs *= alpha
                 xs += gs
-                sq_distance_rows(xs_f, star_k, gs_f, new_k)
-                np.subtract(new_k, dist_k, out=rise_k)
-                top = float(np.maximum.reduce(rise_k))
-                if top > CONTRACTION_TOL:
-                    j = int(np.argmax(rise_k > CONTRACTION_TOL))
-                    raise ConsistencyError(
-                        f"squared distance to the twirl increased by "
-                        f"{rise_k[j]:.3e} in trial {lo + j}")
-                worst_rise = max(worst_rise, top)
-                dist_k, new_k = new_k, dist_k
-        worst_final = max(worst_final, float(np.maximum.reduce(dist_k)))
-        successes += int(np.count_nonzero(dist_k <= eps))
+                sq_distance_rows(xs_f, star_k, gs_f, step_dist)
+            rise = np.diff(dist[:steps + 1, :k], axis=0)
+            up = np.flatnonzero(rise > CONTRACTION_TOL)
+            if len(up):
+                t, j = divmod(int(up[0]), k)
+                raise ConsistencyError(f"squared distance to the twirl increased by "
+                                       f"{rise[t, j]:.3e} in trial {lo + j}")
+            worst_rise = max(worst_rise, float(rise.max()))
+            dist[0] = dist[steps]
+        worst_final = max(worst_final, float(dist[0, :k].max()))
+        successes += int(np.count_nonzero(dist[0, :k] <= eps))
     return ConvergenceExperiment(
         num_trials=num_trials, horizon=horizon, eps=eps, successes=successes,
         empirical_probability=successes / num_trials,

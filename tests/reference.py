@@ -66,7 +66,7 @@ def evolve_per_step(rho0, graph, config, sigma):
     obs = sigma if isinstance(sigma, qg.Observable) else qg.Observable(sigma)
     kets = sym_kets(obs, shape.m)
     star = qg.twirl_matrix(rho0.matrix, shape)
-    bmaps = [gossip._edge_basis_map(e, shape) for e in graph.edges]
+    bmaps = gossip._basis_maps(graph)
     schedule = qg.edge_schedule(graph, config)
     steps = config.steps
     z = np.empty((steps + 1, shape.m))

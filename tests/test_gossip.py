@@ -94,6 +94,13 @@ def test_gossip_config_validation():
     with pytest.raises(qg.ValidationError):
         qg.GossipConfig(alpha=0.5, strategy="random", steps=1, seed=1,
                         cycle_order=(0,))
+    # seeds and step counts are integers: 1.9 is not truncated to seed 1, nor True to 1 step
+    for field, bad in (("seed", 1.9), ("seed", True), ("seed", "1"), ("seed", -1),
+                       ("steps", True), ("steps", 2.0)):
+        with pytest.raises(qg.ValidationError, match=f"{field} must be a nonnegative integer"):
+            qg.GossipConfig(**{"alpha": 0.5, "strategy": "random", "steps": 1, "seed": 1,
+                               field: bad})
+    qg.GossipConfig(alpha=0.5, strategy="random", steps=np.int64(2), seed=np.uint32(1))
     cfg = qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=3)
     assert cfg.resolved_cycle_order(path_graph(3)) == (0, 1)
     for bad in ([0], [(1, 2), (2, 3)], [0, 1.0], [True, 1], ["0", 1]):
@@ -250,10 +257,15 @@ def test_evolve_twirls_a_fixed_number_of_times(monkeypatch):
 
 
 def inject_fault(monkeypatch, fault):
-    """Make every evolve step apply ``fault`` to the state gossip_update returns."""
+    """Make every evolve step apply ``fault`` to the state gossip_update writes."""
     update = gossip_module.gossip_update
-    monkeypatch.setattr(gossip_module, "gossip_update",
-                        lambda x, *args: fault(update(x, *args)))
+
+    def faulty(*args, **kwargs):
+        new = update(*args, **kwargs)
+        new[...] = fault(new)
+        return new
+
+    monkeypatch.setattr(gossip_module, "gossip_update", faulty)
 
 
 def test_evolve_rejects_a_step_that_moves_the_twirl(monkeypatch):
@@ -549,9 +561,11 @@ def block_and_step_runs(rho, g, cfg, sigma, per_block, fault=None, at=None):
     for route in (lambda: qg.evolve(rho, g, cfg, sigma), lambda: evolve_per_step(rho, g, cfg, sigma)):
         calls = itertools.count(1)
 
-        def patched(x, *args):
-            new = update(x, *args)
-            return fault(new) if next(calls) == at else new
+        def patched(*args, **kwargs):
+            new = update(*args, **kwargs)
+            if next(calls) == at:
+                new[...] = fault(new)
+            return new
 
         with mock.patch.object(gossip_module, "RECORD_BLOCK_BYTES", budget), \
                 mock.patch.object(gossip_module, "gossip_update", patched):
@@ -1102,6 +1116,17 @@ def test_batched_experiment_matches_the_per_trial_loop(g, alpha, trials, horizon
         assert chunked == exp
 
 
+@pytest.mark.parametrize("bad", [{"eps": float("nan")}, {"eps": -1e-3}, {"eps": float("inf")},
+                                 {"num_trials": 2.0}, {"num_trials": True}, {"horizon": 3.5},
+                                 {"seed": 1.9}])
+def test_experiment_rejects_bad_counts_eps_and_seeds(bad):
+    g = path_graph(2)
+    rho = qg.random_density(g.shape, 1)
+    with pytest.raises(qg.ValidationError, match=next(iter(bad))):
+        qg.probability_one_convergence_experiment(
+            g, 0.5, rho, **{"eps": 1e-10, "num_trials": 2, "horizon": 3, "seed": 1, **bad})
+
+
 def test_batched_edge_draws_are_the_schedule_stream():
     # the weights sum to 1 but their cumulative sum ends at 1 - 2**-53
     g = qg.InteractionGraph(qg.NetworkShape(5, 2),
@@ -1137,12 +1162,60 @@ def test_batched_edge_draws_are_the_schedule_stream():
 
 def test_experiment_rejects_a_rising_distance(monkeypatch):
     # a wrong target: the distance starts at 0 and rises on the first step
-    monkeypatch.setattr(gossip_module, "twirl_matrix", lambda mat, shape: mat.copy())
-    g = path_graph(3)
-    rho = qg.random_density(g.shape, 5)
-    with pytest.raises(qg.ConsistencyError, match=r"increased by .* in trial \d+"):
-        qg.probability_one_convergence_experiment(
-            g, 0.5, rho, eps=1e-10, num_trials=4, horizon=10, seed=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(gossip_module, "twirl_matrix", lambda mat, shape: mat.copy())
+        g = path_graph(3)
+        rho = qg.random_density(g.shape, 5)
+        with pytest.raises(qg.ConsistencyError, match=r"increased by .* in trial 0$"):
+            qg.probability_one_convergence_experiment(
+                g, 0.5, rho, eps=1e-10, num_trials=4, horizon=10, seed=3)
+
+    # rises injected at chosen (step, trial) places are reported in step order,
+    # then trial order, under the default budget, one-step blocks of one-trial
+    # chunks, and two-trial chunks whose blocks of 256 steps end inside the run
+    horizon = 300
+    dd = g.shape.total_dim ** 2
+    budgets = {"default": gossip_module.ENSEMBLE_CHUNK_BYTES, "one": 1,
+               "two": 2 * (2 * 56 + 8 * len(g.edges)) * dd}
+    real = gossip_module.sq_distance_rows
+
+    def first_rise(rises, budget):
+        """The error message when ``rises[(step, trial)]`` is added to that
+        trial's squared distance after that step (step 0: the start)."""
+        calls, chunk = itertools.count(), [0, 0]  # first trial and size of the chunk
+
+        def rising(x, y, scratch, out=None):
+            res = real(x, y, scratch, out)
+            step = next(calls) % (horizon + 1)  # each chunk: once at the start, once a step
+            if step == 0:
+                chunk[:] = [chunk[0] + chunk[1], len(x)]
+            for (at, trial), extra in rises.items():
+                if at == step and 0 <= trial - chunk[0] < len(x):
+                    res[trial - chunk[0]] += extra
+            return res
+
+        with mock.patch.object(gossip_module, "sq_distance_rows", rising), \
+                mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
+            with pytest.raises(qg.ConsistencyError) as err:
+                qg.probability_one_convergence_experiment(
+                    g, 0.5, rho, eps=1e-10, num_trials=4, horizon=horizon, seed=3)
+        return str(err.value)
+
+    for rises, trial in [({(1, 0): 1.0}, 0), ({(4, 2): 1.0}, 2),
+                         ({(256, 1): 0.25}, 1), ({(257, 3): 0.5}, 3),
+                         ({(300, 1): 0.5, (300, 0): 0.25}, 0),
+                         ({(9, 3): 1.0, (9, 2): 0.5}, 2)]:
+        messages = {name: first_rise(rises, budget) for name, budget in budgets.items()}
+        assert len(set(messages.values())) == 1, messages
+        assert messages["default"].endswith(f" in trial {trial}")
+        value = float(messages["default"].split("increased by ")[1].split()[0])
+        [extra] = [v for (_, t), v in rises.items() if t == trial]
+        assert value == pytest.approx(extra, abs=0.1)  # less the step's own fall
+    # a later trial rising at an earlier step wins within a chunk; chunks run
+    # in trial order, so one-trial chunks report the earlier trial
+    rises = {(7, 2): 1.0, (3, 3): 0.5}
+    for name, trial in (("default", 3), ("two", 3), ("one", 2)):
+        assert first_rise(rises, budgets[name]).endswith(f" in trial {trial}")
 
 
 @pytest.mark.parametrize("m", [8, 9])
