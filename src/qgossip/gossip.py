@@ -12,18 +12,23 @@ state; fixed points of the expected map are exactly the operators commuting
 with every edge swap.
 
 A swap only relabels computational basis indices, so the map is applied by
-relabelling: :func:`gossip_update` is the one trajectory step kernel, and a
-superoperator is the ``(d**2, d**2)`` array ``(1 - alpha) I + alpha sum_e q_e
-P_e`` acting on ``rho.ravel()``, with ``P_e`` the flat gather of edge e's swap,
-which keeps every entry in its orbit. A swap is a real symmetric permutation
-matrix, so these maps commute with transposition and need no other
-flattening. Orbits whose letter counts agree have permutation-similar, real
-symmetric blocks, so the spectrum is certified from one block per isomorphism
-class (:func:`synchronous_classes`, solved with ``eigvalsh``); its size, not
-the dense ``MAX_SUPEROP_DIM``, is what is capped. The per-orbit blocks
-(:func:`synchronous_blocks`), the dense :func:`synchronous_superoperator` and
-the brute-force :func:`commutant_dimension` are kept as independent
-references for the tests.
+moving entries. :func:`gossip_update`, the one trajectory step kernel, reads
+``rho`` as its ``(n,)*2m`` tensor, one axis per site for the rows and one for
+the columns: ``U_jk rho U_jk^dagger`` is the view with axes ``(j, k)`` and
+``(m+j, m+k)`` exchanged, so a step builds no index. The ensemble, which
+applies a different edge on each trial row, and the superoperators keep flat
+gathers: a superoperator is the ``(d**2, d**2)`` array ``(1 - alpha) I +
+alpha sum_e q_e P_e`` acting on ``rho.ravel()``, with ``P_e`` the flat gather
+of edge e's swap, which keeps every entry in its orbit. A swap is a real
+symmetric permutation matrix, so these maps commute with transposition and
+need no other flattening. Orbits whose letter counts agree have
+permutation-similar, real symmetric blocks, so the spectrum is certified from
+one block per isomorphism class (:func:`synchronous_classes`, solved with
+``eigvalsh``); its size, not the dense ``MAX_SUPEROP_DIM``, is what is
+capped. The per-orbit blocks (:func:`synchronous_blocks`), the dense
+:func:`synchronous_superoperator` and the brute-force
+:func:`commutant_dimension` are kept as independent references for the
+tests.
 
 :func:`evolve` steps a trajectory into a block of states, one ``rho.ravel()``
 per row of a buffer of ``RECORD_BLOCK_BYTES`` (128 KiB, and never fewer than
@@ -45,6 +50,7 @@ from :func:`_flat_gathers`. A chunk's working arrays fit in
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -59,7 +65,9 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
                      as_operator, require_hermitian, sq_distance_rows)
 from .rng import draw_index, make_rng, trial_rng
-from .states import (DensityOperator, Observable, conjugate_by_basis_map,
+# conjugate_by_basis_map is unused here, but perfbench/spans.py wraps this
+# module's binding of it as its gossip.step layer
+from .states import (DensityOperator, Observable, conjugate_by_basis_map,  # noqa: F401
                      is_permutation_invariant, lift_local, local_expectation_rows,
                      local_expectations, local_hermitian_basis, orbit_labels,
                      site_average, transposition_maps, twirl_matrix)
@@ -268,26 +276,48 @@ def _basis_maps(graph: InteractionGraph) -> np.ndarray:
     return b
 
 
-def gossip_update(x: np.ndarray, bmaps, weights, alpha: float,
+@functools.lru_cache(maxsize=None)
+def _swap_axes(m: int, j: int, k: int) -> tuple[int, ...]:
+    """The axis order of the ``(n,)*2m`` tensor of a ``d x d`` matrix that
+    swaps sites j and k: row axes ``(j-1, k-1)`` and column axes
+    ``(m+j-1, m+k-1)`` exchanged."""
+    axes = list(range(2 * m))
+    for a in (j - 1, m + j - 1):
+        axes[a], axes[a + k - j] = axes[a + k - j], axes[a]
+    return tuple(axes)
+
+
+def gossip_update(x: np.ndarray, shape: NetworkShape, edges, weights, alpha: float,
                   out: np.ndarray | None = None) -> np.ndarray:
     """One gossip step ``(1 - alpha) x + alpha sum_e q_e U_e x U_e^dagger``.
 
-    Each ``U_e`` is given by its basis map, so every edge costs one O(d^2)
-    relabelling. A single edge of weight 1.0 gives exactly
-    ``(1 - alpha) x + alpha U x U^dagger``; no edges give a copy of ``x``.
-    The result is written into ``out`` (which must not overlap ``x``) when it
-    is given, and returned.
+    ``x`` is a ``d x d`` matrix on ``shape`` and ``edges`` are site pairs
+    ``(j, k)``. Reshaped to the ``(n,)*2m`` tensor, ``U_jk x U_jk^dagger`` is
+    ``x`` with its axes ``(j, k)`` and ``(m+j, m+k)`` exchanged, a transposed
+    view. Each edge copies that view into one scratch ``d x d`` matrix (a
+    plain copy costs less than a ufunc reading the view, which buffers the
+    short strided runs of small shapes), scales it by ``alpha q_e`` and adds
+    it to the result, so no index is built and nothing is allocated per
+    edge. The ensemble, which applies a different edge on each trial row, and
+    the superoperators keep the flat gathers of :func:`_flat_gathers`.
+
+    A single edge of weight 1.0 gives exactly ``(1 - alpha) x + alpha U x
+    U^dagger``; no edges give a copy of ``x``. The result is written into
+    ``out`` (which must not overlap ``x``) when it is given, and returned.
     """
-    if not len(bmaps):
+    if not len(edges):
         if out is None:
             return x.copy()
         np.copyto(out, x)
         return out
     out = np.multiply(x, 1.0 - alpha, out=out)
-    for bmap, q in zip(bmaps, weights):
-        moved = conjugate_by_basis_map(x, bmap)
-        moved *= alpha * q
-        out += moved
+    scratch = np.empty(x.shape, dtype=x.dtype)
+    dims = (shape.n,) * (2 * shape.m)
+    tensor, moved = x.reshape(dims), scratch.reshape(dims)
+    for (j, k), q in zip(edges, weights):
+        moved[...] = tensor.transpose(_swap_axes(shape.m, j, k))
+        scratch *= alpha * q
+        out += scratch
     return out
 
 
@@ -373,7 +403,6 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     kets = sym_kets(obs, shape.m)
     star = twirl_matrix(rho0.matrix, shape)
     star_row = star.reshape(1, -1).view(np.float64)
-    bmaps = _basis_maps(graph)
     steps, d = config.steps, shape.total_dim
     rows = min(max(2, RECORD_BLOCK_BYTES // (16 * d * d)), steps + 1)
     schedule = edge_schedule(graph, config, block=rows - 1)
@@ -390,8 +419,9 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
         if k:
             idx = next(schedule)
             for r in range(k):
-                maps, weights = (bmaps, graph.weights) if idx is None else ([bmaps[idx[r]]], [1.0])
-                gossip_update(buf[r].reshape(d, d), maps, weights, config.alpha,
+                edges, weights = ((graph.edges, graph.weights) if idx is None
+                                  else ((graph.edges[idx[r]],), (1.0,)))
+                gossip_update(buf[r].reshape(d, d), shape, edges, weights, config.alpha,
                               out=buf[r + 1].reshape(d, d))
             edges_used += [None] * k if idx is None else [graph.edges[i] for i in idx[:k].tolist()]
         first = 1 if k else 0
@@ -758,7 +788,6 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
     probe = (probe + probe.conj().T) / 2.0
     sigma = probe if decomposable else None
 
-    bmaps = _basis_maps(graph)
     drift = limit_dev = limit_mismatch = 0.0
     for rho0 in rho0_samples:
         if rho0.shape != shape:
@@ -766,7 +795,7 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
         target = float(np.einsum("ij,ji->", s_mat, rho0.matrix).real)
         mat = rho0.matrix.copy()
         for _ in range(steps):
-            mat = gossip_update(mat, bmaps, graph.weights, alpha)
+            mat = gossip_update(mat, shape, graph.edges, graph.weights, alpha)
             drift = max(drift, abs(
                 float(np.einsum("ij,ji->", s_mat, mat).real) - target))
         star = twirl_matrix(rho0.matrix, shape)
@@ -809,8 +838,9 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
     check_alpha(alpha)
     if shape.m > 1 and not graph.edges:
         raise ValidationError("the dual fixed-point check needs at least one edge")
-    sweep = [[b] for b in _basis_maps(graph)] or [[]]  # one site: no edge
-    defect = max(float(np.abs(gossip_update(s_mat, b, [1.0], alpha) - s_mat).max()) for b in sweep)
+    sweep = [[e] for e in graph.edges] or [[]]  # one site: no edge
+    defect = max(float(np.abs(gossip_update(s_mat, shape, step, [1.0], alpha) - s_mat).max())
+                 for step in sweep)
     s_ok = defect <= 1e-12
 
     iter_dev = 0.0
@@ -819,7 +849,7 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
         x = lift_local(obs.matrix, 1, shape)
         target = twirl_matrix(x, shape)
         for t in range(steps):
-            x = gossip_update(x, sweep[t % len(sweep)], [1.0], alpha)
+            x = gossip_update(x, shape, sweep[t % len(sweep)], [1.0], alpha)
         iter_dev = float(np.max(np.abs(x - target)))
     return DualFixedPointReport(s_invariant=s_ok, max_invariance_defect=defect,
                                 iteration_deviation=iter_dev, ok=s_ok and iter_dev <= 1e-8)

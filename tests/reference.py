@@ -8,6 +8,10 @@ act on ``x.ravel()``, where ``(A @ x @ B).ravel() == kron(A, B.T) @ x.ravel()``.
 :func:`evolve_per_step` is the trajectory loop one step at a time, the oracle
 for the blocks of :func:`qgossip.evolve`: it measures each state with the
 one-matrix forms of the record kernels and draws one edge per step.
+
+:func:`scatter_update` is the gossip step as one basis-map scatter per edge
+(``states.conjugate_by_basis_map``), the bitwise oracle for the transposed
+views of :func:`qgossip.gossip_update`.
 """
 
 import numpy as np
@@ -15,7 +19,7 @@ import numpy as np
 import qgossip as qg
 from qgossip import gossip
 from qgossip.consensus import matrix_smc_defect, sym_kets
-from qgossip.states import local_expectations
+from qgossip.states import conjugate_by_basis_map, local_expectations, transposition_maps
 
 
 def permutation_unitary(perm, shape):
@@ -56,6 +60,24 @@ def kron_sym_projector(sigma, m):
     return sum(qg.kron_all([p] * m) for p in sigma.projectors)
 
 
+def scatter_update(x, shape, edges, weights, alpha, out=None):
+    """``(1 - alpha) x + alpha sum_e q_e U_e x U_e^dagger`` with each ``U_e x
+    U_e^dagger`` scattered into a new array through edge e's basis map, in
+    edge order; no edges give a copy of ``x``."""
+    if not len(edges):
+        if out is None:
+            return x.copy()
+        np.copyto(out, x)
+        return out
+    maps = transposition_maps(shape.m, shape.n)
+    out = np.multiply(x, 1.0 - alpha, out=out)
+    for e, q in zip(edges, weights):
+        moved = conjugate_by_basis_map(x, maps[tuple(e)])
+        moved *= alpha * q
+        out += moved
+    return out
+
+
 def evolve_per_step(rho0, graph, config, sigma):
     """``evolve`` as a loop of single steps: record, check, stop test, then one
     ``gossip.gossip_update`` (looked up at each step, so a patched update is
@@ -66,7 +88,6 @@ def evolve_per_step(rho0, graph, config, sigma):
     obs = sigma if isinstance(sigma, qg.Observable) else qg.Observable(sigma)
     kets = sym_kets(obs, shape.m)
     star = qg.twirl_matrix(rho0.matrix, shape)
-    bmaps = gossip._basis_maps(graph)
     schedule = qg.edge_schedule(graph, config)
     steps = config.steps
     z = np.empty((steps + 1, shape.m))
@@ -90,8 +111,9 @@ def evolve_per_step(rho0, graph, config, sigma):
             termination = f"converged_at_step_{t}"
             break
         idx = next(schedule)
-        maps, weights = (bmaps, graph.weights) if idx is None else ([bmaps[idx]], [1.0])
-        mat = gossip.gossip_update(mat, maps, weights, config.alpha)
+        pairs, weights = ((graph.edges, graph.weights) if idx is None
+                          else ([graph.edges[idx]], [1.0]))
+        mat = gossip.gossip_update(mat, shape, pairs, weights, config.alpha)
         edges.append(None if idx is None else graph.edges[idx])
     drift = float(np.max(np.abs(qg.twirl_matrix(mat, shape) - star)))
     if drift > gossip.CONSERVATION_TOL:

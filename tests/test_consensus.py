@@ -341,6 +341,17 @@ def test_witness_on_random_mixed_reduction():
     assert qg.check_rsc(rho)[0] and not qg.check_ssc(rho)[0]
 
 
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(2, 3), seed=st.integers(0, 2 ** 31))
+def test_rsc_gap_is_bitwise_the_largest_pairwise_distance(m, n, seed):
+    # one row-wise reduction over the pairs against one distance per pair
+    rho = qg.random_density(qg.NetworkShape(m, n), seed)
+    reds = local_reduced_states(rho.matrix, rho.shape)
+    gaps = [qg.frobenius_distance(reds[i], reds[j])
+            for i in range(m) for j in range(i + 1, m)]
+    assert qg.check_rsc(rho)[1] == max(gaps, default=0.0)
+
+
 def test_witness_rejects_pure_reduction():
     with pytest.raises(qg.ValidationError):
         qg.rsc_not_ssc_witness(np.diag([1.0, 0.0]), 2)

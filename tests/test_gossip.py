@@ -21,7 +21,8 @@ from qgossip.rng import draw_index, make_rng, trial_rng
 from qgossip.scenario import load_scenario
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels, twirl_matrix)
-from reference import apply, conjugate, evolve_per_step, gossip_superoperator, swap_unitary
+from reference import (apply, conjugate, evolve_per_step, gossip_superoperator, scatter_update,
+                       swap_unitary)
 
 SZ = qg.PAULI["z"]
 
@@ -141,14 +142,14 @@ def test_gossip_channel_kraus_structure():
     np.testing.assert_allclose(sum(a @ a.conj().T for a in ops), np.eye(4), atol=1e-15)
     rng = make_rng(60)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    out = qg.gossip_update(x, [edge_bmap((1, 2), shape)], [1.0], 0.3)
+    out = qg.gossip_update(x, shape, [(1, 2)], [1.0], 0.3)
     np.testing.assert_allclose(out, sum(conjugate(a, x) for a in ops), atol=1e-15)
 
 
 def test_gossip_channel_on_antialigned_pair():
     shape = qg.NetworkShape(2, 2)
     rho = qg.DensityOperator.from_ket(qg.basis_ket("01", 2), shape)
-    out = qg.gossip_update(rho.matrix, [edge_bmap((1, 2), shape)], [1.0], 0.5)
+    out = qg.gossip_update(rho.matrix, shape, [(1, 2)], [1.0], 0.5)
     expected = 0.5 * rho.matrix + 0.5 * np.outer(qg.basis_ket("10", 2),
                                                  qg.basis_ket("10", 2))
     np.testing.assert_allclose(out, expected, atol=1e-15)
@@ -637,8 +638,7 @@ def test_permutation_superoperators_match_kraus_oracle(g, alpha):
     d = g.shape.total_dim
     rng = make_rng(5)
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    bmaps = [edge_bmap(e, g.shape) for e in g.edges]
-    np.testing.assert_allclose(qg.gossip_update(x, bmaps, g.weights, alpha),
+    np.testing.assert_allclose(qg.gossip_update(x, g.shape, g.edges, g.weights, alpha),
                                apply(sync, x), rtol=0, atol=1e-13)
 
 
@@ -646,17 +646,56 @@ def test_permutation_superoperators_match_kraus_oracle(g, alpha):
 @given(g=weighted_graphs([(m, 2) for m in range(2, 7)] + [(2, 3), (3, 3)]),
        alpha=st.floats(0.01, 0.99), data=st.data())
 def test_single_edge_update_is_bitwise_the_step(g, alpha, data):
-    b = edge_bmap(data.draw(st.sampled_from(g.edges)), g.shape)
+    e = data.draw(st.sampled_from(g.edges))
+    b = edge_bmap(e, g.shape)
     rng = make_rng(data.draw(st.integers(0, 2 ** 31)))
     d = g.shape.total_dim
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    assert np.array_equal(qg.gossip_update(x, [b], [1.0], alpha),
+    assert np.array_equal(qg.gossip_update(x, g.shape, [e], [1.0], alpha),
                           (1 - alpha) * x + alpha * conjugate_by_basis_map(x, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=weighted_graphs([(m, 2) for m in range(2, 7)] + [(m, 3) for m in range(2, 5)]),
+       alpha=st.floats(0.01, 0.99), use_out=st.booleans(), data=st.data())
+def test_transposed_update_is_bitwise_the_scatter(g, alpha, use_out, data):
+    # one edge, every edge and no edge, against one basis-map scatter per
+    # edge; compared as bits, so signed zeros count
+    e = data.draw(st.sampled_from(g.edges))
+    rng = make_rng(data.draw(st.integers(0, 2 ** 31)))
+    d = g.shape.total_dim
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x[rng.random((d, d)) < 0.2] = -0.0
+    for edges, weights in (([e], [1.0]), (g.edges, g.weights), ([], [])):
+        out = np.full_like(x, np.nan) if use_out else None
+        got = qg.gossip_update(x, g.shape, edges, weights, alpha, out=out)
+        want = scatter_update(x, g.shape, edges, weights, alpha)
+        assert got is not x and (out is None or got is out)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("edges", [[(i, i + 1) for i in range(1, 8)],
+                                   list(itertools.combinations(range(1, 9), 2))])
+def test_update_allocates_one_scratch_whatever_the_edge_count(edges):
+    # at m = 8 a complex d x d matrix is 1 MiB; the update writes into `out`
+    # and needs one scratch matrix besides, not one per edge
+    g = qg.InteractionGraph(qg.NetworkShape(8, 2), edges)
+    d = g.shape.total_dim
+    x = qg.random_density(g.shape, 3).matrix
+    buf = np.empty((d, d), dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        got = qg.gossip_update(x, g.shape, g.edges, g.weights, 0.4, out=buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got is buf and buf.flags.c_contiguous
+    assert peak <= 16 * d * d + 2 ** 16
 
 
 def test_update_without_edges_is_the_identity():
     x = make_rng(7).standard_normal((2, 2)) + 0j
-    out = qg.gossip_update(x, [], [], 0.4)
+    out = qg.gossip_update(x, qg.NetworkShape(1, 2), [], [], 0.4)
     assert out is not x and np.array_equal(out, x)
 
 
@@ -1071,14 +1110,13 @@ def per_trial_experiment(graph, alpha, rho0, eps, num_trials, horizon, seed):
     ``np.vdot`` at every step. Returns the experiment's three statistics."""
     config = qg.GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
     star = qg.twirl_matrix(rho0.matrix, rho0.shape)
-    bmaps = [edge_bmap(e, graph.shape) for e in graph.edges]
     successes, worst_final, worst_rise = 0, 0.0, 0.0
     for trial in range(num_trials):
         schedule = qg.edge_schedule(graph, config, trial_rng(seed, trial))
         mat = rho0.matrix.copy()
         dist = float(np.vdot(mat - star, mat - star).real)
         for idx in itertools.islice(schedule, horizon):
-            mat = qg.gossip_update(mat, [bmaps[idx]], [1.0], alpha)
+            mat = qg.gossip_update(mat, graph.shape, [graph.edges[idx]], [1.0], alpha)
             new_dist = float(np.vdot(mat - star, mat - star).real)
             worst_rise = max(worst_rise, new_dist - dist)
             dist = new_dist

@@ -525,7 +525,7 @@ def test_twirl_observable_duality():
 
 def _one_edge_update(x, alpha):
     """``(1 - alpha) x + alpha U x U^dagger`` for the swap of a two-site network."""
-    return qg.gossip_update(x, [transposition_maps(2, 2)[1, 2]], [1.0], alpha)
+    return qg.gossip_update(x, qg.NetworkShape(2, 2), [(1, 2)], [1.0], alpha)
 
 
 def _one_edge_dual(x, alpha):
