@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .linalg import (NetworkShape, as_operator, eigh, frobenius_distance, kron_all,
-                     sq_distance_rows)
+                     row_dots, sq_distance_rows)
 from .states import (DensityOperator, Observable, PAULI, local_expectations,
                      local_hermitian_basis, local_reduced_states, trace_index,
                      twirl_matrix)
@@ -66,8 +66,9 @@ def check_sigma_ec(rho: DensityOperator, sigma, tol: float = DEFAULT_TOL):
 
 def check_rsc(rho: DensityOperator, tol: float = DEFAULT_TOL):
     """Return (flag, gap) with gap = max pairwise Frobenius distance of
-    single-site reduced states, from one row-wise reduction over the
-    ``C(m, 2)`` pairs (each row as :func:`frobenius_distance` sums it)."""
+    single-site reduced states, from one :func:`sq_distance_rows` over the
+    ``C(m, 2)`` pairs, so each pair's distance is its
+    :func:`frobenius_distance` bit for bit."""
     reds = local_reduced_states(rho.matrix, rho.shape).reshape(rho.shape.m, -1)
     a, b = np.triu_indices(rho.shape.m, 1)
     x = reds[a].view(np.float64)
@@ -129,14 +130,14 @@ def sym_overlap_rows(rows: np.ndarray, kets: np.ndarray) -> np.ndarray:
     :func:`sym_kets` matrix and no d x d ``Pi_sym``.
 
     One stacked product ``x_r K`` (numpy runs the same BLAS product per row
-    as for one matrix), O(d**2) per column of K, then the inner product with
-    K on the ``float64`` views, summed per row on its own: a row's value does
-    not depend on how many rows there are.
+    as for one matrix), O(d**2) per column of K, then :func:`row_dots` of its
+    ``float64`` view against K's, so a row's value does not depend on how
+    many rows there are.
     """
     d = kets.shape[0]
     xk = np.matmul(rows.reshape(-1, d, d), kets)
-    terms = xk.view(np.float64) * kets.view(np.float64)
-    return np.add.reduce(terms.reshape(len(xk), -1), axis=1)
+    return row_dots(xk.view(np.float64).reshape(len(xk), -1),
+                    kets.view(np.float64).reshape(-1))
 
 
 def smc_defect_rows(rows: np.ndarray, kets: np.ndarray) -> np.ndarray:

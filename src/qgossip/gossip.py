@@ -33,18 +33,19 @@ tests.
 :func:`evolve` steps a trajectory into a block of states, one ``rho.ravel()``
 per row of a buffer of ``RECORD_BLOCK_BYTES`` (128 KiB, and never fewer than
 the current state and the next one), and records the whole block at once:
-one gather for every ``z`` row, one row-wise distance reduction, one stacked
-SMC overlap product. The record kernels take a block of rows; the functions
-that measure one matrix are their one-row case, so a row's record does not
-depend on the block.
+one gather for every ``z`` row, one distance per row, one stacked SMC overlap
+product. Every per-row sum is :func:`linalg.row_dots`, whose result for a row
+depends on that row's entries only; the functions that measure one matrix are
+the record kernels' one-row case, so a row's record does not depend on the
+block.
 
 The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
 steps all trials of a chunk at once, as one ``(trials, d**2)`` array, on
 :func:`evolve`'s pattern: edges drawn a block at a time, one gather, an
-in-place mix and one distance reduction per time step into a row of the
-block's distances, and one rise check per block. Every swap's flat gather,
-the edge table of small shapes and the per-step index of large ones, comes
-from :func:`_flat_gathers`. A chunk's working arrays fit in
+in-place mix and one :func:`sq_distance_rows` per time step into a row of
+the block's distances, and one rise check per block. Every swap's flat
+gather, the edge table of small shapes and the per-step index of large ones,
+comes from :func:`_flat_gathers`. A chunk's working arrays fit in
 ``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is one trial.
 """
 
@@ -381,12 +382,13 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     the block's edges drawn from :func:`edge_schedule` at once. The new rows
     are then recorded at once (``rho_0`` on its own, first): the ``z`` rows
     from one gather (:func:`local_expectation_rows`), ``S_expect`` as row
-    means, the gaps from one row-wise reduction (:func:`sq_distance_rows`)
-    and the SMC defects from one stacked product (:func:`smc_defect_rows`).
-    Each kernel measures a row as its one-row case measures a single matrix,
-    bit for bit. The checks then run on the block in step order, so an error
-    names the step a step-by-step loop would name; a stop inside a block
-    truncates the record and returns that step's state.
+    means, the gaps from one :func:`sq_distance_rows` and the SMC defects
+    from one stacked product (:func:`smc_defect_rows`). Each kernel sums a
+    row with :func:`linalg.row_dots`, so it measures a row as its one-row
+    case measures a single matrix, bit for bit. The checks then run on the
+    block in step order, so an error names the step a step-by-step loop
+    would name; a stop inside a block truncates the record and returns that
+    step's state.
     """
     shape = rho0.shape
     if graph.shape != shape:
@@ -895,13 +897,15 @@ def probability_one_convergence_experiment(
     steps at a time. A step gathers every trial's entries through its edge's
     swap (a transposition is its own inverse, so the gather is
     ``U x U^dagger``), mixes in place, and writes all squared distances, in
-    one :func:`sq_distance_rows` against the twirl tiled to the chunk's rows,
-    into the step's row of the block's distances. After each block one
-    difference along the steps gives the largest rise and the first one above
-    ``CONTRACTION_TOL``, in step order and then trial order; chunks run in
-    trial order. The gather index comes from :func:`_flat_gathers`: copied
-    from a table of every edge's flat gather when the table fits in a quarter
-    of ``ENSEMBLE_CHUNK_BYTES``, and built from the step's basis maps
+    one :func:`sq_distance_rows` against the twirl tiled to the chunk's rows
+    (a difference, then one :func:`linalg.row_dots` per trial row, so a
+    trial's distance does not depend on the chunk), into the step's row of
+    the block's distances. After each block one difference along the steps
+    gives the largest rise and the first one above ``CONTRACTION_TOL``, in
+    step order and then trial order; chunks run in trial order. The gather
+    index comes from :func:`_flat_gathers`: copied from a table of every
+    edge's flat gather when the table fits in a quarter of
+    ``ENSEMBLE_CHUNK_BYTES``, and built from the step's basis maps
     otherwise. Half the budget holds the table and the chunk's states,
     gathers, gather indices and twirl rows, 56 bytes per trial and entry of
     ``rho``; the other half holds the edge draws and distances, 16 bytes per

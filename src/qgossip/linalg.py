@@ -156,22 +156,55 @@ def frobenius_norm(x) -> float:
     return float(np.linalg.norm(np.asarray(x), ord="fro"))
 
 
+# OpenBLAS's x86_64 ddot splits a dot of more than 10 000 floats across its
+# threads, and the sum then depends on the thread count. A dot of at most this
+# many floats runs on one thread, so row_dots writes the same bytes under any
+# OPENBLAS_NUM_THREADS.
+_DOT_SLAB = 8192
+
+
+def row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``sum_k a[..., k] b[..., k]`` over the last axis of ``float64`` arrays,
+    with ``b`` of a's shape or one row broadcast across a's rows.
+
+    This is the one summation rule of every per-row reduction (distances,
+    SMC overlaps, local expectations): each row is one BLAS dot
+    (``np.vecdot``) per slab of at most ``_DOT_SLAB`` floats, and the slab
+    sums are added in slab order (``np.add.reduce``; skipped when a row fits
+    one slab). So a row's result depends on its own entries only, not on how
+    many rows there are or on the BLAS thread count.
+    Only the ``(rows, slabs)`` partial sums are allocated.
+    """
+    n = a.shape[-1]
+    if n <= _DOT_SLAB:
+        return np.vecdot(a, b, out=out)
+    whole, rest = divmod(n, _DOT_SLAB)
+    cut = whole * _DOT_SLAB
+    parts = np.empty(a.shape[:-1] + (whole + (rest > 0),))
+    # a squared norm (b is a) reuses a's slab views
+    slabs = a[..., :cut].reshape(a.shape[:-1] + (whole, _DOT_SLAB))
+    np.vecdot(slabs, slabs if b is a else b[..., :cut].reshape(b.shape[:-1] + (whole, _DOT_SLAB)),
+              out=parts[..., :whole])
+    if rest:
+        tail = a[..., cut:]
+        np.vecdot(tail, tail if b is a else b[..., cut:], out=parts[..., whole])
+    return np.add.reduce(parts, axis=-1, out=out)
+
+
 def sq_distance_rows(x: np.ndarray, y: np.ndarray, scratch: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
     """``||x_r - y_r||^2`` for every row of a 2-D ``float64`` array ``x`` (the
-    view of complex rows), against the rows of ``y`` or one row broadcast,
-    through ``scratch`` of x's shape: subtract, square the entries, then sum
-    each row on its own (pairwise). A row's result does not depend on how
-    many rows there are, and it is taken on the entries, never as a
-    difference of norms, which would cancel near ``y``."""
+    view of complex rows), against the rows of ``y`` or one row broadcast:
+    the difference goes into ``scratch`` (x's shape), then each row is
+    :func:`row_dots` of it with itself. It is taken on the entries, never as
+    a difference of norms, which would cancel near ``y``."""
     np.subtract(x, y, out=scratch)
-    np.square(scratch, out=scratch)
-    return np.add.reduce(scratch, axis=1, out=out)
+    return row_dots(scratch, scratch, out)
 
 
 def frobenius_distance(a, b) -> float:
     """``||a - b||_F`` for same-shaped matrices: the one-row case of
-    :func:`sq_distance_rows`, so it equals a row of a block bit for bit."""
+    :func:`sq_distance_rows`, so it equals a row of any block bit for bit."""
     am = np.ascontiguousarray(a, dtype=np.complex128)
     bm = np.ascontiguousarray(b, dtype=np.complex128)
     if am.shape != bm.shape:

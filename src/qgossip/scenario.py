@@ -258,12 +258,30 @@ def write_csv(path: Path, header: list[str], labels, values, manifest_name: str)
     path.write_text("\n".join(lines) + "\n")
 
 
+def _float_rows(rows, indent: str) -> str | None:
+    """The body :func:`_json_text` writes for ``rows``, a list of equal-length,
+    non-empty lists or tuples of exact ``float`` values (the spectrum's
+    ``[re, im]`` pairs): one row template and one ``%r`` format over all the
+    numbers. None for any other list, including one holding a float subclass,
+    whose ``%r`` (``np.float64(...)``) is not ``float.__repr__``."""
+    width = len(rows[0]) if type(rows[0]) in (list, tuple) else 0
+    if not width or not set(map(type, rows)) <= {list, tuple} or set(map(len, rows)) != {width}:
+        return None
+    numbers = tuple(itertools.chain.from_iterable(rows))
+    if set(map(type, numbers)) != {float}:
+        return None
+    inner = indent + "  "
+    row = "[" + inner + ("%r," + inner) * (width - 1) + "%r" + indent + "]"
+    return _finite(("," + indent).join([row] * len(rows)) % numbers)
+
+
 def _json_text(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte,
     for dicts with str keys, lists, tuples, str, int, float, bool and None.
 
     A list of floats is joined in one pass through ``float.__repr__``, json's
-    own spelling of a finite float. A NaN or an infinity raises
+    own spelling of a finite float, and a list of equal-length float lists in
+    one format (:func:`_float_rows`). A NaN or an infinity raises
     ConsistencyError; any other type, or a non-str key, raises TypeError.
     """
     if isinstance(obj, str):
@@ -287,7 +305,8 @@ def _json_text(obj, indent: str = "\n") -> str:
         try:
             body = _finite(("," + inner).join(map(float.__repr__, obj)))
         except TypeError:  # not all floats
-            body = ("," + inner).join([_json_text(v, inner) for v in obj])
+            body = _float_rows(obj, inner) or ("," + inner).join([_json_text(v, inner)
+                                                                  for v in obj])
         return "[" + inner + body + indent + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConsistencyError, DimensionError, ValidationError
-from .linalg import NetworkShape, as_operator, eigh, kron, require_hermitian
+from .linalg import NetworkShape, as_operator, eigh, kron, require_hermitian, row_dots
 from .rng import complex_ginibre, make_rng
 
 # Single-qubit basics, sigma_z = |0><0| - |1><1| = diag(1, -1).
@@ -336,15 +336,15 @@ def local_expectation_rows(rows: np.ndarray, shape: NetworkShape,
     a complex ``(rows, d**2)`` array, as a ``(rows, m)`` array.
 
     All reduced states come from one gather through :func:`trace_index`.
-    ``Re Tr[sigma xbar]`` is the inner product of the ``float64`` views of
-    ``xbar`` and ``sigma^dagger``, summed per row on its own, so a row's
-    values do not depend on how many rows there are.
+    ``Re Tr[sigma xbar]`` is :func:`row_dots` of the ``float64`` views of
+    ``xbar`` and ``sigma^dagger``, so a row's values do not depend on how
+    many rows there are.
     """
     m, n = shape.m, shape.n
     reds = rows.take(trace_index(m, n, 1), axis=1).sum(axis=-1)  # (rows, m, n, n)
     weights = np.ascontiguousarray(np.asarray(sigma, dtype=np.complex128).conj().T)
-    terms = reds.view(np.float64) * weights.view(np.float64)
-    return np.add.reduce(terms.reshape(len(rows), m, 2 * n * n), axis=-1)
+    return row_dots(reds.view(np.float64).reshape(len(rows), m, 2 * n * n),
+                    weights.view(np.float64).reshape(-1))
 
 
 def local_expectations(x: np.ndarray, shape: NetworkShape,

@@ -1,11 +1,20 @@
 """Tests for the dense multipartite linear algebra layer."""
 
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgossip as qg
 from qgossip.linalg import (as_operator, hermiticity_defect, frobenius_norm,
-                            require_hermitian)
+                            require_hermitian, row_dots, sq_distance_rows)
 from qgossip.rng import complex_ginibre, make_rng
 
 SZ = np.diag([1.0 + 0j, -1.0])
@@ -197,3 +206,80 @@ def test_frobenius_distance_hand_value():
 
 def test_frobenius_norm_value():
     assert frobenius_norm(np.ones((2, 2))) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# row_dots, the one per-row reduction
+# ---------------------------------------------------------------------------
+
+# float64 widths of complex d x d rows on both sides of the 8192-float slab:
+# n = 2 at m = 6 (one slab) and m = 7 (four), n = 3 at m = 4 (13 122 floats,
+# one and a part), and a slab and one float; plus a few small ones
+ROW_WIDTHS = [1, 7, 32, 2 * 4**6, 2 * 4**7, 2 * 9**4, 8193]
+
+
+def _rows(seed, rows, width, layout):
+    """``(a, b)``: ``rows`` random rows of ``width`` floats over six decades,
+    as a C-contiguous block, as row views offset by one float, or with ``b``
+    one row broadcast across a's rows."""
+    rng = np.random.default_rng(seed)
+    size = (2, rows, width + 1)
+    buf = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+    if layout == "offset":
+        return buf[0, :, 1:], buf[1, :, 1:]
+    a, b = np.ascontiguousarray(buf[:, :, :width])
+    return (a, b) if layout == "block" else (a, b[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4),
+       width=st.sampled_from(ROW_WIDTHS), layout=st.sampled_from(["block", "offset", "broadcast"]))
+def test_row_dots_rows_are_their_one_row_calls(seed, rows, width, layout):
+    a, b = _rows(seed, rows, width, layout)
+    one_b = (lambda r: b) if layout == "broadcast" else (lambda r: b[r:r + 1])
+    dots = row_dots(a, b)
+    scratch = np.empty_like(a)
+    sq = sq_distance_rows(a, b, scratch)
+    out = np.empty(rows)
+    assert row_dots(a, b, out) is out
+    assert sq.shape == dots.shape == (rows,)
+    for r in range(rows):
+        assert dots[r:r + 1].view(np.uint64) == row_dots(a[r:r + 1], one_b(r)).view(np.uint64)
+        assert out[r:r + 1].view(np.uint64) == dots[r:r + 1].view(np.uint64)
+        one_sq = sq_distance_rows(a[r:r + 1], one_b(r), scratch[:1])
+        assert sq[r:r + 1].view(np.uint64) == one_sq.view(np.uint64)
+        terms = a[r] * (b if layout == "broadcast" else b[r])
+        assert abs(dots[r] - math.fsum(terms)) <= 1e-14 * math.fsum(np.abs(terms))
+
+
+def test_row_dots_takes_leading_axes():
+    a, b = _rows(3, 6, 2 * 9**4, "block")
+    stacked = row_dots(a.reshape(2, 3, -1), b[0])
+    assert stacked.shape == (2, 3)
+    assert stacked.reshape(-1).view(np.uint64).tolist() == \
+        row_dots(a, b[0]).view(np.uint64).tolist()
+
+
+def test_row_dots_allocates_only_the_slab_sums():
+    a = np.ones((2, 16 * 8192 + 5))
+    row_dots(a, a[0])  # warm numpy's caches outside the measurement
+    tracemalloc.start()
+    try:
+        row_dots(a, a[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 17 * 8 + 4096  # the (rows, slabs) sums; a product would be 2 MB
+
+
+def test_row_dots_bytes_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS threads a dot of more than 10 000 floats; a slabbed row never is
+    code = ("import numpy as np; from qgossip.linalg import row_dots; "
+            "a = np.random.default_rng(5).standard_normal((2, 131072)); "
+            "print(row_dots(a, a[::-1]).tobytes().hex())")
+    here = np.random.default_rng(5).standard_normal((2, 131072))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(qg.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == row_dots(here, here[::-1]).tobytes().hex()

@@ -235,8 +235,15 @@ JSON_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
 JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", "\n", 'a "b" \\c\nd', "ünï©ødé ✓ 𝄞"])
 JSON_SCALARS = (st.none() | st.booleans() | JSON_FLOATS | JSON_STRINGS
                 | st.integers() | st.integers(2**63, 2**80))
+# lists of equal-length float rows (lists or tuples) take the one-format path;
+# ragged rows, and rows holding an int or a numpy float64, must not
+FLOAT_ROWS = st.integers(1, 3).flatmap(lambda w: st.lists(
+    st.lists(JSON_FLOATS, min_size=w, max_size=w) | st.tuples(*[JSON_FLOATS] * w),
+    min_size=1, max_size=4))
+MIXED_ROWS = st.lists(st.lists(JSON_FLOATS | st.integers() | JSON_FLOATS.map(np.float64),
+                               max_size=3), min_size=1, max_size=4)
 JSON_DOCS = st.recursive(
-    JSON_SCALARS | st.lists(JSON_FLOATS, max_size=6),
+    JSON_SCALARS | st.lists(JSON_FLOATS, max_size=6) | FLOAT_ROWS | MIXED_ROWS,
     lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=3).map(tuple)
                   | st.dictionaries(JSON_STRINGS, kids, max_size=5)),
     max_leaves=30)
