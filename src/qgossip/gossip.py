@@ -25,7 +25,12 @@ need no other flattening. Orbits whose letter counts agree have
 permutation-similar, real symmetric blocks, so the spectrum is certified from
 one block per isomorphism class (:func:`synchronous_classes`, solved with
 ``eigvalsh``); its size, not the dense ``MAX_SUPEROP_DIM``, is what is
-capped. The per-orbit blocks (:func:`synchronous_blocks`), the dense
+capped. The classes' counts, rows and every in-component swap's block
+columns depend only on ``(m, n, components)``: they are built once per key
+(:func:`_class_plans`, which keeps the two most recent, at most 1.9 MB each:
+``m = 8``, ``n = 2``, one component), so a call only fills the blocks from
+the weights and ``alpha``, and a one-shot run pays one build, as before.
+The per-orbit blocks (:func:`synchronous_blocks`), the dense
 :func:`synchronous_superoperator` and the brute-force
 :func:`commutant_dimension` are kept as independent references for the
 tests.
@@ -57,6 +62,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -555,12 +561,60 @@ def _partitions(total: int, parts: int, top: int = 0) -> Iterator[tuple[int, ...
             yield from ((p,) + rest for rest in _partitions(total - p, parts - 1, p))
 
 
-def _arrangements(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every distinct sequence with ``counts[k]`` copies of letter ``k``."""
-    if not any(counts):
-        return [()]
-    return [(k,) + rest for k, c in enumerate(counts) if c
-            for rest in _arrangements(counts[:k] + (c - 1,) + counts[k + 1:])]
+def _arrangements(counts: tuple[int, ...]) -> np.ndarray:
+    """Every distinct sequence with ``counts[k]`` copies of letter ``k``, one
+    per row of an ``intp`` array, in lexicographic order: each prefix is
+    extended by every letter it has left, one position at a time."""
+    seqs, left = np.zeros((1, 0), dtype=np.intp), np.array([counts], dtype=np.intp)
+    unit = np.eye(len(counts), dtype=np.intp)
+    for _ in range(sum(counts)):
+        src, letter = left.nonzero()  # by prefix, then by letter
+        seqs = np.concatenate((seqs[src], letter[:, None]), axis=1)
+        left = left[src] - unit[letter]
+    return seqs
+
+
+@functools.lru_cache(maxsize=2)
+def _class_plans(m: int, n: int, comps: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
+    """The shape-only part of :func:`synchronous_classes`: one read-only
+    ``(count, rows, positions)`` per class, where ``positions[(j, k)]`` is the
+    column of each row's image under the swap of sites j and k, for every
+    swap inside a component. Built once per ``(m, n, comps)``; the caps run
+    before anything is built, so a refused shape is never cached."""
+    d, q = n ** m, n ** 2
+    largest = math.prod(_multinomial([len(c) // q + (k < len(c) % q) for k in range(q)])
+                        for c in comps)
+    if largest > MAX_TOTAL_DIM:
+        raise ResourceLimitError(
+            f"the largest orbit block of the synchronous map has {largest} rows "
+            f"({largest * largest * 8 / 2 ** 20:.0f} MiB as float64), over the cap "
+            f"{MAX_TOTAL_DIM}")
+    if d * d > MAX_LISTED_EIGENVALUES:
+        raise ResourceLimitError(
+            f"the synchronous map has {d * d} eigenvalues to list, over the cap "
+            f"{MAX_LISTED_EIGENVALUES}")
+    place = n ** np.arange(m - 1, -1, -1)  # site 1 is the most significant digit
+    maps = transposition_maps(m, n)
+    swaps = [e for c in comps for e in itertools.combinations(c, 2)]
+    bmaps = np.array([maps[e] for e in swaps], dtype=np.intp).reshape(-1, d)
+    where = np.empty(d * d, dtype=np.intp)  # where[rows[r]] = r, for the class at hand
+    plans = []
+    for profile in itertools.product(*(_partitions(len(c), q) for c in comps)):
+        count = math.prod(_multinomial([q - len(lam), *Counter(lam).values()])
+                          for lam in profile)
+        letters = np.zeros((1, m), dtype=np.intp)
+        for comp, lam in zip(comps, profile):
+            arr = _arrangements(lam)
+            letters = np.repeat(letters, len(arr), axis=0)
+            letters[:, [s - 1 for s in comp]] = np.tile(arr, (len(letters) // len(arr), 1))
+        rows = np.sort((letters // n) @ place + d * ((letters % n) @ place))
+        where[rows] = np.arange(len(rows))
+        # a swap keeps the class's orbit, so every image is one of its rows
+        cols = where[bmaps[:, rows % d] + d * bmaps[:, rows // d]]
+        for a in (rows, cols):
+            a.setflags(write=False)
+        plans.append((count, rows, MappingProxyType(dict(zip(swaps, cols)))))
+    return tuple(plans)
 
 
 def synchronous_classes(graph: InteractionGraph, alpha: float) -> Iterator[ClassBlock]:
@@ -581,40 +635,21 @@ def synchronous_classes(graph: InteractionGraph, alpha: float) -> Iterator[Class
     from multinomials and may have at most ``MAX_TOTAL_DIM`` rows, and the
     map's ``d**2`` eigenvalues, which the certificate lists, at most
     ``MAX_LISTED_EIGENVALUES``.
+
+    The counts, the (read-only) rows and each swap's block columns depend on
+    the shape and the components alone and are built once for the last two
+    of them (:func:`_class_plans`); a call only fills the blocks from the
+    edge weights and ``alpha``.
     """
     if not graph.edges:
         raise ValidationError("the synchronous map needs at least one edge")
-    shape = graph.shape
-    m, n, d, q = shape.m, shape.n, shape.total_dim, shape.n ** 2
-    comps = graph.components()
-    largest = math.prod(_multinomial([len(c) // q + (k < len(c) % q) for k in range(q)])
-                        for c in comps)
-    if largest > MAX_TOTAL_DIM:
-        raise ResourceLimitError(
-            f"the largest orbit block of the synchronous map has {largest} rows "
-            f"({largest * largest * 8 / 2 ** 20:.0f} MiB as float64), over the cap "
-            f"{MAX_TOTAL_DIM}")
-    if d * d > MAX_LISTED_EIGENVALUES:
-        raise ResourceLimitError(
-            f"the synchronous map has {d * d} eigenvalues to list, over the cap "
-            f"{MAX_LISTED_EIGENVALUES}")
-    place = n ** np.arange(m - 1, -1, -1)  # site 1 is the most significant digit
-    bmaps = _basis_maps(graph)
-    for profile in itertools.product(*(_partitions(len(c), q) for c in comps)):
-        count = math.prod(_multinomial([q - len(lam), *Counter(lam).values()])
-                          for lam in profile)
-        letters = np.zeros((1, m), dtype=np.intp)
-        for comp, lam in zip(comps, profile):
-            arr = np.array(_arrangements(lam), dtype=np.intp)
-            letters = np.repeat(letters, len(arr), axis=0)
-            letters[:, [s - 1 for s in comp]] = np.tile(arr, (len(letters) // len(arr), 1))
-        rows = np.sort((letters // n) @ place + d * ((letters % n) @ place))
-        i, j = rows % d, rows // d
+    for count, rows, positions in _class_plans(graph.shape.m, graph.shape.n,
+                                               graph.components()):
         diag = np.arange(len(rows))
         block = np.zeros((len(rows), len(rows)))
         block[diag, diag] = 1.0 - alpha
-        for b, w in zip(bmaps, graph.weights):
-            block[diag, np.searchsorted(rows, b[i] + d * b[j])] += alpha * w
+        for e, w in zip(graph.edges, graph.weights):
+            block[diag, positions[e]] += alpha * w
         yield ClassBlock(block, count, rows)
 
 
@@ -671,9 +706,11 @@ def spectral_certificate(blocks: Iterable[np.ndarray | ClassBlock],
         else:
             spectra.append(np.linalg.eigvals(item))
             block_count += 1
+    if not spectra:
+        raise ValidationError("the certificate needs at least one block")
     evals = np.concatenate(spectra)
-    max_imag = float(np.max(np.abs(evals.imag))) if evals.size else 0.0
-    violation = float(np.max(np.abs(evals - q0) - (1.0 - q0))) if evals.size else 0.0
+    max_imag = float(np.max(np.abs(evals.imag)))
+    violation = float(np.max(np.abs(evals - q0) - (1.0 - q0)))
     disk_ok = violation <= DISK_TOL
     unit_mask = np.abs(evals - 1.0) <= DISK_TOL
     rest = evals[~unit_mask]
@@ -902,10 +939,12 @@ def probability_one_convergence_experiment(
     trial's distance does not depend on the chunk), into the step's row of
     the block's distances. After each block one difference along the steps
     gives the largest rise and the first one above ``CONTRACTION_TOL``, in
-    step order and then trial order; chunks run in trial order. The gather
-    index comes from :func:`_flat_gathers`: copied from a table of every
-    edge's flat gather when the table fits in a quarter of
-    ``ENSEMBLE_CHUNK_BYTES``, and built from the step's basis maps
+    step order and then trial order. Chunks run in trial order; a chunk stops
+    at its first rise, later chunks stop at that rise's step, and the error
+    names the earliest rise of the run, at its lowest trial, whatever the
+    chunk size. The gather index comes from :func:`_flat_gathers`: copied
+    from a table of every edge's flat gather when the table fits in a quarter
+    of ``ENSEMBLE_CHUNK_BYTES``, and built from the step's basis maps
     otherwise. Half the budget holds the table and the chunk's states,
     gathers, gather indices and twirl rows, 56 bytes per trial and entry of
     ``rho``; the other half holds the edge draws and distances, 16 bytes per
@@ -941,16 +980,19 @@ def probability_one_convergence_experiment(
     flat = x.reshape(-1)
 
     successes, worst_final, worst_rise = 0, 0.0, 0.0
+    first_rise = None  # (step, trial, rise): the earliest, at the lowest trial
     for lo in range(0, num_trials, chunk):
         k = min(chunk, num_trials - lo)
+        # once a rise is found, a later chunk can only name one at an earlier step
+        end = horizon if first_rise is None else first_rise[0]
         schedules = [edge_schedule(graph, config, trial_rng(seed, trial), block)
                      for trial in range(lo, lo + k)]
         xs, gs, index_k, offsets_k, star_k = x[:k], g[:k], index[:k], offsets[:k], star[:k]
         xs_f, gs_f = xs.view(np.float64), gs.view(np.float64)
         xs[:] = rho0.matrix.reshape(1, dd)
         sq_distance_rows(xs_f, star_k, gs_f, dist[0, :k])
-        for t0 in range(0, horizon, block):
-            steps = min(block, horizon - t0)
+        for t0 in range(0, end, block):
+            steps = min(block, end - t0)
             for j, trial_edges in enumerate(schedules):
                 edges[:steps, j] = next(trial_edges)[:steps]
             for step_edges, step_dist in zip(edges[:steps, :k], dist[1:, :k]):
@@ -969,12 +1011,16 @@ def probability_one_convergence_experiment(
             up = np.flatnonzero(rise > CONTRACTION_TOL)
             if len(up):
                 t, j = divmod(int(up[0]), k)
-                raise ConsistencyError(f"squared distance to the twirl increased by "
-                                       f"{rise[t, j]:.3e} in trial {lo + j}")
+                first_rise = (t0 + t, lo + j, rise[t, j])
+                break
             worst_rise = max(worst_rise, float(rise.max()))
             dist[0] = dist[steps]
         worst_final = max(worst_final, float(dist[0, :k].max()))
         successes += int(np.count_nonzero(dist[0, :k] <= eps))
+    if first_rise is not None:
+        _, trial, value = first_rise
+        raise ConsistencyError(f"squared distance to the twirl increased by {value:.3e} "
+                               f"in trial {trial}")
     return ConvergenceExperiment(
         num_trials=num_trials, horizon=horizon, eps=eps, successes=successes,
         empirical_probability=successes / num_trials,

@@ -842,20 +842,61 @@ def test_class_blocks_certify_as_the_orbit_blocks(g, alpha):
         assert np.array_equal(c.block, dense[np.ix_(c.rows, c.rows)].real)
 
 
-def test_synchronous_classes_fail_before_building():
+def test_class_plans_are_built_once_per_shape():
+    # graphs of one shape share a plan: blocks, rows and counts are bitwise a cold build
+    shape = qg.NetworkShape(4, 2)
+    graphs = [(path_graph(4), 0.5),
+              (qg.InteractionGraph(shape, [(1, 3), (2, 4), (1, 4)], [0.5, 0.3, 0.2]), 0.3),
+              (qg.InteractionGraph(shape, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)],
+                                   [0.1, 0.2, 0.3, 0.15, 0.25]), 0.85),
+              (qg.InteractionGraph(shape, [(1, 2), (3, 4)], [0.6, 0.4]), 0.4)]
+    plans = gossip_module._class_plans
+    warm = [list(qg.synchronous_classes(g, alpha)) for g, alpha in graphs]
+    for (g, alpha), classes in zip(graphs, warm):
+        plans.cache_clear()
+        cold = list(qg.synchronous_classes(g, alpha))
+        assert len(classes) == len(cold)
+        for c, ref in zip(classes, cold):
+            assert c.count == ref.count
+            for a, b in ((c.block, ref.block), (c.rows, ref.rows)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    plans.cache_clear()
+    list(qg.synchronous_classes(graphs[0][0], 0.5))
+    info = plans.cache_info()
+    list(qg.synchronous_classes(graphs[1][0], 0.7))  # another graph of a seen shape
+    assert plans.cache_info().hits == info.hits + 1
+    assert plans.cache_info().misses == info.misses
+    for count, rows, positions in plans(4, 2, ((1, 2, 3, 4),)):
+        assert sorted(positions) == list(itertools.combinations(range(1, 5), 2))
+        with pytest.raises(TypeError):
+            positions[1, 2] = rows
+        for a in (rows, *positions.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+
+def test_synchronous_classes_fail_before_building(monkeypatch):
+    # the caps run before any letter arrangement is built, and nothing is cached
+    arranged, real = [], gossip_module._arrangements
+    monkeypatch.setattr(gossip_module, "_arrangements",
+                        lambda counts: arranged.append(counts) or real(counts))
+    gossip_module._class_plans.cache_clear()
     # the largest block is the most even letter split: 9!/(3! 2! 2! 2!) rows at m=9
     with pytest.raises(qg.ResourceLimitError, match="7560 rows"):
         next(qg.synchronous_classes(path_graph(9), 0.5))
-    with pytest.raises(qg.ValidationError):
-        next(qg.synchronous_classes(qg.InteractionGraph(qg.NetworkShape(3, 2), []), 0.5))
-    assert next(qg.synchronous_classes(path_graph(8), 0.5)).count == 4  # 2520 rows fit
-    # small components keep every block small, whatever m
-    split = qg.InteractionGraph(qg.NetworkShape(9, 2), [(1, 2), (3, 4)])
-    assert max(len(c.rows) for c in qg.synchronous_classes(split, 0.5)) == 4
-    # but the certificate lists all 4**m eigenvalues
+    # small components pass the block cap, but the certificate lists all
+    # 4**m eigenvalues
     split = qg.InteractionGraph(qg.NetworkShape(10, 2), [(1, 2), (3, 4)])
     with pytest.raises(qg.ResourceLimitError, match="1048576 eigenvalues"):
         next(qg.synchronous_classes(split, 0.5))
+    assert not arranged and gossip_module._class_plans.cache_info().currsize == 0
+    with pytest.raises(qg.ValidationError):
+        next(qg.synchronous_classes(qg.InteractionGraph(qg.NetworkShape(3, 2), []), 0.5))
+    assert next(qg.synchronous_classes(path_graph(8), 0.5)).count == 4  # 2520 rows fit
+    assert arranged
+    # small components keep every block small, whatever m
+    split = qg.InteractionGraph(qg.NetworkShape(9, 2), [(1, 2), (3, 4)])
+    assert max(len(c.rows) for c in qg.synchronous_classes(split, 0.5)) == 4
 
 
 def test_modulus_gap_and_second_eigenvalue_differ_past_one_half():
@@ -883,6 +924,8 @@ def test_certificate_validates_q0():
         qg.spectral_certificate([sop], q0=0.0)
     with pytest.raises(qg.ValidationError):
         qg.spectral_certificate([sop], q0=1.5)
+    with pytest.raises(qg.ValidationError, match="at least one block"):
+        qg.spectral_certificate([], q0=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -1220,19 +1263,26 @@ def test_experiment_rejects_a_rising_distance(monkeypatch):
     def first_rise(rises, budget):
         """The error message when ``rises[(step, trial)]`` is added to that
         trial's squared distance after that step (step 0: the start)."""
-        calls, chunk = itertools.count(), [0, 0]  # first trial and size of the chunk
+        started, chunk = [], {}  # trials whose streams were made; the chunk's first trial
+
+        def new_chunk(seed, trial):
+            started.append(trial)
+            return trial_rng(seed, trial)
 
         def rising(x, y, scratch, out=None):
             res = real(x, y, scratch, out)
-            step = next(calls) % (horizon + 1)  # each chunk: once at the start, once a step
-            if step == 0:
-                chunk[:] = [chunk[0] + chunk[1], len(x)]
+            if started:  # a chunk makes its trials' streams, then measures its start
+                chunk.update(lo=started[0], step=0)
+                started.clear()
+            else:
+                chunk["step"] += 1
             for (at, trial), extra in rises.items():
-                if at == step and 0 <= trial - chunk[0] < len(x):
-                    res[trial - chunk[0]] += extra
+                if at == chunk["step"] and 0 <= trial - chunk["lo"] < len(x):
+                    res[trial - chunk["lo"]] += extra
             return res
 
         with mock.patch.object(gossip_module, "sq_distance_rows", rising), \
+                mock.patch.object(gossip_module, "trial_rng", new_chunk), \
                 mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
             with pytest.raises(qg.ConsistencyError) as err:
                 qg.probability_one_convergence_experiment(
@@ -1249,11 +1299,11 @@ def test_experiment_rejects_a_rising_distance(monkeypatch):
         value = float(messages["default"].split("increased by ")[1].split()[0])
         [extra] = [v for (_, t), v in rises.items() if t == trial]
         assert value == pytest.approx(extra, abs=0.1)  # less the step's own fall
-    # a later trial rising at an earlier step wins within a chunk; chunks run
-    # in trial order, so one-trial chunks report the earlier trial
+    # a later trial rising at an earlier step wins, within a chunk and across
+    # chunks: the error does not depend on the chunk size
     rises = {(7, 2): 1.0, (3, 3): 0.5}
-    for name, trial in (("default", 3), ("two", 3), ("one", 2)):
-        assert first_rise(rises, budgets[name]).endswith(f" in trial {trial}")
+    for budget in budgets.values():
+        assert first_rise(rises, budget).endswith(" in trial 3")
 
 
 @pytest.mark.parametrize("m", [8, 9])
