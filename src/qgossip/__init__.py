@@ -20,8 +20,8 @@ from .gossip import (ClassBlock, ConvergenceExperiment, GossipConfig, Interactio
                      dual_fixed_point_check, edge_schedule, evolve,
                      fixed_point_space, gossip_update,
                      probability_one_convergence_experiment, s_average_check,
-                     spectral_certificate, synchronous_blocks,
-                     synchronous_classes, synchronous_superoperator)
+                     spectral_certificate, synchronous_classes,
+                     synchronous_superoperator)
 from .linalg import (NetworkShape, eigh, frobenius_distance, kron, kron_all,
                      partial_trace)
 from .scenario import RunManifest, Scenario, load_scenario

@@ -16,24 +16,26 @@ moving entries. :func:`gossip_update`, the one trajectory step kernel, reads
 ``rho`` as its ``(n,)*2m`` tensor, one axis per site for the rows and one for
 the columns: ``U_jk rho U_jk^dagger`` is the view with axes ``(j, k)`` and
 ``(m+j, m+k)`` exchanged, so a step builds no index. The ensemble, which
-applies a different edge on each trial row, and the superoperators keep flat
-gathers: a superoperator is the ``(d**2, d**2)`` array ``(1 - alpha) I +
-alpha sum_e q_e P_e`` acting on ``rho.ravel()``, with ``P_e`` the flat gather
-of edge e's swap, which keeps every entry in its orbit. A swap is a real
-symmetric permutation matrix, so these maps commute with transposition and
-need no other flattening. Orbits whose letter counts agree have
-permutation-similar, real symmetric blocks, so the spectrum is certified from
-one block per isomorphism class (:func:`synchronous_classes`, solved with
-``eigvalsh``); its size, not the dense ``MAX_SUPEROP_DIM``, is what is
-capped. The classes' counts, rows and every in-component swap's block
-columns depend only on ``(m, n, components)``: they are built once per key
-(:func:`_class_plans`, which keeps the two most recent, at most 1.9 MB each:
-``m = 8``, ``n = 2``, one component), so a call only fills the blocks from
-the weights and ``alpha``, and a one-shot run pays one build, as before.
-The per-orbit blocks (:func:`synchronous_blocks`), the dense
-:func:`synchronous_superoperator` and the brute-force
-:func:`commutant_dimension` are kept as independent references for the
-tests.
+applies a different edge on each trial row, the superoperators and the
+spectrum's class plans index entries through the swap's basis map instead,
+the same axis exchange on the ``(n,)*m`` tensor of basis indices
+(:func:`_swap_maps`). A superoperator is the ``(d**2, d**2)`` array
+``(1 - alpha) I + alpha sum_e q_e P_e`` acting on ``rho.ravel()``, with
+``P_e`` the flat gather of edge e's swap, which keeps every entry in its
+orbit. A swap is a real symmetric permutation matrix, so these maps commute
+with transposition and need no other flattening. Orbits whose letter
+counts agree have permutation-similar, real symmetric blocks, so the
+spectrum is certified from one block per isomorphism class
+(:func:`synchronous_classes`, solved with ``eigvalsh``); its size, not the
+dense ``MAX_SUPEROP_DIM``, is what is capped. The classes' counts, rows
+and every in-component swap's block columns depend only on
+``(m, n, components)``: they are built once per key (:func:`_class_plans`,
+which keeps the two most recent, at most 1.9 MB each: ``m = 8``, ``n = 2``,
+one component), so a call only fills the blocks from the weights and
+``alpha``, and a one-shot run pays one build, as before.
+The dense :func:`synchronous_superoperator`, whose orbit blocks the tests
+slice out, and the brute-force :func:`commutant_dimension` are kept as
+independent references for the tests.
 
 :func:`evolve` steps a trajectory into a block of states, one ``rho.ravel()``
 per row of a buffer of ``RECORD_BLOCK_BYTES`` (128 KiB, and never fewer than
@@ -77,7 +79,7 @@ from .rng import draw_index, make_rng, trial_rng
 from .states import (DensityOperator, Observable, conjugate_by_basis_map,  # noqa: F401
                      is_permutation_invariant, lift_local, local_expectation_rows,
                      local_expectations, local_hermitian_basis, orbit_labels,
-                     site_average, transposition_maps, twirl_matrix)
+                     site_average, twirl_matrix)
 
 ALL_EDGE_STRATEGIES = ("synchronous", "expected")  # every step applies every edge
 STRATEGIES = ("random", "cyclic") + ALL_EDGE_STRATEGIES
@@ -105,6 +107,11 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def _check_steps(steps) -> None:
+    if not _is_int(steps) or steps < 0:
+        raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
 
 
 class InteractionGraph:
@@ -188,8 +195,8 @@ class GossipConfig:
     rejected, never truncated); "random" needs a seed. ``cycle_order``
     lists 0-based indices into the graph's edge tuple and must cover every
     edge at least once; it defaults to the natural order.
-    ``stop_gap``, when set, ends the run early once the recorded ssc gap
-    falls below it.
+    ``stop_gap``, when set, is a finite nonnegative real (bools rejected)
+    and ends the run early once the recorded ssc gap falls below it.
     """
 
     alpha: float
@@ -204,14 +211,17 @@ class GossipConfig:
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"strategy {self.strategy!r} not in {STRATEGIES}")
-        if not _is_int(self.steps) or self.steps < 0:
-            raise ValidationError(f"steps must be a nonnegative integer, got {self.steps!r}")
+        _check_steps(self.steps)
         if self.seed is not None and (not _is_int(self.seed) or self.seed < 0):
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.strategy == "random" and self.seed is None:
             raise ValidationError("random strategy requires a seed")
         if self.cycle_order is not None and self.strategy != "cyclic":
             raise ValidationError("cycle_order is only meaningful for the cyclic strategy")
+        if self.stop_gap is not None and not (
+                _is_real(self.stop_gap) and 0.0 <= self.stop_gap < math.inf):
+            raise ValidationError(
+                f"stop_gap must be a finite nonnegative number, got {self.stop_gap!r}")
 
     def resolved_cycle_order(self, graph: InteractionGraph) -> tuple[int, ...]:
         if self.cycle_order is None:
@@ -275,14 +285,6 @@ def edge_schedule(graph: InteractionGraph, config: GossipConfig,
 # channels
 # ---------------------------------------------------------------------------
 
-def _basis_maps(graph: InteractionGraph) -> np.ndarray:
-    """The read-only ``(E, d)`` stack of the edges' swap basis maps, in edge order."""
-    maps = transposition_maps(graph.shape.m, graph.shape.n)
-    b = np.array([maps[e] for e in graph.edges], dtype=np.intp).reshape(-1, graph.shape.total_dim)
-    b.setflags(write=False)
-    return b
-
-
 @functools.lru_cache(maxsize=None)
 def _swap_axes(m: int, j: int, k: int) -> tuple[int, ...]:
     """The axis order of the ``(n,)*2m`` tensor of a ``d x d`` matrix that
@@ -292,6 +294,15 @@ def _swap_axes(m: int, j: int, k: int) -> tuple[int, ...]:
     for a in (j - 1, m + j - 1):
         axes[a], axes[a + k - j] = axes[a + k - j], axes[a]
     return tuple(axes)
+
+
+def _swap_maps(m: int, n: int, pairs) -> np.ndarray:
+    """The ``(len(pairs), n**m)`` basis maps of the swaps of the site pairs
+    ``(j, k)``: ``U_jk |x> = |b[x]>``, the basis indices as an ``(n,)*m``
+    tensor with site axes j and k exchanged."""
+    index = np.arange(n ** m).reshape((n,) * m)
+    return np.array([index.transpose(_swap_axes(m, j, k)[:m]).ravel() for j, k in pairs],
+                    dtype=np.intp).reshape(-1, n ** m)
 
 
 def gossip_update(x: np.ndarray, shape: NetworkShape, edges, weights, alpha: float,
@@ -509,32 +520,10 @@ def synchronous_superoperator(graph: InteractionGraph, alpha: float) -> np.ndarr
     acc = np.zeros((d * d, d * d), dtype=np.complex128)
     rows = np.arange(d * d)
     acc[rows, rows] = 1.0 - alpha
-    for gather, q in zip(_flat_gathers(_basis_maps(graph)), graph.weights):
+    gathers = _flat_gathers(_swap_maps(graph.shape.m, graph.shape.n, graph.edges))
+    for gather, q in zip(gathers, graph.weights):
         acc[rows, gather] += alpha * q
     return acc
-
-
-def synchronous_blocks(graph: InteractionGraph, alpha: float) -> Iterator[np.ndarray]:
-    """:func:`synchronous_superoperator` one orbit block at a time (a generator).
-
-    Every ``P_e`` keeps an entry's joint type (:func:`orbit_labels`), so each
-    orbit spans a block: bitwise ``dense[np.ix_(rows, rows)]``, rows increasing.
-    One scatter per edge fills all blocks in one buffer (6 MB at m=6, n=2).
-    """
-    if not graph.edges:
-        raise ValidationError("the synchronous map needs at least one edge")
-    _check_superop_dim(graph.shape)
-    lab, sizes = orbit_labels(graph.shape.m, graph.shape.n, graph.components())
-    # rank[v]: v's place in its orbit; block entry (v, w) is flat[row[v] + rank[w]]
-    rank = np.argsort(np.argsort(lab, kind="stable")) - (np.cumsum(sizes) - sizes)[lab]
-    offsets = np.cumsum(sizes * sizes) - sizes * sizes
-    row = offsets[lab] + rank * sizes[lab]
-    flat = np.zeros(np.dot(sizes, sizes), dtype=np.complex128)
-    flat[row + rank] = 1.0 - alpha
-    for gather, q in zip(_flat_gathers(_basis_maps(graph)), graph.weights):
-        flat[row + rank[gather]] += alpha * q
-    for offset, size in zip(offsets, sizes):
-        yield flat[offset:offset + size * size].reshape(size, size)
 
 
 class ClassBlock(NamedTuple):
@@ -594,9 +583,8 @@ def _class_plans(m: int, n: int, comps: tuple[tuple[int, ...], ...]) -> tuple[tu
             f"the synchronous map has {d * d} eigenvalues to list, over the cap "
             f"{MAX_LISTED_EIGENVALUES}")
     place = n ** np.arange(m - 1, -1, -1)  # site 1 is the most significant digit
-    maps = transposition_maps(m, n)
     swaps = [e for c in comps for e in itertools.combinations(c, 2)]
-    bmaps = np.array([maps[e] for e in swaps], dtype=np.intp).reshape(-1, d)
+    bmaps = _swap_maps(m, n, swaps)
     where = np.empty(d * d, dtype=np.intp)  # where[rows[r]] = r, for the class at hand
     plans = []
     for profile in itertools.product(*(_partitions(len(c), q) for c in comps)):
@@ -618,7 +606,7 @@ def _class_plans(m: int, n: int, comps: tuple[tuple[int, ...], ...]) -> tuple[tu
 
 
 def synchronous_classes(graph: InteractionGraph, alpha: float) -> Iterator[ClassBlock]:
-    """The orbit blocks of :func:`synchronous_blocks`, one per isomorphism class.
+    """The orbit blocks of :func:`synchronous_superoperator`, one per isomorphism class.
 
     Relabelling the ``n**2`` pair letters on one component's sites commutes
     with every edge swap, so orbits whose joint types have the same sorted
@@ -691,8 +679,8 @@ def spectral_certificate(blocks: Iterable[np.ndarray | ClassBlock],
     A :class:`ClassBlock` (from :func:`synchronous_classes`) is real
     symmetric: it is solved once with ``eigvalsh`` and its eigenvalues repeat
     ``count`` times, one copy per orbit it stands for. Any other item is a
-    square matrix solved with ``eigvals``: an orbit block of
-    :func:`synchronous_blocks`, or ``[sop]`` for a dense map such as a
+    square matrix solved with ``eigvals``: an orbit block sliced out of
+    :func:`synchronous_superoperator`, or ``[sop]`` for a dense map such as a
     cyclic sweep, which is not symmetric.
     """
     if not 0.0 < q0 <= 1.0:
@@ -740,7 +728,7 @@ def commutant_dimension(graph: InteractionGraph) -> int:
         return d * d
     eye = np.eye(d, dtype=np.complex128)
     normal = np.zeros((d * d, d * d), dtype=np.complex128)
-    for b in _basis_maps(graph):
+    for b in _swap_maps(graph.shape.m, graph.shape.n, graph.edges):
         u = eye[b]
         c = np.kron(eye, u) - np.kron(u, eye)
         normal += c.conj().T @ c
@@ -805,7 +793,10 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
     ``Tr[S rho_t]`` (``conservation_drift``), but no local observable reaches
     it: ``limit_mismatch`` reports the gap between ``Tr[S rho_0]`` and the
     consensus values produced by the best local approximation of S.
+    ``alpha`` must lie in (0, 1) and ``steps`` be a nonnegative integer.
     """
+    check_alpha(alpha)
+    _check_steps(steps)
     shape = graph.shape
     s_mat = require_hermitian(s_operator, what="site-average candidate")
     if s_mat.shape[0] != shape.total_dim:
@@ -875,6 +866,7 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
     shape = graph.shape
     s_mat = require_hermitian(s_operator, what="dual fixed-point candidate")
     check_alpha(alpha)
+    _check_steps(steps)
     if shape.m > 1 and not graph.edges:
         raise ValidationError("the dual fixed-point check needs at least one edge")
     sweep = [[e] for e in graph.edges] or [[]]  # one site: no edge
@@ -944,13 +936,13 @@ def probability_one_convergence_experiment(
     names the earliest rise of the run, at its lowest trial, whatever the
     chunk size. The gather index comes from :func:`_flat_gathers`: copied
     from a table of every edge's flat gather when the table fits in a quarter
-    of ``ENSEMBLE_CHUNK_BYTES``, and built from the step's basis maps
-    otherwise. Half the budget holds the table and the chunk's states,
-    gathers, gather indices and twirl rows, 56 bytes per trial and entry of
-    ``rho``; the other half holds the edge draws and distances, 16 bytes per
-    trial and step. When one trial's state does not fit, a chunk is a single
-    trial, whose state, gather, gather index and twirl take 3.5 complex
-    ``d x d`` matrices besides ``rho_0``.
+    of ``ENSEMBLE_CHUNK_BYTES``, and built from the step's rows of the
+    edges' :func:`_swap_maps` otherwise. Half the budget holds the table and
+    the chunk's states, gathers, gather indices and twirl rows, 56 bytes per
+    trial and entry of ``rho``; the other half holds the edge draws and
+    distances, 16 bytes per trial and step. When one trial's state does not
+    fit, a chunk is a single trial, whose state, gather, gather index and
+    twirl take 3.5 complex ``d x d`` matrices besides ``rho_0``.
     """
     shape = rho0.shape
     if graph.shape != shape:
@@ -965,7 +957,7 @@ def probability_one_convergence_experiment(
     check_alpha(alpha)
     config = GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
     dd = shape.total_dim ** 2
-    bmaps = _basis_maps(graph)
+    bmaps = _swap_maps(shape.m, shape.n, graph.edges)
     table = _flat_gathers(bmaps) if 8 * len(bmaps) * dd <= ENSEMBLE_CHUNK_BYTES // 4 else None
     trial_bytes = ENSEMBLE_CHUNK_BYTES // 2 - (0 if table is None else table.nbytes)
     chunk = min(num_trials, max(1, trial_bytes // (56 * dd)))

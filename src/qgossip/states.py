@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -104,22 +103,6 @@ def _site_digits(m: int, n: int) -> np.ndarray:
     for i in range(m):
         digits[:, i] = (idx // n ** (m - 1 - i)) % n
     return digits
-
-
-@lru_cache(maxsize=16)
-def transposition_maps(m: int, n: int) -> MappingProxyType:
-    """Read-only ``{(j, k): basis_index_map((j k))}`` for all 1 <= j < k <= m.
-
-    Built once per shape and shared by the gossip steps and superoperators:
-    m(m-1)/2 int64 arrays of length n**m (2.2 MB at m=12, n=2).
-    """
-    shape = NetworkShape(m, n)
-    maps = {}
-    for j, k in itertools.combinations(shape.sites(), 2):
-        bmap = basis_index_map(Permutation.transposition(m, j, k), shape)
-        bmap.setflags(write=False)
-        maps[j, k] = bmap
-    return MappingProxyType(maps)
 
 
 @lru_cache(maxsize=16)

@@ -5,13 +5,18 @@ They share nothing with the package's relabelling kernels, product kets or
 gather indices, so they serve as independent oracles for them. Superoperators
 act on ``x.ravel()``, where ``(A @ x @ B).ravel() == kron(A, B.T) @ x.ravel()``.
 
+:func:`orbit_blocks` is the exception: it slices the package's dense
+:func:`qgossip.synchronous_superoperator` (checked against
+:func:`gossip_superoperator` in the tests) by the package's orbit labels,
+the reference for the class blocks of :func:`qgossip.synchronous_classes`.
+
 :func:`evolve_per_step` is the trajectory loop one step at a time, the oracle
 for the blocks of :func:`qgossip.evolve`: it measures each state with the
 one-matrix forms of the record kernels and draws one edge per step.
 
 :func:`scatter_update` is the gossip step as one basis-map scatter per edge
-(``states.conjugate_by_basis_map``), the bitwise oracle for the transposed
-views of :func:`qgossip.gossip_update`.
+(``states.conjugate_by_basis_map`` of ``states.basis_index_map``), the
+bitwise oracle for the transposed views of :func:`qgossip.gossip_update`.
 """
 
 import numpy as np
@@ -19,7 +24,8 @@ import numpy as np
 import qgossip as qg
 from qgossip import gossip
 from qgossip.consensus import matrix_smc_defect, sym_kets
-from qgossip.states import conjugate_by_basis_map, local_expectations, transposition_maps
+from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
+                            orbit_labels)
 
 
 def permutation_unitary(perm, shape):
@@ -55,6 +61,16 @@ def apply(sop, x):
     return (sop @ np.asarray(x).ravel()).reshape(np.shape(x))
 
 
+def orbit_blocks(graph, alpha):
+    """The orbit blocks ``dense[np.ix_(rows, rows)]`` of the dense synchronous
+    map, one per orbit of ``orbit_labels`` over the graph's components, each
+    with its rows increasing."""
+    dense = qg.synchronous_superoperator(graph, alpha)
+    labels, sizes = orbit_labels(graph.shape.m, graph.shape.n, graph.components())
+    return [dense[np.ix_(rows, rows)]
+            for rows in (np.flatnonzero(labels == o) for o in range(len(sizes)))]
+
+
 def kron_sym_projector(sigma, m):
     """``Pi_sym = sum_j P_j^(x)m`` as a Kronecker sum of sigma's spectral projectors."""
     return sum(qg.kron_all([p] * m) for p in sigma.projectors)
@@ -69,10 +85,10 @@ def scatter_update(x, shape, edges, weights, alpha, out=None):
             return x.copy()
         np.copyto(out, x)
         return out
-    maps = transposition_maps(shape.m, shape.n)
     out = np.multiply(x, 1.0 - alpha, out=out)
     for e, q in zip(edges, weights):
-        moved = conjugate_by_basis_map(x, maps[tuple(e)])
+        moved = conjugate_by_basis_map(
+            x, basis_index_map(qg.Permutation.transposition(shape.m, *e), shape))
         moved *= alpha * q
         out += moved
     return out

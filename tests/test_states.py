@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qgossip as qg
+from qgossip import gossip
 from qgossip.consensus import ssc_gap
 from qgossip.linalg import PSD_TOL
 from qgossip.rng import complex_ginibre, make_rng
@@ -15,7 +16,7 @@ from qgossip.states import (Permutation, basis_index_map, check_projector_family
                             conjugate_by_basis_map, is_permutation_invariant,
                             local_expectations, local_hermitian_basis,
                             local_reduced_states, orbit_labels, parse_sigma,
-                            trace_index, transposition_maps)
+                            trace_index)
 from reference import apply, gossip_superoperator, permutation_unitary, swap_unitary
 
 SZ = qg.PAULI["z"]
@@ -56,18 +57,16 @@ def test_permutation_helpers():
     assert tr(1) == 3 and tr(3) == 1 and tr(2) == 2
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (4, 2), (3, 3)])
-def test_transposition_maps_are_shared_read_only_basis_maps(m, n):
+@pytest.mark.parametrize("m,n", [(1, 2), (4, 2), (3, 3), (2, 4)])
+def test_swap_maps_are_the_basis_maps(m, n):
+    # the axis exchange against the digit-matmul route of basis_index_map
     shape = qg.NetworkShape(m, n)
-    maps = transposition_maps(m, n)
-    assert transposition_maps(m, n) is maps
-    assert sorted(maps) == list(itertools.combinations(range(1, m + 1), 2))
-    for (j, k), bmap in maps.items():
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    maps = gossip._swap_maps(m, n, pairs)
+    assert maps.shape == (len(pairs), n ** m) and maps.dtype == np.intp
+    for (j, k), bmap in zip(pairs, maps):
         np.testing.assert_array_equal(
             bmap, basis_index_map(Permutation.transposition(m, j, k), shape))
-        assert not bmap.flags.writeable
-    with pytest.raises(TypeError):
-        maps[1, 1] = None
 
 
 def test_permutation_unitary_relabels_sites():
@@ -402,12 +401,12 @@ def coset_twirl(x, shape):
     Every pi in S_k factors uniquely as ``sigma tau`` with sigma in S_(k-1)
     and tau in {id, (1 k), ..., (k-1 k)}: m(m-1)/2 relabellings.
     """
-    maps = transposition_maps(shape.m, shape.n)
     a = x
     for k in range(2, shape.m + 1):
         acc = a.copy()
         for j in range(1, k):
-            acc += conjugate_by_basis_map(a, maps[j, k])
+            acc += conjugate_by_basis_map(
+                a, basis_index_map(Permutation.transposition(shape.m, j, k), shape))
         a = acc / k
     return a
 
