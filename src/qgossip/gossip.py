@@ -53,7 +53,11 @@ in-place mix and one :func:`sq_distance_rows` per time step into a row of
 the block's distances, and one rise check per block. Every swap's flat
 gather, the edge table of small shapes and the per-step index of large ones,
 comes from :func:`_flat_gathers`. A chunk's working arrays fit in
-``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is one trial.
+``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is one trial. The whole-chunk arrays
+(states, gathers, gather index, tiled twirl and, with an edge table, row
+offsets) start on 64-byte boundaries (:func:`_aligned_empty`), so no vector
+load of a step's passes straddles two cache lines and a chunk's speed does
+not depend on where the allocator put it.
 """
 
 from __future__ import annotations
@@ -227,6 +231,14 @@ class GossipConfig:
         if self.cycle_order is None:
             return _check_cycle_order(range(len(graph.edges)), graph)
         return _check_cycle_order(self.cycle_order, graph)
+
+
+def _warn_if_disconnected(graph: InteractionGraph) -> None:
+    """Warn, at the caller of the function calling this, that no schedule can
+    reach the global twirl on ``graph``."""
+    if not graph.is_connected():
+        warnings.warn("interaction graph is disconnected; consensus will be "
+                      "blockwise only", stacklevel=3)
 
 
 def _check_cycle_order(order, graph: InteractionGraph) -> tuple[int, ...]:
@@ -415,9 +427,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
         raise ValidationError("sigma dimension does not match the network")
     if shape.m > 1 and not graph.edges:
         raise ValidationError(f"{config.strategy} strategy needs at least one edge")
-    if not graph.is_connected():
-        warnings.warn("interaction graph is disconnected; consensus will be "
-                      "blockwise only", stacklevel=2)
+    _warn_if_disconnected(graph)
 
     kets = sym_kets(obs, shape.m)
     star = twirl_matrix(rho0.matrix, shape)
@@ -890,6 +900,20 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
 # probability-one convergence experiment
 # ---------------------------------------------------------------------------
 
+def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array whose first byte lies on a 64-byte
+    boundary. numpy has no aligned ``empty``: this slices a ``uint8`` buffer
+    64 bytes too long at its first aligned byte and views it as ``dtype``.
+    On a row of a multiple of 64 bytes no vector load of the ensemble's
+    whole-chunk passes then straddles two cache lines, wherever the
+    allocator put the buffer."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 @dataclass(frozen=True)
 class ConvergenceExperiment:
     """Ensemble statistics for random-gossip convergence to the twirl."""
@@ -934,15 +958,25 @@ def probability_one_convergence_experiment(
     step order and then trial order. Chunks run in trial order; a chunk stops
     at its first rise, later chunks stop at that rise's step, and the error
     names the earliest rise of the run, at its lowest trial, whatever the
-    chunk size. The gather index comes from :func:`_flat_gathers`: copied
-    from a table of every edge's flat gather when the table fits in a quarter
-    of ``ENSEMBLE_CHUNK_BYTES``, and built from the step's rows of the
-    edges' :func:`_swap_maps` otherwise. Half the budget holds the table and
-    the chunk's states, gathers, gather indices and twirl rows, 56 bytes per
-    trial and entry of ``rho``; the other half holds the edge draws and
-    distances, 16 bytes per trial and step. When one trial's state does not
-    fit, a chunk is a single trial, whose state, gather, gather index and
-    twirl take 3.5 complex ``d x d`` matrices besides ``rho_0``.
+    chunk size. The gather index comes from :func:`_flat_gathers`, with
+    trial r's row offset ``r d**2`` added so the gather reads its own row of
+    the states. When a table of every edge's flat gather fits in a quarter of
+    ``ENSEMBLE_CHUNK_BYTES``, each step copies its rows of the table and adds
+    a ``(trials, d**2)`` array of the offsets, a same-shape add; otherwise it
+    builds the index from the step's rows of the edges' :func:`_swap_maps`
+    and adds the offsets as a ``(trials, 1)`` column.
+    Half the budget holds the table and the chunk's states, gathers, gather
+    indices, twirl rows and, with a table, offsets: 64 bytes per trial and
+    entry of ``rho`` with a table, 56 without; the other half holds the edge
+    draws and distances, 16 bytes per trial and step. The states, gathers,
+    gather index, twirl rows and offsets array start on 64-byte boundaries
+    (:func:`_aligned_empty`); the arithmetic is the same wherever they lie,
+    only its time is not. When one trial's state does not fit, a chunk is a
+    single trial, whose state, gather, gather index and twirl take 3.5
+    complex ``d x d`` matrices besides ``rho_0``.
+
+    A disconnected graph gets the ``UserWarning`` that :func:`evolve` gives: no
+    trial can reach ``twirl(rho_0)`` there.
     """
     shape = rho0.shape
     if graph.shape != shape:
@@ -955,18 +989,25 @@ def probability_one_convergence_experiment(
     if not (_is_real(eps) and 0.0 <= eps < math.inf):
         raise ValidationError(f"eps must be a finite nonnegative number, got {eps!r}")
     check_alpha(alpha)
+    _warn_if_disconnected(graph)
     config = GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
     dd = shape.total_dim ** 2
     bmaps = _swap_maps(shape.m, shape.n, graph.edges)
     table = _flat_gathers(bmaps) if 8 * len(bmaps) * dd <= ENSEMBLE_CHUNK_BYTES // 4 else None
     trial_bytes = ENSEMBLE_CHUNK_BYTES // 2 - (0 if table is None else table.nbytes)
-    chunk = min(num_trials, max(1, trial_bytes // (56 * dd)))
+    chunk = min(num_trials, max(1, trial_bytes // ((56 if table is None else 64) * dd)))
     block = min(horizon, max(1, ENSEMBLE_CHUNK_BYTES // (2 * 16 * chunk)))
-    star = np.tile(twirl_matrix(rho0.matrix, shape).reshape(1, dd).view(np.float64), (chunk, 1))
-    x = np.empty((chunk, dd), dtype=np.complex128)
-    g = np.empty_like(x)
-    index = np.empty((chunk, dd), dtype=np.intp)
+    star = _aligned_empty((chunk, 2 * dd), np.float64)
+    star[:] = twirl_matrix(rho0.matrix, shape).reshape(1, dd).view(np.float64)
+    x = _aligned_empty((chunk, dd), np.complex128)
+    g = _aligned_empty((chunk, dd), np.complex128)
+    index = _aligned_empty((chunk, dd), np.intp)
+    # trial r reads its entries from row r of x; with a table the offsets are
+    # a (chunk, d**2) array, so adding them to the copied index is no broadcast
     offsets = np.arange(chunk)[:, None] * dd
+    if table is not None:
+        offsets, rows_at = _aligned_empty((chunk, dd), np.intp), offsets
+        offsets[:] = rows_at
     edges = np.empty((block, chunk), dtype=np.intp)
     dist = np.empty((block + 1, chunk))  # row 0: the distances before the block's steps
     flat = x.reshape(-1)

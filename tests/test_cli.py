@@ -543,6 +543,16 @@ def test_ensemble_small_run(tmp_path):
     assert payload["max_distance_increase"] <= 1e-12
 
 
+def test_ensemble_on_a_disconnected_graph_warns(tmp_path, capsys):
+    scn = write_scenario(tmp_path, shape={"m": 4, "n": 2}, graph={"edges": [[1, 2], [3, 4]]},
+                         gossip={"strategy": "random", "seed": 3}, initial_state="1100")
+    with pytest.warns(UserWarning, match="disconnected"):
+        code = cli.main(["ensemble", scn, "--trials", "3", "--horizon", "40",
+                         "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert "0/3 trials within eps" in capsys.readouterr().out
+
+
 def test_ensemble_requires_seed(tmp_path):
     scn = write_scenario(tmp_path)  # cyclic scenario carries no seed
     assert cli.main(["ensemble", scn, "--trials", "2", "--horizon", "10"]) == 1

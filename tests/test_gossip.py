@@ -1,5 +1,6 @@
 """Tests for gossip channels, trajectories, superoperators, and certificates."""
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -955,6 +956,16 @@ def test_fixed_point_dimension_matches_commutant():
         assert dim == qg.commutant_dimension(g)
 
 
+def test_ensemble_on_a_disconnected_graph_warns():
+    g = qg.InteractionGraph(qg.NetworkShape(4, 2), [(1, 2), (3, 4)])
+    rho = qg.DensityOperator.from_ket(qg.basis_ket("1100", 2), g.shape)
+    with pytest.warns(UserWarning, match="disconnected") as record:
+        exp = qg.probability_one_convergence_experiment(
+            g, 0.5, rho, eps=1e-10, num_trials=3, horizon=50, seed=1)
+    assert record[0].filename == __file__  # reported at the caller
+    assert exp.successes == 0  # no trial can reach the global twirl
+
+
 def test_disconnected_graph_has_larger_fixed_space():
     shape = qg.NetworkShape(4, 2)
     split = qg.InteractionGraph(shape, [(1, 2), (3, 4)])
@@ -1197,7 +1208,7 @@ def test_batched_experiment_matches_the_per_trial_loop(g, alpha, trials, horizon
     # chunks of one trial and one-step draw blocks, or of two trials, change
     # nothing: every trial's arithmetic is independent of its chunk
     dd = g.shape.total_dim ** 2
-    for budget in (1, 2 * (2 * 56 + 8 * len(g.edges)) * dd):
+    for budget in (1, 2 * (2 * 64 + 8 * len(g.edges)) * dd):
         with mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
             chunked = qg.probability_one_convergence_experiment(
                 g, alpha, rho, eps=eps, num_trials=trials, horizon=horizon, seed=seed)
@@ -1260,12 +1271,19 @@ def test_experiment_rejects_a_rising_distance(monkeypatch):
 
     # rises injected at chosen (step, trial) places are reported in step order,
     # then trial order, under the default budget, one-step blocks of one-trial
-    # chunks, and two-trial chunks whose blocks of 256 steps end inside the run
+    # chunks, and two-trial chunks whose blocks of 288 steps end inside the run
     horizon = 300
     dd = g.shape.total_dim ** 2
     budgets = {"default": gossip_module.ENSEMBLE_CHUNK_BYTES, "one": 1,
-               "two": 2 * (2 * 56 + 8 * len(g.edges)) * dd}
+               "two": 2 * (2 * 64 + 8 * len(g.edges)) * dd}
+    block = budgets["two"] // (2 * 16 * 2)  # steps per draw block of a two-trial chunk
+    assert block == 288
     real = gossip_module.sq_distance_rows
+    with mock.patch.object(gossip_module, "sq_distance_rows", wraps=real) as measured, \
+            mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budgets["two"]):
+        qg.probability_one_convergence_experiment(
+            g, 0.5, rho, eps=1e-10, num_trials=4, horizon=horizon, seed=3)
+    assert {len(c.args[0]) for c in measured.call_args_list} == {2}
 
     def first_rise(rises, budget):
         """The error message when ``rises[(step, trial)]`` is added to that
@@ -1297,7 +1315,7 @@ def test_experiment_rejects_a_rising_distance(monkeypatch):
         return str(err.value)
 
     for rises, trial in [({(1, 0): 1.0}, 0), ({(4, 2): 1.0}, 2),
-                         ({(256, 1): 0.25}, 1), ({(257, 3): 0.5}, 3),
+                         ({(block, 1): 0.25}, 1), ({(block + 1, 3): 0.5}, 3),
                          ({(300, 1): 0.5, (300, 0): 0.25}, 0),
                          ({(9, 3): 1.0, (9, 2): 0.5}, 2)]:
         messages = {name: first_rise(rises, budget) for name, budget in budgets.items()}
@@ -1335,6 +1353,68 @@ def test_single_trial_chunk_allocates_little(m):
     assert peak <= 56 * dd + 2 ** 18
 
 
+@pytest.mark.parametrize("shape, dtype", [((3, 5), np.complex128), ((7, 64), np.intp),
+                                          ((1, 13), np.float64), ((2, 3, 4), np.uint8)])
+def test_aligned_empty_starts_on_a_cache_line(shape, dtype):
+    for _ in range(8):  # several allocations, wherever the allocator puts them
+        a = gossip_module._aligned_empty(shape, dtype)
+        assert a.shape == shape and a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data % 64 == 0
+        a[...] = 1  # every byte is the array's own
+        assert a.sum() == math.prod(shape)
+
+
+def test_swap_map_route_matches_the_edge_table_with_several_trials_a_chunk():
+    # ten edges: a table of 80 KiB is over a quarter of this budget, so each
+    # step's index is built from the swap maps
+    g = qg.InteractionGraph(qg.NetworkShape(5, 2), list(itertools.combinations(range(1, 6), 2)))
+    rho = qg.random_density(g.shape, 21)
+    dd = g.shape.total_dim ** 2
+    budget = 2 * 2 * 56 * dd
+    assert 8 * len(g.edges) * dd > budget // 4
+
+    def run():
+        return qg.probability_one_convergence_experiment(
+            g, 0.4, rho, eps=1e-6, num_trials=5, horizon=60, seed=17)
+
+    with mock.patch.object(gossip_module, "sq_distance_rows",
+                           wraps=gossip_module.sq_distance_rows) as measured, \
+            mock.patch.object(gossip_module, "_flat_gathers",
+                              wraps=gossip_module._flat_gathers) as built, \
+            mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
+        routed = run()
+    assert [len(c.args[0]) for c in measured.call_args_list] == [2] * 122 + [1] * 61
+    assert built.call_count == 60 * 3  # no table; one index per chunk and step
+    assert routed == run()
+
+
+def test_benchmark_ensemble_shapes_run_as_one_chunk(tmp_path):
+    # a chunk split at one of the benchmark's shapes costs a whole extra pass
+    # over the horizon; every distance call must measure all of a job's trials,
+    # on arrays whose vector loads do not straddle cache lines
+    workloads = _perfbench_workloads()
+    scenario_path = tmp_path / "job.json"
+    edges = {}
+    for m in sorted(set(workloads.CYCLES["ensemble"])):
+        scenario_path.write_text(json.dumps(workloads.ensemble_pool_entry(m, 0)))
+        scenario = load_scenario(scenario_path)
+        edges[m] = len(scenario.graph.edges)
+        trials = workloads.ENSEMBLE_TRIALS[m]
+        with mock.patch.object(gossip_module, "sq_distance_rows",
+                               wraps=gossip_module.sq_distance_rows) as measured:
+            qg.probability_one_convergence_experiment(
+                scenario.graph, scenario.config.alpha, scenario.initial_state(),
+                eps=workloads.ENSEMBLE_EPS, num_trials=trials,
+                horizon=workloads.ENSEMBLE_HORIZON, seed=scenario.config.seed)
+        assert measured.call_count == workloads.ENSEMBLE_HORIZON + 1
+        assert {len(c.args[0]) for c in measured.call_args_list} == {trials}
+        # the states, the tiled twirl and the gathers start on cache lines
+        assert {a.ctypes.data % 64 for c in measured.call_args_list for a in c.args[:3]} == {0}
+    assert edges == {3: 3, 4: 4, 5: 6}
+    assert workloads.ENSEMBLE_TRIALS == {3: 35, 4: 30, 5: 20}
+
+
 def _perfbench_workloads():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -1361,3 +1441,93 @@ def test_ensemble_pool_matches_the_benchmark_reference(tmp_path):
             problems[key] = workloads.check_ensemble(exp.as_dict(), key, reference)
     assert len(problems) == len(reference["ensemble"]) == 96
     assert {key: p for key, p in problems.items() if p} == {}
+
+
+def _fig3(m=None, n=None, edges=None, state=None, sigma=None, alpha=None):
+    """The bundled fig3 scenario, reshaped as the CI determinism runs reshape it."""
+    doc = json.loads((Path(qg.__file__).parent / "scenarios" / "fig3.json").read_text())
+    for section, key, value in [("shape", "m", m), ("shape", "n", n),
+                                ("graph", "edges", edges), ("gossip", "alpha", alpha)]:
+        if value is not None:
+            doc[section][key] = value
+    if state is not None:
+        doc["initial_state"] = state
+    if sigma is not None:
+        doc["sigma"] = sigma
+    return doc
+
+
+# Each case: (scenario or perfbench pool m, trials, horizon, successes, largest
+# final squared distance, sha256 prefixes of rho_0 and of every trial's final
+# state in trial order), recorded before the ensemble's work arrays were
+# aligned. The states come from elementwise products, sums and gathers only,
+# so given rho_0 their bytes do not depend on the BLAS, and a change to how a
+# step rounds changes the hash; the CI determinism diff only compares two runs
+# of the same commit. The distances are BLAS dots, whose last bits follow the
+# dot kernel's summation order: as sums of squares they agree to a relative
+# 1e-10, and the largest rise, a difference of them, only stays below
+# CONTRACTION_TOL. The pool's random rho_0 is a BLAS product G G^dagger, so
+# with another dot kernel it is another state and only its counts are pinned.
+PINNED_ENSEMBLES = {
+    # fig3's default run: 200 trials, horizon 500
+    "fig3": (_fig3(), 200, 500, 200, 4.622231866529366e-33,
+             "f884032da3a5cb67", "386aecf83ca62a6e"),
+    # m = 7 with 12 edges: the swap-map route, two trials a chunk
+    "fig3-m7": (_fig3(m=7, edges=[[i, i + 1] for i in range(1, 7)] + [[1, 7]]
+                      + [[i, i + 2] for i in range(1, 6)], state="1010101"),
+                4, 30, 0, 0.0019643070916507506, "808507f37331ee9c", "7ebf18bf6673fdf0"),
+    # the CI's m = 5 shape at alpha = 0.3, where a step's products are not
+    # exact in binary: from a basis state, so its hash holds on every BLAS
+    "fig3-m5": (_fig3(m=5, edges=[[1, 2], [2, 3], [3, 4], [4, 5], [1, 5], [1, 3]],
+                      state="10101", alpha=0.3),
+                20, 400, 20, 2.767937710798667e-23, "d5d784a8ccc035a4", "55dd431265ab0d29"),
+    "fig3-n3": (_fig3(n=3, state="2010", sigma={"real": [[1, 0, 0], [0, 0, 0], [0, 0, -1]]}),
+                3, 40, 0, 5.914274758348863e-05, "c86f7683de712023", "1242efbb9d18d463"),
+    # perfbench ensemble pool entry 0 of each m
+    "pool-3": (3, 35, 400, 35, 3.214030384715094e-32, "18d32ab54d5b9c57", "b6983e666b9f4055"),
+    "pool-4": (4, 30, 400, 30, 3.002777984782868e-32, "75595ff7b6842442", "85df6b42447d5dc4"),
+    "pool-5": (5, 20, 400, 20, 1.671219411363718e-23, "48db7d9abefc519b", "e732607077321272"),
+}
+
+
+def _run_pinned(name, tmp_path):
+    """The experiment of case ``name`` and sha256 prefixes of its ``rho_0``
+    and of its trials' final states, as each chunk's last distance call
+    measures them."""
+    doc, trials, horizon = PINNED_ENSEMBLES[name][:3]
+    if isinstance(doc, int):
+        doc = _perfbench_workloads().ensemble_pool_entry(doc, 0)
+    scenario_path = tmp_path / "job.json"
+    scenario_path.write_text(json.dumps(doc))
+    scenario = load_scenario(scenario_path)
+    real = gossip_module.sq_distance_rows
+    calls, digest = itertools.count(1), hashlib.sha256()
+
+    def measure(x, *rest):
+        # a chunk without a rise measures its states horizon + 1 times
+        if next(calls) % (horizon + 1) == 0:
+            digest.update(x.tobytes())
+        return real(x, *rest)
+
+    rho = scenario.initial_state()
+    with mock.patch.object(gossip_module, "sq_distance_rows", measure):
+        exp = qg.probability_one_convergence_experiment(
+            scenario.graph, scenario.config.alpha, rho, eps=1e-10,
+            num_trials=trials, horizon=horizon, seed=scenario.config.seed)
+    start = hashlib.sha256(rho.matrix.tobytes()).hexdigest()
+    return exp, start[:16], digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ENSEMBLES))
+def test_ensemble_results_are_pinned(name, tmp_path):
+    _, trials, horizon, successes, final, start, states = PINNED_ENSEMBLES[name]
+    exp, run_start, run_states = _run_pinned(name, tmp_path)
+    assert (exp.num_trials, exp.horizon, exp.eps, exp.successes) == (
+        trials, horizon, 1e-10, successes)
+    assert exp.empirical_probability == successes / trials
+    assert 0.0 <= exp.max_distance_increase <= gossip_module.CONTRACTION_TOL
+    if run_start != start:
+        assert name.startswith("pool-")
+        pytest.skip("this BLAS rounds the random rho_0 = G G^dagger differently")
+    assert run_states == states
+    assert exp.max_final_sq_distance == pytest.approx(final, rel=1e-10)
