@@ -25,7 +25,7 @@ from .gossip import (ALL_EDGE_STRATEGIES, DISK_TOL, evolve,
                      probability_one_convergence_experiment, spectral_certificate,
                      synchronous_classes)
 from .linalg import NetworkShape
-from .scenario import (RunManifest, Scenario, TOOL_VERSION, load_scenario,
+from .scenario import (RepeatedRows, RunManifest, Scenario, TOOL_VERSION, load_scenario,
                        load_suite, resolve_out_dir, write_csv, write_json,
                        write_manifest)
 from .states import named_state, parse_sigma
@@ -155,11 +155,12 @@ def cmd_spectrum(args) -> int:
     manifest_name = _finish_manifest(
         out_dir, stem, scenario, "spectrum", started,
         "certificate_passed" if cert.passed else "certificate_failed")
-    ev = np.sort_complex(cert.eigenvalues)
+    ev = cert.distinct_eigenvalues
     payload = {
         "alpha": alpha,
         "q0": cert.q0,
-        "eigenvalues": np.column_stack((ev.real, ev.imag)).tolist(),
+        "eigenvalues": RepeatedRows(list(zip(ev.real.tolist(), ev.imag.tolist())),
+                                    cert.multiplicities.tolist()),
         "disk_ok": bool(cert.disk_ok),
         "max_disk_violation": float(cert.max_disk_violation),
         "max_imag": float(cert.max_imag),

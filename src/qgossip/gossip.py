@@ -26,7 +26,8 @@ orbit. A swap is a real symmetric permutation matrix, so these maps commute
 with transposition and need no other flattening. Orbits whose letter
 counts agree have permutation-similar, real symmetric blocks, so the
 spectrum is certified from one block per isomorphism class
-(:func:`synchronous_classes`, solved with ``eigvalsh``); its size, not the
+(:func:`synchronous_classes`, solved with ``eigvalsh``, its eigenvalues
+kept as (value, multiplicity) pairs, never expanded); its size, not the
 dense ``MAX_SUPEROP_DIM``, is what is capped. The classes' counts, rows
 and every in-component swap's block columns depend only on
 ``(m, n, components)``: they are built once per key (:func:`_class_plans`,
@@ -631,7 +632,7 @@ def synchronous_classes(graph: InteractionGraph, alpha: float) -> Iterator[Class
     exactly symmetric, since each ``P_e`` is an involution. Before anything is
     built, the largest block (the most even split of each component) is sized
     from multinomials and may have at most ``MAX_TOTAL_DIM`` rows, and the
-    map's ``d**2`` eigenvalues, which the certificate lists, at most
+    map's ``d**2`` eigenvalues, which ``qgossip spectrum`` lists, at most
     ``MAX_LISTED_EIGENVALUES``.
 
     The counts, the (read-only) rows and each swap's block columns depend on
@@ -665,9 +666,17 @@ class SpectralCertificate:
     synchronous map on a connected graph it is ``1 - alpha lambda_2(L_q)``.
     ``block_count`` is the number of diagonal blocks certified, counting each
     orbit of a :class:`ClassBlock`.
+
+    The spectrum is held as (value, multiplicity) pairs: each bit pattern
+    once in ``distinct_eigenvalues``, in the order ``np.sort_complex`` gives
+    (real part, then imaginary part; of two that tie, ``+0.0`` before
+    ``-0.0``), and how often it occurs in ``multiplicities``. The checks and
+    the unit count (a sum of multiplicities) read the distinct values only.
+    ``eigenvalues`` is the expanded, sorted array of all of them.
     """
 
-    eigenvalues: np.ndarray
+    distinct_eigenvalues: np.ndarray
+    multiplicities: np.ndarray
     q0: float
     disk_ok: bool
     max_disk_violation: float
@@ -681,44 +690,65 @@ class SpectralCertificate:
     def passed(self) -> bool:
         return self.disk_ok
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Every eigenvalue, sorted, each as often as it occurs."""
+        return np.repeat(self.distinct_eigenvalues, self.multiplicities)
+
+
+def _group_spectrum(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` with equal bit patterns merged and their ``counts`` summed,
+    sorted by real part, then imaginary part, then bit pattern (``+0.0``
+    before ``-0.0``, the only equal values with other bits)."""
+    bits = np.stack((values.real.view(np.uint64), values.imag.view(np.uint64)))
+    order = np.lexsort((bits[1], bits[0], values.imag, values.real))
+    bits = bits[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(first)
+    return values[order[starts]], np.add.reduceat(counts[order], starts)
+
 
 def spectral_certificate(blocks: Iterable[np.ndarray | ClassBlock],
                          q0: float) -> SpectralCertificate:
     """Locate every eigenvalue of a map given by its diagonal ``blocks``.
 
     A :class:`ClassBlock` (from :func:`synchronous_classes`) is real
-    symmetric: it is solved once with ``eigvalsh`` and its eigenvalues repeat
-    ``count`` times, one copy per orbit it stands for. Any other item is a
-    square matrix solved with ``eigvals``: an orbit block sliced out of
-    :func:`synchronous_superoperator`, or ``[sop]`` for a dense map such as a
-    cyclic sweep, which is not symmetric.
+    symmetric: it is solved once with ``eigvalsh``, and each of its
+    eigenvalues occurs ``count`` times, once per orbit it stands for. Any
+    other item is a square matrix solved with ``eigvals``, each eigenvalue
+    once: an orbit block sliced out of :func:`synchronous_superoperator`, or
+    ``[sop]`` for a dense map such as a cyclic sweep, which is not symmetric.
+    The spectrum is never expanded: equal values merge into one
+    (value, multiplicity) pair (:class:`SpectralCertificate`).
     """
     if not 0.0 < q0 <= 1.0:
         raise ValidationError(
             f"the certificate requires an identity weight q0 in (0, 1], got {q0}")
-    spectra, block_count = [], 0
+    spectra, counts = [], []
     for item in blocks:
         if isinstance(item, ClassBlock):
-            spectra.append(np.tile(np.linalg.eigvalsh(item.block), item.count))
-            block_count += item.count
+            spectra.append(np.linalg.eigvalsh(item.block))
+            counts.append(item.count)
         else:
             spectra.append(np.linalg.eigvals(item))
-            block_count += 1
+            counts.append(1)
     if not spectra:
         raise ValidationError("the certificate needs at least one block")
-    evals = np.concatenate(spectra)
-    max_imag = float(np.max(np.abs(evals.imag)))
-    violation = float(np.max(np.abs(evals - q0) - (1.0 - q0)))
+    values, mult = _group_spectrum(np.concatenate(spectra),
+                                   np.repeat(counts, [len(s) for s in spectra]))
+    max_imag = float(np.max(np.abs(values.imag)))
+    violation = float(np.max(np.abs(values - q0) - (1.0 - q0)))
     disk_ok = violation <= DISK_TOL
-    unit_mask = np.abs(evals - 1.0) <= DISK_TOL
-    rest = evals[~unit_mask]
+    unit_mask = np.abs(values - 1.0) <= DISK_TOL
+    rest = values[~unit_mask]
     gap = float(1.0 - np.max(np.abs(rest))) if rest.size else 1.0
     return SpectralCertificate(
-        eigenvalues=evals, q0=q0, disk_ok=disk_ok,
+        distinct_eigenvalues=values, multiplicities=mult, q0=q0, disk_ok=disk_ok,
         max_disk_violation=max(violation, 0.0),
-        unit_eigenvalue_count=int(np.sum(unit_mask)), spectral_gap=gap,
+        unit_eigenvalue_count=int(mult[unit_mask].sum()), spectral_gap=gap,
         second_largest_eigenvalue=float(np.max(rest.real)) if rest.size else None,
-        max_imag=max_imag, block_count=block_count)
+        max_imag=max_imag, block_count=sum(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ MAX_TOTAL_DIM = 4096
 # Joint dimensions above this refuse superoperator-sized work (dim**2 matrices).
 MAX_SUPEROP_DIM = 64
 
-# The spectrum lists all n**(2m) eigenvalues of the expected map, each about
-# 0.5 kB of Python objects while its JSON is written: at most m = 9 for n = 2.
+# The spectrum's JSON lists all n**(2m) eigenvalues of the expected map, one
+# indented [re, im] row of about 50 bytes each (49 on average at m = 8), and
+# the text is built in memory before it is written: about 13 MB at the cap.
+# At most m = 9 for n = 2.
 MAX_LISTED_EIGENVALUES = 1 << 18
 
 # Max-entry tolerance for accepting a matrix as Hermitian.

@@ -258,30 +258,46 @@ def write_csv(path: Path, header: list[str], labels, values, manifest_name: str)
     path.write_text("\n".join(lines) + "\n")
 
 
-def _float_rows(rows, indent: str) -> str | None:
-    """The body :func:`_json_text` writes for ``rows``, a list of equal-length,
-    non-empty lists or tuples of exact ``float`` values (the spectrum's
-    ``[re, im]`` pairs): one row template and one ``%r`` format over all the
-    numbers. None for any other list, including one holding a float subclass,
-    whose ``%r`` (``np.float64(...)``) is not ``float.__repr__``."""
+@dataclass(frozen=True)
+class RepeatedRows:
+    """The JSON list of ``rows[k]`` repeated ``counts[k]`` times, for each k in
+    turn, held unexpanded: the spectrum's ``[re, im]`` rows with their
+    multiplicities. The counts are positive."""
+
+    rows: list
+    counts: list
+
+
+def _repeated_rows(obj: RepeatedRows, indent: str) -> str:
+    """The text :func:`_json_text` writes for ``obj``: each distinct row
+    formatted once through one ``%r`` row template, and its text repeated.
+    Rows that are not equal-length, non-empty lists or tuples of exact
+    ``float`` values raise TypeError, a float subclass too, whose ``%r``
+    (``np.float64(...)``) is not ``float.__repr__``."""
+    rows = obj.rows
+    if not rows:
+        return "[]"
     width = len(rows[0]) if type(rows[0]) in (list, tuple) else 0
-    if not width or not set(map(type, rows)) <= {list, tuple} or set(map(len, rows)) != {width}:
-        return None
-    numbers = tuple(itertools.chain.from_iterable(rows))
-    if set(map(type, numbers)) != {float}:
-        return None
+    if (not width or not set(map(type, rows)) <= {list, tuple}
+            or set(map(len, rows)) != {width}
+            or set(map(type, itertools.chain.from_iterable(rows))) != {float}):
+        raise TypeError("RepeatedRows lists equal-length rows of floats only")
     inner = indent + "  "
-    row = "[" + inner + ("%r," + inner) * (width - 1) + "%r" + indent + "]"
-    return _finite(("," + indent).join([row] * len(rows)) % numbers)
+    number = inner + "  "
+    row = "[" + number + ("%r," + number) * (width - 1) + "%r" + inner + "]"
+    sep = "," + inner
+    body = "".join([(row % tuple(r) + sep) * c for r, c in zip(rows, obj.counts)])
+    return "[" + inner + _finite(body[:-len(sep)]) + indent + "]"
 
 
 def _json_text(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte,
-    for dicts with str keys, lists, tuples, str, int, float, bool and None.
+    for dicts with str keys, lists, tuples, str, int, float, bool and None, and
+    of the expanded list for a :class:`RepeatedRows`.
 
     A list of floats is joined in one pass through ``float.__repr__``, json's
-    own spelling of a finite float, and a list of equal-length float lists in
-    one format (:func:`_float_rows`). A NaN or an infinity raises
+    own spelling of a finite float, and a :class:`RepeatedRows` formats each
+    distinct row once (:func:`_repeated_rows`). A NaN or an infinity raises
     ConsistencyError; any other type, or a non-str key, raises TypeError.
     """
     if isinstance(obj, str):
@@ -299,14 +315,15 @@ def _json_text(obj, indent: str = "\n") -> str:
         body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
                                    for k, v in sorted(obj.items())])
         return "{" + inner + body + indent + "}"
+    if isinstance(obj, RepeatedRows):
+        return _repeated_rows(obj, indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         try:
             body = _finite(("," + inner).join(map(float.__repr__, obj)))
         except TypeError:  # not all floats
-            body = _float_rows(obj, inner) or ("," + inner).join([_json_text(v, inner)
-                                                                  for v in obj])
+            body = ("," + inner).join([_json_text(v, inner) for v in obj])
         return "[" + inner + body + indent + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import qgossip.cli as cli
 import qgossip.gossip as gossip
 from qgossip.errors import CertificateError
-from qgossip.scenario import OUT_DIR_ENV
+from qgossip.scenario import OUT_DIR_ENV, load_scenario
 
 FIG3 = str(files("qgossip") / "scenarios" / "fig3.json")
 SUITE = str(files("qgossip") / "scenarios" / "example1_suite.json")
@@ -380,6 +381,47 @@ def test_spectrum_at_the_cap_allocates_little(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 32 * 2 ** 20
+
+
+# Each case updates sections of fig3 (a 4-site path at alpha = 1/2).
+LISTING_CASES = {
+    "fig3": {},
+    "fig3-split": {"graph": {"edges": [[1, 2], [3, 4]]}},
+    # the benchmark's m = 5 certify shape, as the CI determinism run has it
+    "bench-m5": {"shape": {"m": 5}, "initial_state": "00000",
+                 "graph": {"edges": [[2, 5], [3, 5], [1, 3], [4, 5], [1, 5], [2, 4]],
+                           "weights": [0.17, 0.06, 0.21, 0.12, 0.26, 0.18]},
+                 "gossip": {"alpha": 0.363257}},
+    # a 2-site path at alpha = 1/2: six eigenvalues are exactly zero
+    "path2-half": {"shape": {"m": 2}, "initial_state": "10",
+                   "graph": {"edges": [[1, 2]]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LISTING_CASES))
+def test_spectrum_listing_is_the_sorted_expanded_spectrum(case, tmp_path):
+    # the listing is written from (value, multiplicity) groups; the oracle
+    # expands each class block's eigenvalues once per orbit and sorts them,
+    # sharing no code with the grouping. Should eigvalsh ever give -0.0 beside
+    # +0.0 (not seen), a failure here shows the order the listing keeps
+    doc = json.loads(Path(FIG3).read_text())
+    for section, values in LISTING_CASES[case].items():
+        if isinstance(values, dict):
+            doc[section].update(values)
+        else:
+            doc[section] = values
+    scn, out = tmp_path / "scn.json", tmp_path / "out"
+    scn.write_text(json.dumps(doc))
+    assert cli.main(["spectrum", str(scn), "--out-dir", str(out)]) == 0
+    text = (out / "fig3_spectrum.json").read_text()
+    scenario = load_scenario(scn)
+    ev = np.sort_complex(np.concatenate(
+        [np.tile(np.linalg.eigvalsh(c.block), c.count)
+         for c in gossip.synchronous_classes(scenario.graph, scenario.config.alpha)]))
+    assert len(ev) == scenario.shape.total_dim ** 2
+    payload = json.loads(text)
+    payload["eigenvalues"] = np.column_stack((ev.real, ev.imag)).tolist()
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_spectrum_rejects_a_disagreeing_fixed_space(tmp_path, monkeypatch, capsys):

@@ -911,6 +911,40 @@ def test_modulus_gap_and_second_eigenvalue_differ_past_one_half():
     assert np.min(cert.eigenvalues) == pytest.approx(1 - 2 * 0.9, abs=1e-13)
 
 
+def test_certificate_holds_each_distinct_eigenvalue_once():
+    # a class block's eigenvalues occur once per orbit: 37 distinct values
+    # stand for the 256 of the 4-site path at alpha = 1/2
+    classes = list(qg.synchronous_classes(path_graph(4), 0.5))
+    cert = qg.spectral_certificate(classes, q0=0.5)
+    expanded = np.concatenate([np.tile(np.linalg.eigvalsh(c.block), c.count)
+                               for c in classes])
+    assert len(cert.distinct_eigenvalues) == len(cert.multiplicities) == 37
+    assert cert.multiplicities.sum() == len(expanded) == 256
+    assert np.all(np.diff(cert.distinct_eigenvalues) > 0)
+    assert cert.eigenvalues.tobytes() == np.sort(expanded).tobytes()
+    assert cert.unit_eigenvalue_count == 35
+    # a dense item is solved with eigvals, each eigenvalue once, and grouped alike
+    dense = qg.spectral_certificate([qg.synchronous_superoperator(path_graph(3), 0.5)],
+                                    q0=0.5)
+    assert dense.multiplicities.sum() == 64 and dense.unit_eigenvalue_count == 20
+
+
+def test_spectrum_groups_follow_sort_complex_and_keep_signed_zeros_apart():
+    values = np.array([1.0, complex(-0.0, 1.0), 0.0, complex(-0.0, 0.0), 0.0,
+                       complex(0.0, -1.0), 1.0, complex(-0.0, 0.0)])
+    counts = np.array([2, 1, 3, 1, 1, 4, 5, 2])
+    got, mult = gossip_module._group_spectrum(values, counts)
+    # by real part, then imaginary part; of two that tie, +0.0 before -0.0
+    assert [(repr(v.real), repr(v.imag)) for v in got.tolist()] == [
+        ("0.0", "-1.0"), ("0.0", "0.0"), ("-0.0", "0.0"), ("-0.0", "1.0"), ("1.0", "0.0")]
+    assert mult.tolist() == [4, 4, 3, 1, 7]
+    assert np.array_equal(np.repeat(got, mult), np.sort_complex(np.repeat(values, counts)))
+    real, mult = gossip_module._group_spectrum(np.array([0.5, -0.0, 0.0, 0.5]),
+                                               np.array([1, 2, 3, 4]))
+    assert real.dtype == np.float64 and real.tolist() == [0.0, -0.0, 0.5]
+    assert np.signbit(real).tolist() == [False, True, False] and mult.tolist() == [3, 2, 5]
+
+
 def test_certificate_rejects_pure_swap():
     # a bare swap has eigenvalue -1, far outside the q0 = 0.5 disk
     shape = qg.NetworkShape(2, 2)
@@ -1168,10 +1202,11 @@ def test_probability_one_experiment_is_deterministic():
 
 def per_trial_experiment(graph, alpha, rho0, eps, num_trials, horizon, seed):
     """Reference: one trial at a time, ``edge_schedule``, ``gossip_update`` and
-    ``np.vdot`` at every step. Returns the experiment's three statistics."""
+    ``np.vdot`` at every step. Returns the experiment's three statistics and
+    every trial's final state."""
     config = qg.GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
     star = qg.twirl_matrix(rho0.matrix, rho0.shape)
-    successes, worst_final, worst_rise = 0, 0.0, 0.0
+    successes, worst_final, worst_rise, finals = 0, 0.0, 0.0, []
     for trial in range(num_trials):
         schedule = qg.edge_schedule(graph, config, trial_rng(seed, trial))
         mat = rho0.matrix.copy()
@@ -1183,7 +1218,24 @@ def per_trial_experiment(graph, alpha, rho0, eps, num_trials, horizon, seed):
             dist = new_dist
         worst_final = max(worst_final, dist)
         successes += dist <= eps
-    return successes, worst_final, worst_rise
+        finals.append(mat)
+    return successes, worst_final, worst_rise, finals
+
+
+def batched_final_states(horizon, *args, **kwargs):
+    """The experiment and its trials' final states, one ``rho.ravel()`` per
+    row in trial order, as each chunk's last :func:`sq_distance_rows` call
+    measures them (a chunk without a rise calls it ``horizon + 1`` times)."""
+    real, calls, finals = gossip_module.sq_distance_rows, itertools.count(1), []
+
+    def measure(x, *rest):
+        if next(calls) % (horizon + 1) == 0:
+            finals.append(x.view(np.complex128).copy())
+        return real(x, *rest)
+
+    with mock.patch.object(gossip_module, "sq_distance_rows", measure):
+        exp = qg.probability_one_convergence_experiment(*args, horizon=horizon, **kwargs)
+    return exp, np.concatenate(finals)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1194,25 +1246,31 @@ def per_trial_experiment(graph, alpha, rho0, eps, num_trials, horizon, seed):
 def test_batched_experiment_matches_the_per_trial_loop(g, alpha, trials, horizon,
                                                       seed, eps, data):
     rho = qg.random_density(g.shape, data.draw(st.integers(0, 1000)))
-    exp = qg.probability_one_convergence_experiment(
-        g, alpha, rho, eps=eps, num_trials=trials, horizon=horizon, seed=seed)
-    successes, worst_final, worst_rise = per_trial_experiment(
+    successes, worst_final, worst_rise, finals = per_trial_experiment(
         g, alpha, rho, eps, trials, horizon, seed)
-    # the states agree bit for bit; the distances are sums of 2 d**2 squares
-    # taken in another order, so they differ by a few ulps of their size
+    # the states agree bit for bit, whatever the chunk: chunks of one trial and
+    # one-step draw blocks, or of two trials, change nothing, since every
+    # trial's arithmetic is independent of its chunk
+    dd = g.shape.total_dim ** 2
+    runs = []
+    for budget in (gossip_module.ENSEMBLE_CHUNK_BYTES, 1,
+                   2 * (2 * 64 + 8 * len(g.edges)) * dd):
+        with mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
+            exp, states = batched_final_states(horizon, g, alpha, rho, eps=eps,
+                                               num_trials=trials, seed=seed)
+        assert len(states) == trials
+        for row, mat in zip(states, finals):
+            assert row.tobytes() == mat.tobytes()
+        runs.append(exp)
+    exp = runs[0]
+    assert runs[1] == runs[2] == exp
+    # the distances are sums of 2 d**2 squares taken in another order, so they
+    # differ by a few ulps of their size
     diff = rho.matrix - qg.twirl_matrix(rho.matrix, g.shape)
     ulps = 1e-14 * float(np.vdot(diff, diff).real)
     assert exp.successes == successes
     assert exp.max_final_sq_distance == pytest.approx(worst_final, rel=1e-14, abs=1e-20)
     assert exp.max_distance_increase == pytest.approx(worst_rise, rel=0, abs=1e-20 + ulps)
-    # chunks of one trial and one-step draw blocks, or of two trials, change
-    # nothing: every trial's arithmetic is independent of its chunk
-    dd = g.shape.total_dim ** 2
-    for budget in (1, 2 * (2 * 64 + 8 * len(g.edges)) * dd):
-        with mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
-            chunked = qg.probability_one_convergence_experiment(
-                g, alpha, rho, eps=eps, num_trials=trials, horizon=horizon, seed=seed)
-        assert chunked == exp
 
 
 @pytest.mark.parametrize("bad", [{"eps": float("nan")}, {"eps": -1e-3}, {"eps": float("inf")},

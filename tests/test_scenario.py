@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgossip as qg
-from qgossip.scenario import (OUT_DIR_ENV, RunManifest, _json_text, resolve_out_dir,
-                              write_csv, write_json, write_manifest)
+from qgossip.scenario import (OUT_DIR_ENV, RepeatedRows, RunManifest, _json_text,
+                              resolve_out_dir, write_csv, write_json, write_manifest)
 
 FIG3 = files("qgossip") / "scenarios" / "fig3.json"
 
@@ -253,6 +253,24 @@ JSON_DOCS = st.recursive(
 @given(JSON_DOCS)
 def test_json_text_is_json_dumps(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=FLOAT_ROWS, data=st.data())
+def test_repeated_rows_are_json_dumps_of_the_expanded_list(rows, data):
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+    doc = {"rows": RepeatedRows(rows, counts), "tail": [0.5]}
+    expanded = {"rows": [r for r, c in zip(rows, counts) for _ in range(c)], "tail": [0.5]}
+    assert _json_text(doc) == json.dumps(expanded, indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_repeated_rows_reject_what_they_cannot_list():
+    assert _json_text(RepeatedRows([], [])) == "[]"
+    with pytest.raises(qg.ConsistencyError):
+        _json_text(RepeatedRows([[0.5, float("nan")]], [2]))
+    for rows in ([[1.0], [1.0, 2.0]], [[1, 2.0]], [[np.float64(1.0)]], [1.0]):
+        with pytest.raises(TypeError):
+            _json_text(RepeatedRows(rows, [1] * len(rows)))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
