@@ -28,12 +28,14 @@ counts agree have permutation-similar, real symmetric blocks, so the
 spectrum is certified from one block per isomorphism class
 (:func:`synchronous_classes`, solved with ``eigvalsh``, its eigenvalues
 kept as (value, multiplicity) pairs, never expanded); its size, not the
-dense ``MAX_SUPEROP_DIM``, is what is capped. The classes' counts, rows
-and every in-component swap's block columns depend only on
-``(m, n, components)``: they are built once per key (:func:`_class_plans`,
-which keeps the two most recent, at most 1.9 MB each: ``m = 8``, ``n = 2``,
-one component), so a call only fills the blocks from the weights and
-``alpha``, and a one-shot run pays one build, as before.
+dense ``MAX_SUPEROP_DIM``, is what is capped. A class's rows are one orbit,
+read off :func:`orbit_labels` at a representative entry, the same labels
+the twirl takes its means over. The classes' counts, rows and every
+in-component swap's block columns depend only on ``(m, n, components)``:
+they are built once per key (:func:`_class_plans`, which keeps the two most
+recent, at most 1.9 MB each: ``m = 8``, ``n = 2``, one component), so a call
+only fills the blocks from the weights and ``alpha``, and a one-shot run
+pays one build, as before.
 The dense :func:`synchronous_superoperator`, whose orbit blocks the tests
 slice out, and the brute-force :func:`commutant_dimension` are kept as
 independent references for the tests.
@@ -561,26 +563,16 @@ def _partitions(total: int, parts: int, top: int = 0) -> Iterator[tuple[int, ...
             yield from ((p,) + rest for rest in _partitions(total - p, parts - 1, p))
 
 
-def _arrangements(counts: tuple[int, ...]) -> np.ndarray:
-    """Every distinct sequence with ``counts[k]`` copies of letter ``k``, one
-    per row of an ``intp`` array, in lexicographic order: each prefix is
-    extended by every letter it has left, one position at a time."""
-    seqs, left = np.zeros((1, 0), dtype=np.intp), np.array([counts], dtype=np.intp)
-    unit = np.eye(len(counts), dtype=np.intp)
-    for _ in range(sum(counts)):
-        src, letter = left.nonzero()  # by prefix, then by letter
-        seqs = np.concatenate((seqs[src], letter[:, None]), axis=1)
-        left = left[src] - unit[letter]
-    return seqs
-
-
 @functools.lru_cache(maxsize=2)
 def _class_plans(m: int, n: int, comps: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
     """The shape-only part of :func:`synchronous_classes`: one read-only
     ``(count, rows, positions)`` per class, where ``positions[(j, k)]`` is the
     column of each row's image under the swap of sites j and k, for every
-    swap inside a component. Built once per ``(m, n, comps)``; the caps run
-    before anything is built, so a refused shape is never cached."""
+    swap inside a component. A class's representative puts letter ``s``
+    ``lam[s]`` times on each component's sites, in site order; ``rows`` are
+    the entries whose :func:`orbit_labels` label is that of its transposed
+    entry. Built once per ``(m, n, comps)``; the caps run before anything is
+    built or labelled, so a refused shape is never cached."""
     d, q = n ** m, n ** 2
     largest = math.prod(_multinomial([len(c) // q + (k < len(c) % q) for k in range(q)])
                         for c in comps)
@@ -593,20 +585,19 @@ def _class_plans(m: int, n: int, comps: tuple[tuple[int, ...], ...]) -> tuple[tu
         raise ResourceLimitError(
             f"the synchronous map has {d * d} eigenvalues to list, over the cap "
             f"{MAX_LISTED_EIGENVALUES}")
-    place = n ** np.arange(m - 1, -1, -1)  # site 1 is the most significant digit
     swaps = [e for c in comps for e in itertools.combinations(c, 2)]
     bmaps = _swap_maps(m, n, swaps)
+    labels = orbit_labels(m, n, comps)[0]
     where = np.empty(d * d, dtype=np.intp)  # where[rows[r]] = r, for the class at hand
     plans = []
     for profile in itertools.product(*(_partitions(len(c), q) for c in comps)):
         count = math.prod(_multinomial([q - len(lam), *Counter(lam).values()])
                           for lam in profile)
-        letters = np.zeros((1, m), dtype=np.intp)
+        letters = np.empty(m, dtype=np.intp)
         for comp, lam in zip(comps, profile):
-            arr = _arrangements(lam)
-            letters = np.repeat(letters, len(arr), axis=0)
-            letters[:, [s - 1 for s in comp]] = np.tile(arr, (len(letters) // len(arr), 1))
-        rows = np.sort((letters // n) @ place + d * ((letters % n) @ place))
+            letters[[s - 1 for s in comp]] = np.repeat(np.arange(len(lam)), lam)
+        entry = np.ravel_multi_index((*(letters % n), *(letters // n)), (n,) * (2 * m))
+        rows = np.flatnonzero(labels == labels[entry])
         where[rows] = np.arange(len(rows))
         # a swap keeps the class's orbit, so every image is one of its rows
         cols = where[bmaps[:, rows % d] + d * bmaps[:, rows // d]]
@@ -623,11 +614,12 @@ def synchronous_classes(graph: InteractionGraph, alpha: float) -> Iterator[Class
     with every edge swap, so orbits whose joint types have the same sorted
     letter counts on each component have permutation-similar blocks. A class
     is one partition of each component's size into at most ``n**2`` parts. Its
-    representative takes letters ``0, 1, ...`` with those counts, its rows are
-    built from the letter arrangements alone, and its ``count`` is the number
-    of ways to give the parts distinct letters. Letter ``i_k n + j_k`` stands
-    for entry ``(i, j)``, but ``rows`` holds ``i + d j``: the ``rho.ravel()``
-    indices of the transposed representative, an orbit of the same class.
+    representative orbit takes letters ``0, 1, ...`` with those counts, its
+    rows are that orbit's entries under :func:`orbit_labels`, and its
+    ``count`` is the number of ways to give the parts distinct letters.
+    Letter ``i_k n + j_k`` stands for entry ``(i, j)``, but ``rows`` holds
+    ``i + d j``: the ``rho.ravel()`` indices of the transposed representative,
+    an orbit of the same class.
     The block is ``float64``, bitwise the real part of the dense block, and
     exactly symmetric, since each ``P_e`` is an involution. Before anything is
     built, the largest block (the most even split of each component) is sized

@@ -71,6 +71,14 @@ def orbit_blocks(graph, alpha):
             for rows in (np.flatnonzero(labels == o) for o in range(len(sizes)))]
 
 
+def von_neumann_entropy(rho):
+    """Base-e von Neumann entropy of a ``DensityOperator``; eigenvalues below
+    1e-15 contribute nothing."""
+    evals = np.linalg.eigvalsh(rho.matrix)
+    nz = evals[evals > 1e-15]
+    return float(-np.sum(nz * np.log(nz)))
+
+
 def kron_sym_projector(sigma, m):
     """``Pi_sym = sum_j P_j^(x)m`` as a Kronecker sum of sigma's spectral projectors."""
     return sum(qg.kron_all([p] * m) for p in sigma.projectors)

@@ -774,7 +774,9 @@ def test_certificate_covers_cycle_superoperator():
 
 
 def sorted_spectrum(ev):
-    return ev[np.lexsort((np.round(ev.imag, 9), np.round(ev.real, 9)))]
+    # values that round alike (a defective sweep's cluster near 0 spans ~1e-9)
+    # are ordered by their exact parts, not by the order the solver gave them
+    return ev[np.lexsort((ev.imag, ev.real, np.round(ev.imag, 9), np.round(ev.real, 9)))]
 
 
 @settings(max_examples=10, deadline=None)
@@ -837,8 +839,27 @@ def test_class_blocks_certify_as_the_orbit_blocks(g, alpha):
     assert cert.unit_eigenvalue_count == ref.unit_eigenvalue_count
     assert cert.disk_ok and ref.disk_ok
     dense = qg.synchronous_superoperator(g, alpha)
+    # the rows by brute force, without the package's labels: an entry's joint
+    # type is how often each pair letter occurs on each component's sites
+    m, n, q = g.shape.m, g.shape.n, g.shape.n ** 2
+    digits = np.array(np.unravel_index(np.arange(q ** m), (n,) * (2 * m)))
+
+    def joint_types(letters):  # (entries, components, q)
+        return np.stack([np.stack([(letters[[k - 1 for k in comp]] == s).sum(axis=0)
+                                   for s in range(q)], axis=-1)
+                         for comp in g.components()], axis=1)
+
+    types = joint_types(digits[:m] * n + digits[m:])
+    transposed = joint_types(digits[m:] * n + digits[:m])
+    orbit_profiles = -np.sort(-np.unique(types.reshape(q ** m, -1), axis=0).reshape(
+        -1, *types.shape[1:]), axis=-1)
     for c in classes:
         assert c.block.dtype == np.float64
+        assert np.array_equal(c.rows, np.flatnonzero((types == types[c.rows[0]]).all((1, 2))))
+        # the representative is transposed: letter s occurs lambda_s times, largest first
+        profile = transposed[c.rows[0]]
+        assert np.array_equal(profile, -np.sort(-profile, axis=-1))
+        assert c.count == int((orbit_profiles == profile).all((1, 2)).sum())
         assert np.array_equal(c.rows, np.flatnonzero(labels == labels[c.rows[0]]))
         assert np.array_equal(c.block, c.block.T)
         assert np.array_equal(c.block, dense[np.ix_(c.rows, c.rows)].real)
@@ -878,10 +899,10 @@ def test_class_plans_are_built_once_per_shape():
 
 
 def test_synchronous_classes_fail_before_building(monkeypatch):
-    # the caps run before any letter arrangement is built, and nothing is cached
-    arranged, real = [], gossip_module._arrangements
-    monkeypatch.setattr(gossip_module, "_arrangements",
-                        lambda counts: arranged.append(counts) or real(counts))
+    # the caps run before any orbit is labelled, and nothing is cached
+    labelled, real = [], gossip_module.orbit_labels
+    monkeypatch.setattr(gossip_module, "orbit_labels",
+                        lambda *key: labelled.append(key) or real(*key))
     gossip_module._class_plans.cache_clear()
     # the largest block is the most even letter split: 9!/(3! 2! 2! 2!) rows at m=9
     with pytest.raises(qg.ResourceLimitError, match="7560 rows"):
@@ -891,11 +912,11 @@ def test_synchronous_classes_fail_before_building(monkeypatch):
     split = qg.InteractionGraph(qg.NetworkShape(10, 2), [(1, 2), (3, 4)])
     with pytest.raises(qg.ResourceLimitError, match="1048576 eigenvalues"):
         next(qg.synchronous_classes(split, 0.5))
-    assert not arranged and gossip_module._class_plans.cache_info().currsize == 0
+    assert not labelled and gossip_module._class_plans.cache_info().currsize == 0
     with pytest.raises(qg.ValidationError):
         next(qg.synchronous_classes(qg.InteractionGraph(qg.NetworkShape(3, 2), []), 0.5))
     assert next(qg.synchronous_classes(path_graph(8), 0.5)).count == 4  # 2520 rows fit
-    assert arranged
+    assert labelled == [(8, 2, ((1, 2, 3, 4, 5, 6, 7, 8),))]
     # small components keep every block small, whatever m
     split = qg.InteractionGraph(qg.NetworkShape(9, 2), [(1, 2), (3, 4)])
     assert max(len(c.rows) for c in qg.synchronous_classes(split, 0.5)) == 4
@@ -1271,6 +1292,63 @@ def test_batched_experiment_matches_the_per_trial_loop(g, alpha, trials, horizon
     assert exp.successes == successes
     assert exp.max_final_sq_distance == pytest.approx(worst_final, rel=1e-14, abs=1e-20)
     assert exp.max_distance_increase == pytest.approx(worst_rise, rel=0, abs=1e-20 + ulps)
+
+
+MIX_ROUNDINGS = 3  # c: (1 - alpha), its product with x and the sum round x's part
+
+
+@pytest.mark.parametrize("g, alpha, trials, horizon, seed", [
+    (path_graph(3), 0.3, 3, 20, 11),
+    (qg.InteractionGraph(qg.NetworkShape(4, 2), [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)],
+                         [0.1, 0.3, 0.2, 0.15, 0.25]), 0.7, 3, 25, 5),
+    (qg.InteractionGraph(qg.NetworkShape(3, 3), [(1, 2), (2, 3), (1, 3)],
+                         [0.5, 0.3, 0.2]), 0.45, 2, 12, 2024),
+])
+def test_ensemble_states_replay_in_extended_precision(g, alpha, trials, horizon, seed):
+    # the ensemble's float64 mix against the exact map, replayed in clongdouble
+    # through axis transposes. A step rounds each real part of (1 - alpha) x
+    # c times and of alpha g fewer, so it adds at most gamma ||x_t||_F to the
+    # error, gamma = c u / (1 - c u). Every exact map is Frobenius
+    # non-expansive, so after T steps the error is at most
+    # ((1 + gamma)**T - 1) ||rho_0||_F, about c T u ||rho_0||_F; the replay's
+    # own roundings add the same with longdouble's u
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("longdouble is no wider than float64 here: no extended replay")
+    u, u_ext = np.finfo(np.float64).eps / 2, np.finfo(np.longdouble).eps / 2
+    m, n, d = g.shape.m, g.shape.n, g.shape.total_dim
+    rho = qg.random_density(g.shape, 3)
+    exp, finals = batched_final_states(horizon, g, alpha, rho, eps=1e-3,
+                                       num_trials=trials, seed=seed)
+    start = rho.matrix.astype(np.clongdouble).reshape((n,) * (2 * m))
+    star = sum(start.transpose(list(p) + [m + s for s in p])
+               for p in itertools.permutations(range(m))) / math.factorial(m)
+    config = qg.GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
+    a = np.longdouble(alpha)
+    gamma = sum(MIX_ROUNDINGS * v / (1 - MIX_ROUNDINGS * v) for v in (u, u_ext))
+    bound = math.expm1(horizon * math.log1p(gamma)) * np.linalg.norm(rho.matrix)
+    assert bound <= 1.01 * MIX_ROUNDINGS * horizon * (u + u_ext) * np.linalg.norm(rho.matrix)
+    far = []
+    for trial, final in enumerate(finals):
+        x = start
+        for idx in itertools.islice(qg.edge_schedule(g, config, trial_rng(seed, trial)),
+                                    horizon):
+            j, k = g.edges[idx]
+            axes = list(range(2 * m))
+            for s in (j - 1, m + j - 1):
+                axes[s], axes[s + k - j] = axes[s + k - j], axes[s]
+            x = (1 - a) * x + a * x.transpose(axes)
+        error = np.linalg.norm((final.astype(np.clongdouble) - x.reshape(-1)).astype(complex))
+        assert error <= bound
+        far.append(float(np.linalg.norm((x - star).astype(complex))))
+    # no trial has reached the twirl, where every mix would agree
+    assert min(far) > 1e6 * bound
+    # the reported distance: the states' error, the float64 twirl's own error and
+    # the rounding of a sum of 2 d**2 squares
+    star_error = np.linalg.norm(
+        (qg.twirl_matrix(rho.matrix, g.shape) - star.reshape(d, d)).astype(complex))
+    sums = (2 * d * d + 2) * u / (1 - (2 * d * d + 2) * u)
+    reported = math.sqrt(exp.max_final_sq_distance)
+    assert abs(reported - max(far)) <= bound + star_error + sums * (reported + max(far))
 
 
 @pytest.mark.parametrize("bad", [{"eps": float("nan")}, {"eps": -1e-3}, {"eps": float("inf")},

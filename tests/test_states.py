@@ -17,7 +17,8 @@ from qgossip.states import (Permutation, basis_index_map, check_projector_family
                             local_expectations, local_hermitian_basis,
                             local_reduced_states, orbit_labels, parse_sigma,
                             trace_index)
-from reference import apply, gossip_superoperator, permutation_unitary, swap_unitary
+from reference import (apply, gossip_superoperator, permutation_unitary, swap_unitary,
+                       von_neumann_entropy)
 
 SZ = qg.PAULI["z"]
 SX = qg.PAULI["x"]
@@ -185,6 +186,15 @@ def test_gathered_reduced_states_match_partial_traces(k, m, n):
     idx = trace_index(m, n, k)
     groups = list(itertools.combinations(shape.sites(), k))
     assert idx.shape == (len(groups), n ** k, n ** k, n ** (m - k))
+    # the index itself, exactly, from the digits of a and r placed on their sites
+    a, r = np.meshgrid(np.arange(n ** k), np.arange(n ** (m - k)), indexing="ij")
+    for g, group in enumerate(groups):
+        rest = [s for s in shape.sites() if s not in group]
+        digits = dict(zip(group, np.unravel_index(a, (n,) * k)))
+        if rest:  # k = m leaves no other site
+            digits.update(zip(rest, np.unravel_index(r, (n,) * (m - k))))
+        y = np.ravel_multi_index([digits[s] for s in shape.sites()], (n,) * m)
+        assert np.array_equal(idx[g], y[:, None] * shape.total_dim + y[None, :])
     for g, group in enumerate(groups):
         np.testing.assert_allclose(x.ravel()[idx[g]].sum(axis=-1),
                                    qg.partial_trace(x, shape, group), rtol=0, atol=1e-14)
@@ -231,7 +241,7 @@ def test_from_ket_normalizes_and_projects():
     ket = np.array([1.0, 0, 0, 1.0])  # unnormalized Bell vector
     rho = qg.DensityOperator.from_ket(ket, shape)
     np.testing.assert_allclose(np.trace(rho.matrix), 1.0, atol=1e-14)
-    np.testing.assert_allclose(rho.purity(), 1.0, atol=1e-14)
+    np.testing.assert_allclose(np.vdot(rho.matrix, rho.matrix).real, 1.0, atol=1e-14)  # pure
     np.testing.assert_allclose(rho.matrix[0, 3], 0.5, atol=1e-14)
 
 
@@ -242,14 +252,6 @@ def test_expectation_and_reduced_state():
     assert rho.expectation(qg.lift_local(SZ, 2, shape)) == pytest.approx(-1.0)
     np.testing.assert_allclose(local_reduced_states(rho.matrix, shape)[1],
                                np.diag([0.0, 1.0]), atol=0)
-
-
-def test_entropy_values():
-    shape = qg.NetworkShape(3, 2)
-    pure = qg.DensityOperator.from_ket(qg.basis_ket("000", 2), shape)
-    assert qg.von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-12)
-    flat = qg.DensityOperator(np.eye(8) / 8, shape)
-    assert qg.von_neumann_entropy(flat) == pytest.approx(np.log(8), abs=1e-12)
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (3, 2), (6, 2), (8, 2), (3, 3), (2, 4)])
@@ -550,7 +552,7 @@ def test_unital_channel_fixes_identity_and_raises_entropy():
     for seed in range(8):
         rho = qg.random_density(shape, seed)
         out = qg.DensityOperator(_one_edge_update(rho.matrix, 0.4), shape)
-        assert qg.von_neumann_entropy(out) >= qg.von_neumann_entropy(rho) - 1e-9
+        assert von_neumann_entropy(out) >= von_neumann_entropy(rho) - 1e-9
 
 
 # ---------------------------------------------------------------------------
