@@ -98,7 +98,7 @@ class Permutation:
 @lru_cache(maxsize=16)
 def trace_index(m: int, n: int, k: int) -> np.ndarray:
     """Read-only flat index ``idx[g, a, a', r]`` of shape
-    ``(C(m, k), n**k, n**k, n**(m-k))``.
+    ``(C(m, k), n**k, n**k, n**max(m-k, 0))``, empty for k > m.
 
     Group g is the g-th k-site tuple of ``itertools.combinations`` over the
     sites. Entry ``[g, a, a', r]`` is the position in ``x.ravel()`` of
@@ -113,7 +113,7 @@ def trace_index(m: int, n: int, k: int) -> np.ndarray:
     d = n ** m
     index = np.arange(d).reshape((n,) * m)
     groups = list(itertools.combinations(range(m), k))
-    idx = np.empty((len(groups), n ** k, n ** k, n ** (m - k)), dtype=np.intp)
+    idx = np.empty((len(groups), n ** k, n ** k, n ** max(m - k, 0)), dtype=np.intp)
     for g, sites in enumerate(groups):
         row = index[tuple(0 if s in sites else slice(None) for s in range(m))].ravel()
         offset = index[tuple(slice(None) if s in sites else 0 for s in range(m))].ravel()

@@ -182,6 +182,13 @@ def test_smc_pairwise_gap_values():
                                Observable(SZ)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_one_site_state_has_no_pairwise_gap():
+    rho = qg.random_density(qg.NetworkShape(1, 2), 3)
+    assert qg.smc_pairwise_gap(rho, Observable(SZ)) == 0.0
+    report = qg.classify(rho, Observable(SZ))
+    assert report.smc and report.ssc and report.ssc_gap == 0.0
+
+
 def dense_lift_pairwise_gap(rho, sigma):
     """Brute-force oracle: the pairwise SMC gap from dense d x d lifts."""
     shape = rho.shape

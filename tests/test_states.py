@@ -212,6 +212,12 @@ def test_gathered_reduced_states_match_partial_traces(k, m, n):
             np.testing.assert_allclose(z[i - 1], dense, rtol=0, atol=1e-14)
 
 
+def test_trace_index_of_more_sites_than_the_network_is_empty():
+    # a 1-site network has no site pair: the pair index is empty, not an error
+    idx = trace_index(1, 2, 2)
+    assert idx.shape == (0, 4, 4, 1) and idx.dtype == np.intp
+
+
 # ---------------------------------------------------------------------------
 # density operators
 # ---------------------------------------------------------------------------
