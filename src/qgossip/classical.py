@@ -80,9 +80,6 @@ class ClassicalTrajectory:
     def steps(self) -> int:
         return len(self.edges)
 
-    def final_values(self) -> np.ndarray:
-        return self.x[-1]
-
 
 def run_classical(x0, graph: InteractionGraph, alpha: float,
                   edge_sequence) -> ClassicalTrajectory:
@@ -157,7 +154,7 @@ def correspondence_run(rho0: DensityOperator, sigma, graph: InteractionGraph,
             f"quantum/classical gossip deviation {deviation:.3e} exceeds "
             f"{fail_above:.1e}")
     mean0 = float(rec.z[0].mean())
-    limit_dev = float(np.max(np.abs(classical.final_values()[:, 0] - mean0)))
+    limit_dev = float(np.max(np.abs(classical.x[-1][:, 0] - mean0)))
     return CorrespondenceResult(quantum=rec, classical=classical,
                                 max_deviation=deviation,
                                 classical_limit_deviation=limit_dev)

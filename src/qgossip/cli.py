@@ -154,7 +154,7 @@ def cmd_spectrum(args) -> int:
                                    f"1 - alpha lambda_2(L_q) = {expected!r}")
     manifest_name = _finish_manifest(
         out_dir, stem, scenario, "spectrum", started,
-        "certificate_passed" if cert.passed else "certificate_failed")
+        "certificate_passed" if cert.disk_ok else "certificate_failed")
     ev = cert.distinct_eigenvalues
     payload = {
         "alpha": alpha,
@@ -173,7 +173,7 @@ def cmd_spectrum(args) -> int:
     write_json(out_dir / f"{stem}_spectrum.json", payload, manifest_name)
     print(f"spectrum: {payload['unit_eigenvalue_count']} unit eigenvalues, "
           f"fixed space dimension {dim}, gap {cert.spectral_gap:.6f}")
-    if not cert.passed:
+    if not cert.disk_ok:
         raise CertificateError(
             f"eigenvalue disk violated by {cert.max_disk_violation:.3e}")
     return 0

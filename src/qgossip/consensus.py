@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConsistencyError, ValidationError
-from .linalg import (NetworkShape, as_operator, eigh, frobenius_distance, kron_all,
+from .linalg import (NetworkShape, _is_int, as_operator, eigh, frobenius_distance, kron_all,
                      row_dots, sq_distance_rows)
 from .states import (DensityOperator, Observable, PAULI, local_expectations,
                      local_hermitian_basis, local_reduced_states, trace_index,
@@ -377,7 +377,7 @@ def nogo_check(n: int) -> NogoReport:
     carries the dimension of the joint fixed space of the three Pauli
     symmetrized projectors (zero: no state survives all three).
     """
-    if not isinstance(n, int) or not 2 <= n <= 8:
+    if not _is_int(n) or not 2 <= n <= 8:
         raise ValidationError(f"n must be an integer in 2..8, got {n!r}")
     j = np.arange(n)
     levels = np.diag(j)
@@ -397,5 +397,5 @@ def nogo_check(n: int) -> NogoReport:
             total += eye4 - sym_projector(obs, 2)
         evals = np.linalg.eigvalsh((total + total.conj().T) / 2.0)
         triple_dim = int(np.sum(evals < 1e-10))
-    return NogoReport(n=n, lambda_max=lam_max, feasible=feasible,
+    return NogoReport(n=int(n), lambda_max=lam_max, feasible=feasible,
                       triple_pauli_fixed_dim=triple_dim)

@@ -79,7 +79,7 @@ import numpy as np
 from .consensus import smc_defect_rows, sym_kets
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
-                     as_operator, require_hermitian, sq_distance_rows)
+                     _is_int, _is_real, as_operator, require_hermitian, sq_distance_rows)
 from .rng import draw_index, make_rng, trial_rng
 # conjugate_by_basis_map is unused here, but perfbench/spans.py wraps this
 # module's binding of it as its gossip.step layer
@@ -103,17 +103,8 @@ RECORD_BLOCK_BYTES = 1 << 17    # the block of trajectory states evolve records 
 # ---------------------------------------------------------------------------
 
 def check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:  # NaN fails too
-        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
-
-
-def _is_int(v) -> bool:
-    """An integer and not a bool: floats and strings are rejected, never truncated."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    if not (_is_real(alpha) and 0.0 < alpha < 1.0):  # NaN fails too
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
 
 
 def _check_steps(steps) -> None:
@@ -184,7 +175,11 @@ class InteractionGraph:
 
     def laplacian_gap(self) -> float:
         """``lambda_2`` of the weighted Laplacian
-        ``L_q = sum_e q_e (e_j - e_k)(e_j - e_k)^T``."""
+        ``L_q = sum_e q_e (e_j - e_k)(e_j - e_k)^T``; a graph needs at least
+        two sites to have one."""
+        if self.shape.m < 2:
+            raise ValidationError(
+                f"the Laplacian gap needs at least two sites, the graph has {self.shape.m}")
         lap = np.zeros((self.shape.m, self.shape.m))
         for (j, k), q in zip(self.edges, self.weights):
             lap[[j - 1, k - 1], [j - 1, k - 1]] += q
@@ -650,7 +645,7 @@ class SpectralCertificate:
 
     Maps of the form ``q0 X + sum_e q_e U_e X U_e`` with ``q0 > 0`` have all
     eigenvalues inside the disk centred at ``q0`` with radius ``1 - q0``,
-    tangent to the unit circle only at 1. ``passed`` is the disk check.
+    tangent to the unit circle only at 1. ``disk_ok`` is the disk check.
     ``spectral_gap`` is the modulus gap, one minus the largest non-unit
     eigenvalue modulus: for ``q0 < 1/2`` it can be set by the negative end of
     the spectrum. ``second_largest_eigenvalue`` is the largest real part of a
@@ -677,10 +672,6 @@ class SpectralCertificate:
     second_largest_eigenvalue: float | None
     max_imag: float
     block_count: int
-
-    @property
-    def passed(self) -> bool:
-        return self.disk_ok
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -49,12 +49,22 @@ def hermiticity_defect(x: np.ndarray) -> float:
     return float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
 
 
-def require_hermitian(x: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
+def require_hermitian(x: np.ndarray, what: str = "matrix") -> np.ndarray:
     a = as_operator(x)
     defect = hermiticity_defect(a)
-    if not defect <= tol:  # a NaN or an infinity in x makes the defect NaN or inf
-        raise ValidationError(f"{what} is not Hermitian: max |x - x^dagger| = {defect:.3e} > {tol:.1e}")
+    if not defect <= HERMITIAN_TOL:  # a NaN or an infinity in x makes the defect NaN or inf
+        raise ValidationError(
+            f"{what} is not Hermitian: max |x - x^dagger| = {defect:.3e} > {HERMITIAN_TOL:.1e}")
     return a
+
+
+def _is_int(v) -> bool:
+    """An integer and not a bool: floats and strings are rejected, never truncated."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -63,17 +73,20 @@ class NetworkShape:
 
     The joint Hilbert space has dimension ``n**m``; construction fails beyond
     the ``MAX_TOTAL_DIM`` cap. Subsystems are labelled 1..m in every public
-    interface.
+    interface. ``m`` and ``n`` may be numpy integers and are stored as plain
+    ``int``; bools, floats and strings are rejected, never truncated.
     """
 
     m: int
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_int(self.m) or self.m < 1:
             raise ValidationError(f"m must be a positive integer, got {self.m!r}")
-        if not isinstance(self.n, int) or self.n < 2:
+        if not _is_int(self.n) or self.n < 2:
             raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "n", int(self.n))
         if self.n ** self.m > MAX_TOTAL_DIM:
             raise ResourceLimitError(
                 f"total dimension {self.n}**{self.m} exceeds the cap {MAX_TOTAL_DIM}")
@@ -136,15 +149,16 @@ def partial_trace(x, shape: NetworkShape, keep: Iterable[int]) -> np.ndarray:
     return np.ascontiguousarray(reduced.reshape(d, d))
 
 
-def eigh(x, tol: float = HERMITIAN_TOL):
+def eigh(x):
     """Hermitian eigendecomposition with validation.
 
-    Checks hermiticity on entry (max-entry tolerance), delegates to the dense
-    LAPACK solver, and verifies the reconstruction ``V diag(w) V^dagger``
-    against the input to ``EIG_RECONSTRUCTION_TOL`` in Frobenius norm.
+    Checks hermiticity on entry (``HERMITIAN_TOL``, max entry), delegates to
+    the dense LAPACK solver, and verifies the reconstruction
+    ``V diag(w) V^dagger`` against the input to ``EIG_RECONSTRUCTION_TOL`` in
+    Frobenius norm.
     Eigenvalues come back ascending with orthonormal columns in ``V``.
     """
-    a = require_hermitian(x, tol=tol)
+    a = require_hermitian(x)
     w, v = np.linalg.eigh(a)
     residual = frobenius_norm(v @ np.diag(w) @ v.conj().T - a)
     scale = max(1.0, frobenius_norm(a))

@@ -7,6 +7,10 @@ output holds the content of site pi(i) of the input), which is exactly the
 convention under which
 
     U_pi (X_1 (x) ... (x) X_m) U_pi^dagger = X_pi(1) (x) ... (x) X_pi(m).
+
+A site permutation is written as its 1-based order ``(pi(1), ..., pi(m))``:
+:func:`basis_index_map` takes that tuple and returns the basis map of the
+``U_pi`` above, so the order ``(2, 1, 3)`` swaps sites 1 and 2.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import numpy as np
 
 from . import linalg
 from .errors import ConsistencyError, DimensionError, ValidationError
-from .linalg import NetworkShape, as_operator, eigh, kron, require_hermitian, row_dots
+from .linalg import (NetworkShape, _is_int, as_operator, eigh, kron, require_hermitian,
+                     row_dots)
 from .rng import complex_ginibre, make_rng
 
 # Single-qubit basics, sigma_z = |0><0| - |1><1| = diag(1, -1).
@@ -32,67 +37,6 @@ PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z, "identity": I2}
 
 TRACE_TOL = 1e-10
 GROUPING_TOL = 1e-8  # relative eigenvalue gap below which Observable merges projectors
-
-
-# ---------------------------------------------------------------------------
-# permutations
-# ---------------------------------------------------------------------------
-
-class Permutation:
-    """A bijection pi of the site labels {1, ..., m}.
-
-    ``mapping[i-1] == pi(i)``. Composition is defined so that the induced
-    unitaries satisfy ``U_{p.compose(q)} == U_p U_q``; under the tensor-leg
-    convention above that means ``compose(p, q)(i) == q(p(i))``.
-    """
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping: Sequence[int]):
-        mp = tuple(int(v) for v in mapping)
-        if sorted(mp) != list(range(1, len(mp) + 1)):
-            raise ValidationError(f"not a bijection of 1..{len(mp)}: {mp}")
-        self.mapping = mp
-
-    @property
-    def m(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i - 1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.mapping == other.mapping
-
-    def __hash__(self) -> int:
-        return hash(self.mapping)
-
-    def __repr__(self) -> str:
-        return f"Permutation({list(self.mapping)})"
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(range(1, m + 1))
-
-    @classmethod
-    def transposition(cls, m: int, j: int, k: int) -> "Permutation":
-        if j == k:
-            raise ValidationError("transposition needs two distinct sites")
-        mp = list(range(1, m + 1))
-        mp[j - 1], mp[k - 1] = mp[k - 1], mp[j - 1]
-        return cls(mp)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.m
-        for i, v in enumerate(self.mapping):
-            inv[v - 1] = i + 1
-        return Permutation(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return r with U_r = U_self @ U_other, i.e. r(i) = other(self(i))."""
-        if self.m != other.m:
-            raise DimensionError("permutation sizes differ")
-        return Permutation([other(self(i)) for i in range(1, self.m + 1)])
 
 
 @lru_cache(maxsize=16)
@@ -164,19 +108,22 @@ def orbit_labels(m: int, n: int, blocks: tuple[tuple[int, ...], ...]):
     return labels, sizes
 
 
-def basis_index_map(perm: Permutation, shape: NetworkShape) -> np.ndarray:
-    """The action of U_perm on computational basis indices.
+def basis_index_map(order: Sequence[int], shape: NetworkShape) -> np.ndarray:
+    """The action of U_pi on computational basis indices, for the site order
+    ``order = (pi(1), ..., pi(m))``.
 
-    Returns ``bmap`` with ``U_perm |x> = |bmap[x]>``, where the digits of
-    ``bmap[x]`` satisfy ``y_i = x_perm(i)``. Conjugating by ``U_perm`` then
+    Returns ``bmap`` with ``U_pi |x> = |bmap[x]>``, where the digits of
+    ``bmap[x]`` satisfy ``y_i = x_pi(i)``. Conjugating by ``U_pi`` then
     reduces to fancy indexing (:func:`conjugate_by_basis_map`).
     """
-    if perm.m != shape.m:
-        raise DimensionError(f"permutation of {perm.m} sites on shape with m={shape.m}")
+    order = tuple(order)
+    if len(order) != shape.m:
+        raise DimensionError(f"order of {len(order)} sites on shape with m={shape.m}")
+    if not all(map(_is_int, order)) or sorted(order) != list(shape.sites()):
+        raise ValidationError(f"order {order!r} is not a bijection of 1..{shape.m}")
     weights = shape.n ** np.arange(shape.m - 1, -1, -1, dtype=np.int64)
     digits = np.arange(shape.total_dim)[:, None] // weights % shape.n  # digits[x, i]
-    cols = [perm(i) - 1 for i in range(1, shape.m + 1)]
-    return digits[:, cols] @ weights
+    return digits[:, [p - 1 for p in order]] @ weights
 
 
 def conjugate_by_basis_map(x: np.ndarray, bmap: np.ndarray) -> np.ndarray:

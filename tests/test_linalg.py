@@ -37,6 +37,14 @@ def test_network_shape_rejects_bad_arguments():
         qg.NetworkShape(0, 2)
     with pytest.raises(qg.ValidationError):
         qg.NetworkShape(2, 1)
+    # bools, floats and strings are refused, never read as 1, 2, ...
+    for m, n in ((True, 2), (2, True), (2.0, 2), (2, 2.0), ("2", 2), (2, "2")):
+        with pytest.raises(qg.ValidationError):
+            qg.NetworkShape(m, n)
+    # numpy integers count, and are stored as plain ints
+    shape = qg.NetworkShape(np.int64(3), np.uint8(2))
+    assert shape == qg.NetworkShape(3, 2)
+    assert type(shape.m) is int and type(shape.n) is int
 
 
 def test_network_shape_enforces_dimension_cap():
