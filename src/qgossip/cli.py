@@ -108,9 +108,7 @@ def cmd_evolve(args) -> int:
     scenario = load_scenario(args.scenario)
     out_dir = resolve_out_dir(scenario.out_directory, args.out_dir)
     stem = scenario.stem
-    rho0 = scenario.initial_state()
-    sigma = scenario.sigma()
-    record, _ = evolve(rho0, scenario.graph, scenario.config, sigma)
+    record, _ = evolve(scenario.rho0, scenario.graph, scenario.config, scenario.obs)
 
     manifest_name = _finish_manifest(out_dir, stem, scenario, "evolve",
                                      started, record.termination)
@@ -184,8 +182,7 @@ def cmd_correspond(args) -> int:
     scenario = load_scenario(args.scenario)
     out_dir = resolve_out_dir(scenario.out_directory, args.out_dir)
     stem = scenario.stem
-    result = correspondence_run(scenario.initial_state(), scenario.sigma(),
-                                scenario.graph, scenario.config)
+    result = correspondence_run(scenario.rho0, scenario.obs, scenario.graph, scenario.config)
     manifest_name = _finish_manifest(out_dir, stem, scenario, "correspond",
                                      started, result.quantum.termination)
     _write_trajectory(out_dir / f"{stem}_trajectory.csv", result.quantum, manifest_name)
@@ -229,7 +226,7 @@ def cmd_ensemble(args) -> int:
     if seed is None:
         raise ScenarioError("gossip.seed: the ensemble experiment needs a seed")
     experiment = probability_one_convergence_experiment(
-        scenario.graph, scenario.config.alpha, scenario.initial_state(),
+        scenario.graph, scenario.config.alpha, scenario.rho0,
         eps=args.eps, num_trials=args.trials, horizon=args.horizon, seed=seed)
     manifest_name = _finish_manifest(out_dir, stem, scenario, "ensemble",
                                      started, "completed")

@@ -27,9 +27,8 @@ from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .linalg import (NetworkShape, _is_int, as_operator, eigh, frobenius_distance, kron_all,
                      row_dots, sq_distance_rows)
-from .states import (DensityOperator, Observable, PAULI, local_expectations,
-                     local_hermitian_basis, local_reduced_states, trace_index,
-                     twirl_matrix)
+from .states import (DensityOperator, Observable, PAULI, as_observable, local_expectations,
+                     local_hermitian_basis, local_reduced_states, trace_index, twirl_matrix)
 
 DEFAULT_TOL = 1e-8
 
@@ -56,10 +55,9 @@ class ConsensusReport:
 def check_sigma_ec(rho: DensityOperator, sigma, tol: float = DEFAULT_TOL):
     """Return (flag, gap) with gap = max pairwise |z_j - z_k|.
 
-    ``z_i = Tr[sigma^(i) rho]`` comes from :func:`local_expectations`.
+    ``z_i = Tr[sigma^(i) rho]`` comes from :func:`local_expectations`; see :func:`as_observable`.
     """
-    mat = sigma.matrix if isinstance(sigma, Observable) else as_operator(sigma)
-    z = local_expectations(rho.matrix, rho.shape, mat)
+    z = local_expectations(rho.matrix, rho.shape, as_observable(sigma).matrix)
     gap = float(z.max() - z.min())
     return gap <= tol, gap
 
@@ -209,7 +207,7 @@ def check_smc(rho: DensityOperator, sigma: Observable, tol: float = DEFAULT_TOL)
 
 def classify(rho: DensityOperator, sigma, tol: float = DEFAULT_TOL) -> ConsensusReport:
     """Run all four classifiers and enforce the implication hierarchy."""
-    obs = sigma if isinstance(sigma, Observable) else Observable(as_operator(sigma))
+    obs = as_observable(sigma)
     ec_flag, ec_gap = check_sigma_ec(rho, obs, tol)
     rsc_flag, rsc_gap = check_rsc(rho, tol)
     ssc_flag, gap_ssc = check_ssc(rho, tol)

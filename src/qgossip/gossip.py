@@ -79,11 +79,11 @@ import numpy as np
 from .consensus import smc_defect_rows, sym_kets
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
-                     _is_int, _is_real, as_operator, require_hermitian, sq_distance_rows)
+                     _is_int, _is_real, require_hermitian, sq_distance_rows)
 from .rng import draw_index, make_rng, trial_rng
 # conjugate_by_basis_map is unused here, but perfbench/spans.py wraps this
 # module's binding of it as its gossip.step layer
-from .states import (DensityOperator, Observable, conjugate_by_basis_map,  # noqa: F401
+from .states import (DensityOperator, as_observable, conjugate_by_basis_map,  # noqa: F401
                      is_permutation_invariant, lift_local, local_expectation_rows,
                      local_expectations, local_hermitian_basis, orbit_labels,
                      site_average, twirl_matrix)
@@ -420,7 +420,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     shape = rho0.shape
     if graph.shape != shape:
         raise ValidationError("graph and state shapes differ")
-    obs = sigma if isinstance(sigma, Observable) else Observable(as_operator(sigma))
+    obs = as_observable(sigma)
     if obs.dim != shape.n:
         raise ValidationError("sigma dimension does not match the network")
     if shape.m > 1 and not graph.edges:
@@ -899,7 +899,7 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
 
     iter_dev = 0.0
     if sigma is not None:
-        obs = sigma if isinstance(sigma, Observable) else Observable(as_operator(sigma))
+        obs = as_observable(sigma)
         x = lift_local(obs.matrix, 1, shape)
         target = twirl_matrix(x, shape)
         for t in range(steps):

@@ -87,7 +87,8 @@ class NetworkShape:
             raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "n", int(self.n))
-        if self.n ** self.m > MAX_TOTAL_DIM:
+        # 2**m already exceeds the cap here; a huge m never builds n**m
+        if self.m >= MAX_TOTAL_DIM.bit_length() or self.n ** self.m > MAX_TOTAL_DIM:
             raise ResourceLimitError(
                 f"total dimension {self.n}**{self.m} exceeds the cap {MAX_TOTAL_DIM}")
 

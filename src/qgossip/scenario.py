@@ -115,7 +115,8 @@ def _read_specs(block: dict, state_key: str, shape: NetworkShape | None,
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed and validated scenario plus its provenance hash."""
+    """A parsed and validated scenario plus its provenance hash; the state ``rho0``
+    and observable ``obs`` are built once by :func:`load_scenario` and shared."""
 
     shape: NetworkShape
     graph: InteractionGraph
@@ -127,14 +128,6 @@ class Scenario:
     path: str
     rho0: DensityOperator = field(repr=False, compare=False)
     obs: Observable = field(repr=False, compare=False)
-
-    def initial_state(self) -> DensityOperator:
-        """The state built once by :func:`load_scenario` (immutable, shared)."""
-        return self.rho0
-
-    def sigma(self) -> Observable:
-        """The observable built once by :func:`load_scenario` (immutable, shared)."""
-        return self.obs
 
     def seeds(self) -> list[int]:
         seeds = []

@@ -182,31 +182,34 @@ def local_hermitian_basis(n: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 class DensityOperator:
-    """A validated density operator on a subsystem network.
+    """A density operator on a subsystem network, its matrix read-only.
 
-    Construction checks hermiticity (max-entry 1e-9), unit trace (1e-10) and
-    positive semidefiniteness (eigenvalues >= -1e-10). The matrix is frozen
-    after construction. Internal code may skip the eigenvalue check through
-    :meth:`trusted` when positivity is guaranteed by construction (convex
-    mixtures of unitary conjugates of a validated state, ``G G^dagger``).
+    ``DensityOperator(matrix, shape)`` checks a matrix from outside the program
+    once, where it enters: Hermitian (``HERMITIAN_TOL``), dimension, unit trace
+    (``TRACE_TOL``), then PSD (eigenvalues >= ``-PSD_TOL``) on the stored matrix.
+    A state the program builds (ket projectors and their mixtures, ``G G^dagger``,
+    twirls, gossip steps) is valid by construction and enters through
+    :meth:`trusted`. Both store the Hermitian part ``(a + a^dagger)/2``: a complex
+    ``np.outer`` or a twirl can miss exact Hermiticity in the last bits.
     """
 
     __slots__ = ("shape", "matrix")
 
-    def __init__(self, matrix, shape: NetworkShape, _validate_psd: bool = True):
+    def __init__(self, matrix, shape: NetworkShape):
         a = require_hermitian(matrix, what="density operator")
-        if a.shape[0] != shape.total_dim:
-            raise DimensionError(
-                f"matrix dim {a.shape[0]} != total dim {shape.total_dim}")
+        self._store(a, shape)
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace {tr} differs from 1 beyond {TRACE_TOL:.1e}")
+        evals = np.linalg.eigvalsh(self.matrix)  # reads one triangle of the Hermitian part
+        if evals[0] < -linalg.PSD_TOL:
+            raise ValidationError(
+                f"negative eigenvalue {evals[0]:.3e} below -{linalg.PSD_TOL:.1e}")
+
+    def _store(self, a: np.ndarray, shape: NetworkShape) -> None:
+        if a.shape[0] != shape.total_dim:
+            raise DimensionError(f"matrix dim {a.shape[0]} != total dim {shape.total_dim}")
         a = (a + a.conj().T) / 2.0
-        if _validate_psd:
-            evals = np.linalg.eigvalsh(a)
-            if evals[0] < -linalg.PSD_TOL:
-                raise ValidationError(
-                    f"negative eigenvalue {evals[0]:.3e} below -{linalg.PSD_TOL:.1e}")
         a.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "matrix", a)
@@ -216,8 +219,11 @@ class DensityOperator:
 
     @classmethod
     def trusted(cls, matrix: np.ndarray, shape: NetworkShape) -> "DensityOperator":
-        """Construct without the O(d^3) eigenvalue check; see class docstring."""
-        return cls(matrix, shape, _validate_psd=False)
+        """Store a state the program built: the dimension is checked and the Hermitian
+        part kept, with no Hermiticity, trace or eigenvalue check."""
+        rho = object.__new__(cls)
+        rho._store(as_operator(matrix), shape)
+        return rho
 
     @classmethod
     def from_ket(cls, ket, shape: NetworkShape) -> "DensityOperator":
@@ -343,6 +349,11 @@ class Observable:
         return all(abs(np.trace(p) - 1.0) < 1e-8 for p in self.projectors)
 
 
+def as_observable(sigma) -> Observable:
+    """``sigma`` if it is an :class:`Observable`, else ``Observable(sigma)``, checked."""
+    return sigma if isinstance(sigma, Observable) else Observable(sigma)
+
+
 # ---------------------------------------------------------------------------
 # twirl
 # ---------------------------------------------------------------------------
@@ -450,7 +461,7 @@ def _named_three_qubit(name: str) -> DensityOperator:
         mat = np.outer(ghz, ghz) / 2.0
     else:
         raise ValidationError(f"unknown named state {name!r}")
-    return DensityOperator(mat, shape)
+    return DensityOperator.trusted(mat, shape)
 
 
 def rho_g(p: float, m: int = 3, n: int = 2) -> DensityOperator:
@@ -461,7 +472,7 @@ def rho_g(p: float, m: int = 3, n: int = 2) -> DensityOperator:
     lo = basis_ket("0" * m, n)
     hi = basis_ket(str(n - 1) * m, n)
     mat = p * np.outer(lo, lo) + (1.0 - p) * np.outer(hi, hi)
-    return DensityOperator(mat, shape)
+    return DensityOperator.trusted(mat, shape)
 
 
 def named_state(spec: str, shape: NetworkShape | None = None) -> DensityOperator:

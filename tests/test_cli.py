@@ -92,6 +92,12 @@ def test_classify_random_state_with_shape(capsys):
                      "--m", "2"]) == 1  # --m without --n
 
 
+def test_classify_past_the_cap_exits_3(capsys):
+    assert cli.main(["classify", "--m", "1000000000", "--n", "2", "--state", "random:1",
+                     "--sigma", "x"]) == 3
+    assert "resource cap" in capsys.readouterr().err
+
+
 def write_suite(tmp_path, entries):
     p = tmp_path / "suite.json"
     p.write_text(json.dumps({"schema": 1, "suite": entries}))

@@ -94,6 +94,15 @@ def test_sigma_ec_gap_for_antialigned_pair():
     assert gap == pytest.approx(2.0, abs=1e-12)
 
 
+def test_sigma_ec_checks_a_matrix_sigma():
+    rho = qg.named_state("rhoA")
+    assert qg.check_sigma_ec(rho, SZ) == qg.check_sigma_ec(rho, Observable(SZ))
+    # a non-Hermitian sigma has no real expectations to compare
+    for sigma in (np.array([[0.0, 1.0], [0.0, 0.0]]), SZ + 1e-6j * SX):
+        with pytest.raises(qg.ValidationError, match="observable is not Hermitian"):
+            qg.check_sigma_ec(rho, sigma)
+
+
 def test_ssc_without_smc_for_unmatched_observable():
     # |000> is fully symmetric yet has maximal sigma_x-SMC defect
     rep = qg.classify(qg.named_state("rhoE"), SX)

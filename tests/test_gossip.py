@@ -1546,7 +1546,7 @@ def test_benchmark_ensemble_shapes_run_as_one_chunk(tmp_path):
         with mock.patch.object(gossip_module, "sq_distance_rows",
                                wraps=gossip_module.sq_distance_rows) as measured:
             qg.probability_one_convergence_experiment(
-                scenario.graph, scenario.config.alpha, scenario.initial_state(),
+                scenario.graph, scenario.config.alpha, scenario.rho0,
                 eps=workloads.ENSEMBLE_EPS, num_trials=trials,
                 horizon=workloads.ENSEMBLE_HORIZON, seed=scenario.config.seed)
         assert measured.call_count == workloads.ENSEMBLE_HORIZON + 1
@@ -1576,7 +1576,7 @@ def test_ensemble_pool_matches_the_benchmark_reference(tmp_path):
             scenario_path.write_text(json.dumps(workloads.ensemble_pool_entry(m, k)))
             scenario = load_scenario(scenario_path)
             exp = qg.probability_one_convergence_experiment(
-                scenario.graph, scenario.config.alpha, scenario.initial_state(),
+                scenario.graph, scenario.config.alpha, scenario.rho0,
                 eps=workloads.ENSEMBLE_EPS, num_trials=workloads.ENSEMBLE_TRIALS[m],
                 horizon=workloads.ENSEMBLE_HORIZON, seed=scenario.config.seed)
             key = f"{m}/{k}"
@@ -1651,7 +1651,7 @@ def _run_pinned(name, tmp_path):
             digest.update(x.tobytes())
         return real(x, *rest)
 
-    rho = scenario.initial_state()
+    rho = scenario.rho0
     with mock.patch.object(gossip_module, "sq_distance_rows", measure):
         exp = qg.probability_one_convergence_experiment(
             scenario.graph, scenario.config.alpha, rho, eps=1e-10,

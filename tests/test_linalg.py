@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -51,6 +52,15 @@ def test_network_shape_enforces_dimension_cap():
     qg.NetworkShape(12, 2)  # 4096 is the largest admissible qubit network
     with pytest.raises(qg.ResourceLimitError):
         qg.NetworkShape(13, 2)
+
+
+def test_network_shape_refuses_a_huge_m_at_once():
+    # 2**m is over the cap from m = 13 on, so n**m is never built
+    for m, n in ((10**9, 2), (10**9, 3), (13, 2)):
+        start = time.perf_counter()
+        with pytest.raises(qg.ResourceLimitError):
+            qg.NetworkShape(m, n)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_as_operator_rejects_nonsquare():

@@ -3,6 +3,7 @@
 import json
 from importlib.resources import files
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgossip as qg
+from qgossip import scenario as scenario_module
 from qgossip.scenario import (OUT_DIR_ENV, RepeatedRows, RunManifest, _json_text,
                               resolve_out_dir, write_csv, write_json, write_manifest)
 
@@ -46,8 +48,8 @@ def test_load_bundled_scenario():
     assert scn.seeds() == [7]
     assert scn.stem == "fig3"
     assert len(scn.sha256) == 64
-    assert scn.initial_state().shape.m == 4
-    np.testing.assert_allclose(scn.sigma().matrix, qg.PAULI["z"], atol=0)
+    assert scn.rho0.shape.m == 4
+    np.testing.assert_allclose(scn.obs.matrix, qg.PAULI["z"], atol=0)
 
 
 def test_load_valid_minimal_scenario(tmp_path):
@@ -119,18 +121,20 @@ def test_sigma_as_explicit_matrix(tmp_path):
     doc = base_doc()
     doc["sigma"] = {"real": [[0.0, 1.0], [1.0, 0.0]]}
     scn = qg.load_scenario(write_doc(tmp_path, doc))
-    np.testing.assert_allclose(scn.sigma().matrix, qg.PAULI["x"], atol=0)
+    np.testing.assert_allclose(scn.obs.matrix, qg.PAULI["x"], atol=0)
     doc["sigma"] = {"real": [[0.0, 0.0], [0.0, 0.0]], "imag": [[0.0, -1.0], [1.0, 0.0]]}
     scn = qg.load_scenario(write_doc(tmp_path, doc))
-    np.testing.assert_allclose(scn.sigma().matrix, qg.PAULI["y"], atol=0)
+    np.testing.assert_allclose(scn.obs.matrix, qg.PAULI["y"], atol=0)
 
 
 def test_sigma_as_bare_list_is_built_once(tmp_path):
     doc = base_doc()
     doc["sigma"] = [[0.0, 1.0], [1.0, 0.0]]
-    scn = qg.load_scenario(write_doc(tmp_path, doc))
-    np.testing.assert_allclose(scn.sigma().matrix, qg.PAULI["x"], atol=0)
-    assert scn.sigma() is scn.sigma()
+    with mock.patch.object(scenario_module, "parse_sigma",
+                           wraps=scenario_module.parse_sigma) as built:
+        scn = qg.load_scenario(write_doc(tmp_path, doc))
+    assert built.call_count == 1
+    np.testing.assert_allclose(scn.obs.matrix, qg.PAULI["x"], atol=0)
 
 
 @pytest.mark.parametrize("sigma", [
@@ -154,7 +158,7 @@ def test_random_state_seed_is_reported(tmp_path):
     doc["gossip"].update(strategy="random", seed=12)
     scn = qg.load_scenario(write_doc(tmp_path, doc))
     assert scn.seeds() == [12, 31]
-    np.testing.assert_array_equal(scn.initial_state().matrix,
+    np.testing.assert_array_equal(scn.rho0.matrix,
                                   qg.random_density(scn.shape, 31).matrix)
 
 

@@ -247,6 +247,79 @@ def test_from_ket_normalizes_and_projects():
     np.testing.assert_allclose(rho.matrix[0, 3], 0.5, atol=1e-14)
 
 
+# every specifier route named_state builds: the named states, rhoG over a p
+# grid, digit strings on qubits and qutrits, and Ginibre states
+BUILT_STATES = (
+    [(name, None) for name in ("rhoA", "rhoB", "rhoC", "rhoD", "rhoE", "rhoF")]
+    + [(f"rhoG:{p!r}", qg.NetworkShape(m, 2))
+       for m in range(1, 7) for p in (0.0, 0.3, 1 / 3, 0.5, 0.9, 1.0)]
+    + [("rhoG:0.3", qg.NetworkShape(3, 3))]
+    + [("1010", None), ("011010", None), ("210", qg.NetworkShape(3, 3)),
+       ("0221", qg.NetworkShape(4, 3))]
+    + [(f"random:{s}", qg.NetworkShape(m, n))
+       for s in (0, 7) for m, n in ((1, 2), (3, 2), (5, 2), (2, 3), (3, 3))])
+
+
+@pytest.fixture
+def trusted_inputs(monkeypatch):
+    """The ``(matrix, shape)`` of every ``DensityOperator.trusted`` call, copied."""
+    seen = []
+    store = qg.DensityOperator.trusted.__func__
+
+    def record(cls, matrix, shape):
+        seen.append((np.array(matrix, dtype=np.complex128), shape))
+        return store(cls, matrix, shape)
+
+    monkeypatch.setattr(qg.DensityOperator, "trusted", classmethod(record))
+    return seen
+
+
+def assert_stored_as_checked(rho, trusted_inputs):
+    """``rho`` came from one ``trusted`` call, whose input passes every check of
+    ``DensityOperator(matrix, shape)`` and is stored there as the same bytes."""
+    (matrix, shape), = trusted_inputs
+    trusted_inputs.clear()
+    checked = qg.DensityOperator(matrix, shape)
+    assert checked.shape == rho.shape == shape
+    assert checked.matrix.dtype == rho.matrix.dtype
+    assert checked.matrix.shape == rho.matrix.shape
+    assert checked.matrix.tobytes() == rho.matrix.tobytes()
+
+
+@pytest.mark.parametrize("spec, shape", BUILT_STATES)
+def test_built_states_store_what_the_boundary_check_stores(spec, shape, trusted_inputs):
+    rho = qg.named_state(spec, shape)
+    assert_stored_as_checked(rho, trusted_inputs)
+    assert_stored_as_checked(qg.twirl(rho), trusted_inputs)
+
+
+@pytest.mark.parametrize("strategy", gossip.STRATEGIES)
+def test_evolved_states_store_what_the_boundary_check_stores(strategy, trusted_inputs):
+    shape = qg.NetworkShape(4, 2)
+    graph = qg.InteractionGraph(shape, [(1, 2), (2, 3), (3, 4), (1, 3)])
+    config = qg.GossipConfig(alpha=0.4, strategy=strategy, steps=7, seed=3)
+    for spec in ("random:11", "rhoG:0.3", "1010"):
+        rho0 = qg.named_state(spec, shape)
+        trusted_inputs.clear()
+        _, final = qg.evolve(rho0, graph, config, SX)
+        assert_stored_as_checked(final, trusted_inputs)
+
+
+def test_built_states_skip_the_boundary_check(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a state the program built was checked again")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(qg.linalg, "hermiticity_defect", refuse)
+    for spec, shape in BUILT_STATES:
+        qg.twirl(qg.named_state(spec, shape))
+    qg.rho_g(0.25, m=4, n=3)
+    qg.DensityOperator.from_ket([1.0, 1j, 0.0, 2.0], qg.NetworkShape(2, 2))
+    qg.random_density(qg.NetworkShape(2, 3), 5)
+    with pytest.raises(AssertionError):  # a matrix from outside is checked
+        qg.DensityOperator(np.eye(2) / 2, qg.NetworkShape(1, 2))
+
+
 def test_expectation_and_reduced_state():
     shape = qg.NetworkShape(2, 2)
     rho = qg.DensityOperator.from_ket(qg.basis_ket("01", 2), shape)
