@@ -1,6 +1,8 @@
 """Classical gossip on real vectors, and the quantum-classical correspondence.
 
-One interaction on edge (j, k) replaces the pair (x_j, x_k) by the mixture
+One interaction on edge (j, k), two distinct node labels in 1..m by the site-label
+rule :func:`qgossip.linalg.check_sites` (given m itself: node values have no
+dimension cap), replaces the pair (x_j, x_k) by the mixture
 
     (x_j, x_k) <- ((1 - alpha) x_j + alpha x_k, (1 - alpha) x_k + alpha x_j),
 
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import CertificateError, ConsistencyError, ValidationError
 from .gossip import (ALL_EDGE_STRATEGIES, GossipConfig, InteractionGraph,
                      TrajectoryRecord, check_alpha, evolve)
+from .linalg import check_sites
 from .states import DensityOperator
 
 MEAN_TOL = 1e-13
@@ -37,11 +40,12 @@ def as_value_array(x0) -> np.ndarray:
 
 
 def _edge_rows(edge, m: int) -> tuple[int, int]:
-    """The 0-based rows of a 1-based edge on m nodes."""
-    j, k = (int(v) - 1 for v in edge)
-    if j == k or not (0 <= j < m and 0 <= k < m):
-        raise ValidationError(f"edge {edge!r} invalid for {m} nodes")
-    return j, k
+    """The 0-based rows of an edge, a pair of distinct labels of m nodes."""
+    message = f"edge {edge!r} invalid for {m} nodes"
+    pair = check_sites(edge, m, message) if isinstance(edge, (list, tuple, np.ndarray)) else ()
+    if len(pair) != 2 or pair[0] == pair[1]:
+        raise ValidationError(message)
+    return pair[0] - 1, pair[1] - 1
 
 
 def _mix_rows(src: np.ndarray, out: np.ndarray, j: int, k: int, alpha: float) -> None:

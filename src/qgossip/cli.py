@@ -28,7 +28,7 @@ from .linalg import NetworkShape
 from .scenario import (RepeatedRows, RunManifest, Scenario, TOOL_VERSION, load_scenario,
                        load_suite, resolve_out_dir, write_csv, write_json,
                        write_manifest)
-from .states import named_state, parse_sigma
+from .states import as_observable, named_state
 
 
 def _edge_label(edge) -> str:
@@ -86,7 +86,7 @@ def cmd_classify(args) -> int:
                 raise ScenarioError("--m and --n must be given together")
             shape = NetworkShape(args.m, args.n)
         state = named_state(args.state, shape)
-        entries = [(args.state, state, args.sigma, parse_sigma(args.sigma, state.shape.n))]
+        entries = [(args.state, state, args.sigma, as_observable(args.sigma, state.shape.n))]
     results = [{"state": state_spec, "sigma": sigma_spec,
                 "report": classify(state, obs, tol).as_dict()}
                for state_spec, state, sigma_spec, obs in entries]

@@ -27,7 +27,7 @@ from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .linalg import (NetworkShape, _is_int, as_operator, eigh, frobenius_distance, kron_all,
                      row_dots, sq_distance_rows)
-from .states import (DensityOperator, Observable, PAULI, as_observable, local_expectations,
+from .states import (DensityOperator, Observable, as_observable, local_expectations,
                      local_hermitian_basis, local_reduced_states, trace_index, twirl_matrix)
 
 DEFAULT_TOL = 1e-8
@@ -57,7 +57,7 @@ def check_sigma_ec(rho: DensityOperator, sigma, tol: float = DEFAULT_TOL):
 
     ``z_i = Tr[sigma^(i) rho]`` comes from :func:`local_expectations`; see :func:`as_observable`.
     """
-    z = local_expectations(rho.matrix, rho.shape, as_observable(sigma).matrix)
+    z = local_expectations(rho.matrix, rho.shape, as_observable(sigma, rho.shape.n).matrix)
     gap = float(z.max() - z.min())
     return gap <= tol, gap
 
@@ -184,7 +184,7 @@ def smc_pairwise_gap(rho: DensityOperator, sigma: Observable) -> float:
     return float(np.maximum(abs(joint - first), abs(joint - second)).max(initial=0.0))
 
 
-def check_smc(rho: DensityOperator, sigma: Observable, tol: float = DEFAULT_TOL):
+def check_smc(rho: DensityOperator, sigma, tol: float = DEFAULT_TOL):
     """Return (flag, defect) with defect = 1 - Tr[Pi_sym rho] in [0, 1].
 
     Two independent routes must agree on the verdict. The defect takes its
@@ -193,8 +193,7 @@ def check_smc(rho: DensityOperator, sigma: Observable, tol: float = DEFAULT_TOL)
     the two-site reduced states. A disagreement at the same tolerance
     indicates an internal fault and raises ConsistencyError.
     """
-    if sigma.dim != rho.shape.n:
-        raise ValidationError("observable dimension does not match the network")
+    sigma = as_observable(sigma, rho.shape.n)
     defect = matrix_smc_defect(rho.matrix, sym_kets(sigma, rho.shape.m))
     flag = defect <= tol
     pairwise = smc_pairwise_gap(rho, sigma)
@@ -207,7 +206,7 @@ def check_smc(rho: DensityOperator, sigma: Observable, tol: float = DEFAULT_TOL)
 
 def classify(rho: DensityOperator, sigma, tol: float = DEFAULT_TOL) -> ConsensusReport:
     """Run all four classifiers and enforce the implication hierarchy."""
-    obs = as_observable(sigma)
+    obs = as_observable(sigma, rho.shape.n)
     ec_flag, ec_gap = check_sigma_ec(rho, obs, tol)
     rsc_flag, rsc_gap = check_rsc(rho, tol)
     ssc_flag, gap_ssc = check_ssc(rho, tol)
@@ -254,22 +253,20 @@ def rsc_iff_all_sigma_ec(rho: DensityOperator, tol: float = DEFAULT_TOL) -> bool
 def pure_rsc_implies_ssc_check(kets, tol: float = DEFAULT_TOL) -> bool:
     """Verify on a product of pure states: RSC plus pure reduced states force SSC.
 
-    ``kets`` is one ket per site; vacuously true when the assembled product
-    state is not in RSC. A counterexample raises ConsistencyError since the
-    implication is a theorem.
+    ``kets`` is one ket per site, normalized by :meth:`DensityOperator.from_ket`
+    (a zero ket raises ValidationError); vacuously true when their product state
+    is not in RSC. A counterexample raises ConsistencyError: it is a theorem.
     """
     vecs = [np.asarray(k, dtype=np.complex128).ravel() for k in kets]
-    n = vecs[0].size
-    if any(v.size != n for v in vecs):
-        raise ValidationError("all kets must share one local dimension")
-    vecs = [v / np.linalg.norm(v) for v in vecs]
-    shape = NetworkShape(len(vecs), n)
-    joint = kron_all(np.outer(v, v.conj()) for v in vecs)
-    rho = DensityOperator.trusted(joint, shape)
+    if not vecs or any(v.size != vecs[0].size for v in vecs):
+        raise ValidationError("give one or more kets, all of one local dimension")
+    site = NetworkShape(1, vecs[0].size)
+    joint = kron_all(DensityOperator.from_ket(v, site).matrix for v in vecs)
+    rho = DensityOperator.trusted(joint, NetworkShape(len(vecs), site.n))
     rsc_flag, _ = check_rsc(rho, tol)
     purity_ok = all(
         abs(np.einsum("ij,ji->", r, r).real - 1.0) <= 10 * tol
-        for r in local_reduced_states(rho.matrix, shape))
+        for r in local_reduced_states(rho.matrix, rho.shape))
     if not (rsc_flag and purity_ok):
         return True
     ssc_flag, gap = check_ssc(rho, tol)
@@ -391,8 +388,7 @@ def nogo_check(n: int) -> NogoReport:
         eye4 = np.eye(4, dtype=np.complex128)
         total = np.zeros((4, 4), dtype=np.complex128)
         for name in ("x", "y", "z"):
-            obs = Observable(PAULI[name])
-            total += eye4 - sym_projector(obs, 2)
+            total += eye4 - sym_projector(as_observable(name, 2), 2)
         evals = np.linalg.eigvalsh((total + total.conj().T) / 2.0)
         triple_dim = int(np.sum(evals < 1e-10))
     return NogoReport(n=int(n), lambda_max=lam_max, feasible=feasible,

@@ -79,7 +79,7 @@ import numpy as np
 from .consensus import smc_defect_rows, sym_kets
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
-                     _is_int, _is_real, require_hermitian, sq_distance_rows)
+                     _is_int, _is_real, check_sites, require_hermitian, sq_distance_rows)
 from .rng import draw_index, make_rng, trial_rng
 # conjugate_by_basis_map is unused here, but perfbench/spans.py wraps this
 # module's binding of it as its gossip.step layer
@@ -115,11 +115,12 @@ def _check_steps(steps) -> None:
 class InteractionGraph:
     """Undirected interaction graph on sites 1..m with positive edge weights.
 
-    Edges are pairs of integer sites (bools, floats and strings are rejected,
-    never truncated), stored sorted without duplicates. Weights are real
-    numbers in (0, 1] that default to uniform and sum to one within 1e-12. A
-    graph may be disconnected (evolution then only symmetrizes within
-    components) but consumers that need global consensus warn or reject.
+    Edges are pairs of distinct site labels (:func:`linalg.check_sites`: integers
+    in 1..m; bools, floats and strings are rejected, never truncated), stored
+    sorted without duplicates. Weights are real numbers in (0, 1] that default
+    to uniform and sum to one within 1e-12. A graph may be disconnected
+    (evolution then only symmetrizes within components) but consumers that
+    need global consensus warn or reject.
     """
 
     __slots__ = ("shape", "edges", "weights")
@@ -129,14 +130,11 @@ class InteractionGraph:
         norm_edges = []
         seen = set()
         for e in edges:
-            if not isinstance(e, (list, tuple, np.ndarray)) or len(e) != 2 or not all(
-                    map(_is_int, e)):
-                raise ValidationError(f"edge {e!r} must be a pair of integer site labels")
-            pair = tuple(sorted(int(v) for v in e))
+            if not isinstance(e, (list, tuple, np.ndarray)) or len(e) != 2:
+                raise ValidationError(f"edge {e!r} must be a pair of site labels")
+            pair = tuple(sorted(check_sites(e, shape.m, f"edge {e!r} outside sites 1..{shape.m}")))
             if pair[0] == pair[1]:
                 raise ValidationError(f"edge {e!r} must join two distinct sites")
-            if not (1 <= pair[0] < pair[1] <= shape.m):
-                raise ValidationError(f"edge {e!r} outside sites 1..{shape.m}")
             if pair in seen:
                 raise ValidationError(f"duplicate edge {pair}")
             seen.add(pair)
@@ -420,9 +418,7 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     shape = rho0.shape
     if graph.shape != shape:
         raise ValidationError("graph and state shapes differ")
-    obs = as_observable(sigma)
-    if obs.dim != shape.n:
-        raise ValidationError("sigma dimension does not match the network")
+    obs = as_observable(sigma, shape.n)
     if shape.m > 1 and not graph.edges:
         raise ValidationError(f"{config.strategy} strategy needs at least one edge")
     _warn_if_disconnected(graph)
@@ -899,8 +895,7 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
 
     iter_dev = 0.0
     if sigma is not None:
-        obs = as_observable(sigma)
-        x = lift_local(obs.matrix, 1, shape)
+        x = lift_local(as_observable(sigma, shape.n).matrix, 1, shape)
         target = twirl_matrix(x, shape)
         for t in range(steps):
             x = gossip_update(x, shape, sweep[t % len(sweep)], [1.0], alpha)
@@ -1001,9 +996,8 @@ def probability_one_convergence_experiment(
                               f"got {num_trials!r} and {horizon!r}")
     if not (_is_real(eps) and 0.0 <= eps < math.inf):
         raise ValidationError(f"eps must be a finite nonnegative number, got {eps!r}")
-    check_alpha(alpha)
-    _warn_if_disconnected(graph)
     config = GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
+    _warn_if_disconnected(graph)
     dd = shape.total_dim ** 2
     bmaps = _swap_maps(shape.m, shape.n, graph.edges)
     table = _flat_gathers(bmaps) if 8 * len(bmaps) * dd <= ENSEMBLE_CHUNK_BYTES // 4 else None

@@ -67,6 +67,15 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
+def check_sites(sites: Iterable, m: int, message: str) -> tuple[int, ...]:
+    """``sites`` as plain ints if each is an integer (numpy integers count) in 1..m,
+    else ``ValidationError(message)``: bools, floats and strings are never truncated."""
+    labels = tuple(sites)
+    if not all(_is_int(s) and 1 <= s <= m for s in labels):
+        raise ValidationError(message)
+    return tuple(map(int, labels))
+
+
 @dataclass(frozen=True)
 class NetworkShape:
     """A network of ``m`` isomorphic subsystems, each of local dimension ``n``.
@@ -121,7 +130,8 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def partial_trace(x, shape: NetworkShape, keep: Iterable[int]) -> np.ndarray:
-    """Trace out all subsystems not in ``keep`` (1-based site labels).
+    """Trace out all subsystems not in ``keep``, a non-empty set of site labels
+    (:func:`check_sites`; repeats count once).
 
     ``x`` acts on the joint space of ``shape``, site 1 leftmost. The result
     has dimension ``n**len(keep)``, its factors in ascending site order.
@@ -131,12 +141,10 @@ def partial_trace(x, shape: NetworkShape, keep: Iterable[int]) -> np.ndarray:
     if a.shape[0] != shape.total_dim:
         raise DimensionError(
             f"operator dimension {a.shape[0]} does not match shape {m} sites of dim {n}")
-    keep0 = sorted(set(int(k) for k in keep))
+    keep0 = [k - 1 for k in sorted(set(check_sites(
+        keep, m, f"keep labels must be integers in 1..{m}, got {keep!r}")))]
     if not keep0:
         raise ValidationError("keep must name at least one subsystem")
-    if keep0[0] < 1 or keep0[-1] > m:
-        raise ValidationError(f"keep labels must lie in 1..{m}, got {keep0}")
-    keep0 = [k - 1 for k in keep0]
 
     row = list(range(m))
     col = [m + i for i in range(m)]

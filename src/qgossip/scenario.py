@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ConsistencyError, ScenarioError, ValidationError
 from .gossip import GossipConfig, InteractionGraph
 from .linalg import NetworkShape
-from .states import DensityOperator, Observable, named_state, parse_sigma
+from .states import DensityOperator, Observable, as_observable, named_state
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -108,7 +108,7 @@ def _read_specs(block: dict, state_key: str, shape: NetworkShape | None,
         if isinstance(sigma, dict):
             matrix = (np.asarray(sigma["real"], dtype=float)
                       + 1j * np.asarray(sigma.get("imag", 0.0), dtype=float))
-        return state_spec, state, sigma, parse_sigma(matrix, state.shape.n)
+        return state_spec, state, sigma, as_observable(matrix, state.shape.n)
     except (ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"{path}.sigma: {exc}") from exc
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConsistencyError, DimensionError, ValidationError
-from .linalg import (NetworkShape, _is_int, as_operator, eigh, kron, require_hermitian,
+from .linalg import (NetworkShape, as_operator, check_sites, eigh, kron, require_hermitian,
                      row_dots)
 from .rng import complex_ginibre, make_rng
 
@@ -79,8 +79,9 @@ def orbit_labels(m: int, n: int, blocks: tuple[tuple[int, ...], ...]):
     chunk at a time in the smallest unsigned letter dtype.
     """
     shape = NetworkShape(m, n)
-    if sorted(itertools.chain.from_iterable(blocks)) != list(shape.sites()):
-        raise ValidationError(f"blocks {blocks!r} do not partition sites 1..{m}")
+    message = f"blocks {blocks!r} do not partition sites 1..{m}"
+    if sorted(check_sites(itertools.chain(*blocks), m, message)) != list(shape.sites()):
+        raise ValidationError(message)
     d, q = shape.total_dim, n * n
     site_digits = np.indices((n,) * m, dtype=np.min_scalar_type(q - 1)).reshape(m, d)
     # rank_tables[k - 1][s] = C(s + k, k + 1); position 0 adds s itself
@@ -119,8 +120,9 @@ def basis_index_map(order: Sequence[int], shape: NetworkShape) -> np.ndarray:
     order = tuple(order)
     if len(order) != shape.m:
         raise DimensionError(f"order of {len(order)} sites on shape with m={shape.m}")
-    if not all(map(_is_int, order)) or sorted(order) != list(shape.sites()):
-        raise ValidationError(f"order {order!r} is not a bijection of 1..{shape.m}")
+    message = f"order {order!r} is not a bijection of 1..{shape.m}"
+    if sorted(check_sites(order, shape.m, message)) != list(shape.sites()):
+        raise ValidationError(message)
     weights = shape.n ** np.arange(shape.m - 1, -1, -1, dtype=np.int64)
     digits = np.arange(shape.total_dim)[:, None] // weights % shape.n  # digits[x, i]
     return digits[:, [p - 1 for p in order]] @ weights
@@ -138,12 +140,12 @@ def conjugate_by_basis_map(x: np.ndarray, bmap: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def lift_local(sigma, site: int, shape: NetworkShape) -> np.ndarray:
-    """Embed a local operator at one site: ``I (x) ... (x) sigma (x) ... (x) I``."""
+    """Embed a local operator at one site: ``I (x) ... (x) sigma (x) ... (x) I``.
+    ``site`` is one label of :func:`linalg.check_sites`: an integer in 1..m."""
     s = as_operator(sigma)
     if s.shape[0] != shape.n:
         raise DimensionError(f"local operator dim {s.shape[0]} != n={shape.n}")
-    if not 1 <= site <= shape.m:
-        raise ValidationError(f"site {site} outside 1..{shape.m}")
+    site, = check_sites((site,), shape.m, f"site {site!r} is not an integer in 1..{shape.m}")
     left = np.eye(shape.n ** (site - 1), dtype=np.complex128)
     right = np.eye(shape.n ** (shape.m - site), dtype=np.complex128)
     return kron(kron(left, s), right)
@@ -349,9 +351,19 @@ class Observable:
         return all(abs(np.trace(p) - 1.0) < 1e-8 for p in self.projectors)
 
 
-def as_observable(sigma) -> Observable:
-    """``sigma`` if it is an :class:`Observable`, else ``Observable(sigma)``, checked."""
-    return sigma if isinstance(sigma, Observable) else Observable(sigma)
+def as_observable(sigma, n: int) -> Observable:
+    """The local observable ``sigma`` on C^n, the one coercion and dimension check of
+    every sigma the program takes: an :class:`Observable`, a name of :data:`PAULI`
+    (n = 2 only) or a Hermitian matrix; ``ValidationError`` unless it acts on C^n."""
+    if isinstance(sigma, str):
+        if sigma not in PAULI or n != 2:
+            raise ValidationError(f"observable name {sigma!r} at n={n}: the names are "
+                                  f"{', '.join(PAULI)}, for n=2 only")
+        sigma = PAULI[sigma]
+    obs = sigma if isinstance(sigma, Observable) else Observable(sigma)
+    if obs.dim != n:
+        raise ValidationError(f"observable dim {obs.dim} != n={n}")
+    return obs
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +525,3 @@ def named_state(spec: str, shape: NetworkShape | None = None) -> DensityOperator
         target = shape if shape is not None else NetworkShape(len(spec), n)
         return DensityOperator.from_ket(basis_ket(spec, n), target)
     raise ValidationError(f"unrecognized state specifier {spec!r}")
-
-
-def parse_sigma(spec, n: int) -> Observable:
-    """Local observable from a name ("x", "y", "z", "identity") or matrix."""
-    if isinstance(spec, str):
-        if spec not in PAULI:
-            raise ValidationError(f"unknown observable name {spec!r}")
-        if n != 2:
-            raise ValidationError(f"named Pauli observables need n=2, got n={n}")
-        return Observable(PAULI[spec])
-    mat = as_operator(spec)
-    if mat.shape[0] != n:
-        raise DimensionError(f"observable dim {mat.shape[0]} != n={n}")
-    return Observable(mat)

@@ -175,6 +175,27 @@ def test_run_validates_alpha_and_every_edge_before_stepping():
         qg.run_classical([1.0, 2.0, 3.0], g, 0.5, [(1, 2), None, (1, 4)])
 
 
+@pytest.mark.parametrize("edge", [(1.9, 3), (True, 2), (1, 2.0), ("1", "2"), (1, 2, 3), (2,),
+                                  (2, 2), (0, 1), (1, 4), 5, None])
+def test_an_edge_is_a_pair_of_distinct_integer_nodes(edge):
+    # (1.9, 3) used to be truncated to (1, 3); (1, 2, 3) raised a bare ValueError
+    x = np.arange(3.0)
+    with pytest.raises(qg.ValidationError, match="invalid for 3 nodes"):
+        qg.classical_gossip_step(x, edge, 0.5)
+    if edge is not None:  # None is a step that touches no edge
+        with pytest.raises(qg.ValidationError, match="invalid for 3 nodes"):
+            qg.run_classical(x, path_graph(3), 0.5, [(1, 2), edge])
+
+
+def test_node_labels_take_numpy_integers_and_pass_the_dimension_cap():
+    x = np.arange(3.0)
+    np.testing.assert_array_equal(qg.classical_gossip_step(x, (np.int64(3), np.int64(1)), 0.5),
+                                  qg.classical_gossip_step(x, (1, 3), 0.5))
+    # 20 nodes would be 2**20 > MAX_TOTAL_DIM as a qubit network; node values have no cap
+    out = qg.classical_gossip_step(np.arange(20.0), (1, 20), 0.5)
+    assert out[0, 0] == out[19, 0] == 9.5
+
+
 @pytest.mark.parametrize("kind,message", [
     ("shift", "mean drifted at step 3"),
     ("spread", r"disagreement increased by .* at step 3")])

@@ -246,15 +246,24 @@ def test_evolve_builds_random_initial_state_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["evolve", "correspond"])
+def test_a_sigma_of_the_wrong_dimension_exits_1(tmp_path, capsys, command):
+    scn = write_scenario(tmp_path, sigma=[[1, 0, 0], [0, 0, 0], [0, 0, -1]])
+    assert cli.main([command, scn, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "$.sigma: observable dim 3 != n=2" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evolve_builds_the_observable_once(tmp_path, monkeypatch):
     import qgossip.scenario as scenario
     calls = []
-    original = scenario.parse_sigma
+    original = scenario.as_observable
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
-    monkeypatch.setattr(scenario, "parse_sigma", counting)
+    monkeypatch.setattr(scenario, "as_observable", counting)
     assert cli.main(["evolve", write_scenario(tmp_path), "--out-dir", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qgossip as qg
 from qgossip import consensus
 from qgossip.consensus import ssc_gap, sym_kets, sym_overlap_rows
-from qgossip.states import Observable, local_reduced_states, parse_sigma
+from qgossip.states import Observable, as_observable, local_reduced_states
 from reference import kron_sym_projector
 
 SZ = qg.PAULI["z"]
@@ -268,6 +268,33 @@ def test_smc_defect_equivalent_to_projector_invariance():
             assert residual > 1e-3
 
 
+def test_a_sigma_of_the_wrong_dimension_is_refused_everywhere():
+    # a qutrit sigma on qubits used to fail inside numpy in check_sigma_ec and classify
+    rho = qg.named_state("rhoC")
+    g = qg.InteractionGraph(rho.shape, [(1, 2), (2, 3)])
+    config = qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=3)
+    calls = [lambda s: qg.check_sigma_ec(rho, s), lambda s: qg.classify(rho, s),
+             lambda s: qg.check_smc(rho, s), lambda s: qg.evolve(rho, g, config, s),
+             lambda s: qg.dual_fixed_point_check(g, 0.5, np.eye(8), s)]
+    qutrit = np.diag([1.0, 0.0, -1.0])
+    for call in calls:
+        for sigma in (qutrit, qutrit.tolist(), Observable(qutrit)):
+            with pytest.raises(qg.ValidationError, match="observable dim 3 != n=2"):
+                call(sigma)
+    qutrit_state = qg.random_density(qg.NetworkShape(2, 3), 5)
+    for call in (qg.check_sigma_ec, qg.classify, qg.check_smc):
+        with pytest.raises(qg.ValidationError, match="'z' at n=3: .* for n=2 only"):
+            call(qutrit_state, "z")
+
+
+def test_sigma_names_matrices_and_observables_classify_alike():
+    rho = qg.random_density(qg.NetworkShape(3, 2), 17)
+    reports = [qg.classify(rho, s) for s in ("x", SX, SX.tolist(), as_observable("x", 2))]
+    assert all(r == reports[0] for r in reports)
+    with pytest.raises(qg.ValidationError, match="observable name 'w' at n=2"):
+        qg.classify(rho, "w")
+
+
 def test_check_smc_rejects_mismatched_observable():
     with pytest.raises(qg.ValidationError):
         qg.check_smc(qg.named_state("rhoC"), Observable(np.eye(3)))
@@ -324,6 +351,14 @@ def test_pure_product_rsc_forces_ssc():
     for _ in range(10):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         assert qg.pure_rsc_implies_ssc_check([v, v])
+
+
+@pytest.mark.parametrize("kets", [[], [np.zeros(2)], [[1.0, 0.0], [0.0, 0.0]],
+                                  [[1.0, 0.0], [1.0, 0.0, 0.0]], [[1.0]]])
+def test_pure_product_check_refuses_bad_kets(kets):
+    # [] raised IndexError and a zero ket divided by zero (a RuntimeWarning)
+    with pytest.raises(qg.ValidationError):
+        qg.pure_rsc_implies_ssc_check(kets)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,19 @@ def test_graph_rejects_bad_edges_and_weights():
         qg.InteractionGraph(shape, [(1, 2)], weights=[0.5, 0.5])
 
 
+@pytest.mark.parametrize("edge", [(1.0, 2), (True, 2), (1, 2.5), ("1", 2), (1, 2, 3), 3, (0, 1),
+                                  (2, 4), (2, 2)])
+def test_graph_edges_are_pairs_of_distinct_integer_sites(edge):
+    with pytest.raises(qg.ValidationError, match="edge"):
+        qg.InteractionGraph(qg.NetworkShape(3, 2), [edge])
+
+
+def test_graph_stores_numpy_integer_edges_as_ints():
+    g = qg.InteractionGraph(qg.NetworkShape(3, 2), [np.array([3, 2]), (np.int64(1), 2)])
+    assert g.edges == ((2, 3), (1, 2))
+    assert {type(v) for e in g.edges for v in e} == {int}
+
+
 def test_graph_connectivity():
     assert path_graph(4).is_connected()
     shape = qg.NetworkShape(4, 2)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgossip as qg
-from qgossip.linalg import (as_operator, hermiticity_defect, frobenius_norm,
+from qgossip.linalg import (as_operator, check_sites, hermiticity_defect, frobenius_norm,
                             require_hermitian, row_dots, sq_distance_rows)
 from qgossip.rng import complex_ginibre, make_rng
 
@@ -180,6 +180,24 @@ def test_partial_trace_rejects_bad_keep():
         qg.partial_trace(x, shape, [3])
     with pytest.raises(qg.DimensionError):
         qg.partial_trace(np.eye(8), shape, [1])
+
+
+def test_site_labels_are_integers_in_range_never_truncated():
+    assert check_sites([1, np.int64(3), 2], 3, "bad") == (1, 3, 2)
+    assert [type(s) for s in check_sites(np.array([2, 1]), 3, "bad")] == [int, int]
+    assert check_sites(iter([]), 3, "bad") == ()
+    for bad in ([0], [4], [1.7], [2.0], [np.float64(1.0)], [True], [np.True_], ["1"], [None],
+                [1, 1.5]):
+        with pytest.raises(qg.ValidationError, match="^bad labels$"):
+            check_sites(bad, 3, "bad labels")
+
+
+@pytest.mark.parametrize("keep", [[1.7], [True], [1, 2.0], ["1"]])
+def test_partial_trace_refuses_non_integer_sites(keep):
+    # 1.7 and True used to be truncated to site 1
+    shape = qg.NetworkShape(2, 2)
+    with pytest.raises(qg.ValidationError, match="keep labels must be integers in 1..2"):
+        qg.partial_trace(qg.random_density(shape, 3).matrix, shape, keep)
 
 
 # ---------------------------------------------------------------------------

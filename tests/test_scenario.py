@@ -130,8 +130,8 @@ def test_sigma_as_explicit_matrix(tmp_path):
 def test_sigma_as_bare_list_is_built_once(tmp_path):
     doc = base_doc()
     doc["sigma"] = [[0.0, 1.0], [1.0, 0.0]]
-    with mock.patch.object(scenario_module, "parse_sigma",
-                           wraps=scenario_module.parse_sigma) as built:
+    with mock.patch.object(scenario_module, "as_observable",
+                           wraps=scenario_module.as_observable) as built:
         scn = qg.load_scenario(write_doc(tmp_path, doc))
     assert built.call_count == 1
     np.testing.assert_allclose(scn.obs.matrix, qg.PAULI["x"], atol=0)

@@ -12,11 +12,10 @@ from qgossip import gossip
 from qgossip.consensus import ssc_gap
 from qgossip.linalg import PSD_TOL
 from qgossip.rng import complex_ginibre, make_rng
-from qgossip.states import (basis_index_map, check_projector_family,
+from qgossip.states import (as_observable, basis_index_map, check_projector_family,
                             conjugate_by_basis_map, is_permutation_invariant,
                             local_expectations, local_hermitian_basis,
-                            local_reduced_states, orbit_labels, parse_sigma,
-                            trace_index)
+                            local_reduced_states, orbit_labels, trace_index)
 from reference import (apply, gossip_superoperator, permutation_unitary, swap_unitary,
                        transposition, von_neumann_entropy)
 
@@ -128,6 +127,16 @@ def test_lift_local_places_factor():
     np.testing.assert_allclose(got, expected, atol=0)
     with pytest.raises(qg.ValidationError):
         qg.lift_local(SZ, 4, shape)
+
+
+def test_lift_local_site_is_an_integer_label():
+    # 1.5 used to raise a TypeError, and True lifted to site 1
+    shape = qg.NetworkShape(3, 2)
+    np.testing.assert_array_equal(qg.lift_local(SZ, np.int64(2), shape),
+                                  qg.lift_local(SZ, 2, shape))
+    for site in (1.5, True, 2.0, np.float64(1.0), "2", 0):
+        with pytest.raises(qg.ValidationError, match="is not an integer in 1..3"):
+            qg.lift_local(SZ, site, shape)
 
 
 def test_lift_local_is_the_kronecker_chain():
@@ -403,15 +412,24 @@ def test_observable_rejects_non_hermitian():
         qg.Observable(np.array([[0, 1], [0, 0]], dtype=np.complex128))
 
 
-def test_parse_sigma_named_and_matrix():
-    obs = parse_sigma("z", 2)
+@pytest.mark.parametrize("blocks", [((1, 2),), ((1, 2), (2, 3)), ((0, 1, 2),),
+                                    ((1.0, 2, 3),), ((True, 2, 3),), ((1, 2, "3"),)])
+def test_orbit_labels_needs_a_partition_of_the_sites(blocks):
+    # the check runs on a cache miss, and (True, 2, 3) keys as (1, 2, 3) does
+    orbit_labels.cache_clear()
+    with pytest.raises(qg.ValidationError, match="do not partition sites 1..3"):
+        orbit_labels(3, 2, blocks)
+
+
+def test_as_observable_named_and_matrix():
+    obs = as_observable("z", 2)
     np.testing.assert_allclose(obs.matrix, SZ, atol=0)
-    obs2 = parse_sigma(SX, 2)
+    obs2 = as_observable(SX, 2)
     np.testing.assert_allclose(obs2.matrix, SX, atol=0)
     with pytest.raises(qg.ValidationError):
-        parse_sigma("z", 3)
+        as_observable("z", 3)
     with pytest.raises(qg.ValidationError):
-        parse_sigma("nope", 2)
+        as_observable("nope", 2)
 
 
 # ---------------------------------------------------------------------------
