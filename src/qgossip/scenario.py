@@ -33,6 +33,7 @@ import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -41,7 +42,8 @@ import numpy as np
 from .errors import ConsistencyError, ScenarioError, ValidationError
 from .gossip import GossipConfig, InteractionGraph
 from .linalg import NetworkShape
-from .states import DensityOperator, Observable, as_observable, named_state
+from .states import (DensityOperator, Observable, StateSpec, as_observable,
+                     check_observable, parse_state)
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -90,15 +92,17 @@ def _read_document(path, what: str) -> tuple[bytes, dict]:
 
 
 def _read_specs(block: dict, state_key: str, shape: NetworkShape | None,
-                path: str) -> tuple[str, DensityOperator, object, Observable]:
-    """``(state spec, state, sigma spec, observable)`` from ``block[state_key]`` and
-    ``block["sigma"]``, a name, a ``{real, imag}`` matrix or a nested list."""
+                path: str) -> tuple[str, StateSpec, object, object]:
+    """``(state spec, its StateSpec, sigma spec, checked sigma)`` from
+    ``block[state_key]`` and ``block["sigma"]``, a name, a ``{real, imag}`` matrix
+    or a nested list. Both are checked (:func:`parse_state`,
+    :func:`check_observable`), neither is built."""
     if not isinstance(block, dict):
         raise ScenarioError(f"{path}: expected an object with {state_key} and sigma")
     state_spec = _require(block, state_key, str, path)
     sigma = _require(block, "sigma", object, path)
     try:
-        state = named_state(state_spec, shape)
+        state = parse_state(state_spec, shape)
     except ValidationError as exc:
         raise ScenarioError(f"{path}.{state_key}: {exc}") from exc
     if not isinstance(sigma, (str, list, dict)):
@@ -108,15 +112,17 @@ def _read_specs(block: dict, state_key: str, shape: NetworkShape | None,
         if isinstance(sigma, dict):
             matrix = (np.asarray(sigma["real"], dtype=float)
                       + 1j * np.asarray(sigma.get("imag", 0.0), dtype=float))
-        return state_spec, state, sigma, as_observable(matrix, state.shape.n)
+        return state_spec, state, sigma, check_observable(matrix, state.shape.n)
     except (ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"{path}.sigma: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed and validated scenario plus its provenance hash; the state ``rho0``
-    and observable ``obs`` are built once by :func:`load_scenario` and shared."""
+    """A parsed and validated scenario plus its provenance hash. The initial state
+    (``state``) and sigma (``sigma``) are checked by :func:`load_scenario` and built
+    at the first read of ``rho0`` and ``obs``, once each: a run that never reads
+    them (``qgossip spectrum``) never builds them."""
 
     shape: NetworkShape
     graph: InteractionGraph
@@ -126,15 +132,23 @@ class Scenario:
     stem: str
     sha256: str
     path: str
-    rho0: DensityOperator = field(repr=False, compare=False)
-    obs: Observable = field(repr=False, compare=False)
+    state: StateSpec = field(repr=False, compare=False)
+    sigma: object = field(repr=False, compare=False)
+
+    @cached_property
+    def rho0(self) -> DensityOperator:
+        return self.state.build()
+
+    @cached_property
+    def obs(self) -> Observable:
+        return as_observable(self.sigma, self.shape.n)
 
     def seeds(self) -> list[int]:
         seeds = []
         if self.config.seed is not None:
             seeds.append(int(self.config.seed))
-        if self.initial_state_spec.startswith("random:"):
-            seeds.append(int(self.initial_state_spec.split(":", 1)[1]))
+        if self.state.seed is not None:
+            seeds.append(self.state.seed)
         return seeds
 
 
@@ -179,20 +193,23 @@ def load_scenario(path) -> Scenario:
     out_dir = _optional(outputs, "directory", str, "outputs", default=".")
     stem = _optional(outputs, "stem", str, "outputs", default=p.stem)
 
-    state_spec, rho0, _sigma, obs = _read_specs(data, "initial_state", shape, "$")
+    state_spec, state, _sigma, sigma = _read_specs(data, "initial_state", shape, "$")
     return Scenario(shape=shape, graph=graph, config=config,
                     initial_state_spec=state_spec, out_directory=out_dir,
-                    stem=stem, sha256=sha, path=str(p), rho0=rho0, obs=obs)
+                    stem=stem, sha256=sha, path=str(p), state=state, sigma=sigma)
 
 
 def load_suite(path) -> list[tuple[str, DensityOperator, object, Observable]]:
     """A classify suite's entries as ``(state spec, state, sigma spec,
-    observable)``; each state takes the shape its specifier implies."""
+    observable)``; each state takes the shape its specifier implies. Every entry
+    is checked before any state or observable is built."""
     entries = _require(_read_document(path, "suite")[1], "suite", list, "$")
     if not entries:
         raise ScenarioError("$.suite: expected a non-empty list")
-    return [_read_specs(entry, "state", None, f"$.suite[{i}]")
-            for i, entry in enumerate(entries)]
+    specs = [_read_specs(entry, "state", None, f"$.suite[{i}]")
+             for i, entry in enumerate(entries)]
+    return [(text, state.build(), sigma, as_observable(checked, state.shape.n))
+            for text, state, sigma, checked in specs]
 
 
 @dataclass

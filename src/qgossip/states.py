@@ -17,29 +17,37 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cache, lru_cache, partial
+from types import MappingProxyType
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import ConsistencyError, DimensionError, ValidationError
-from .linalg import (NetworkShape, as_operator, check_sites, eigh, kron, require_hermitian,
-                     row_dots)
+from .linalg import (NetworkShape, _is_int, as_operator, check_sites, eigh, kron,
+                     require_hermitian, row_dots)
 from .rng import complex_ginibre, make_rng
 
-# Single-qubit basics, sigma_z = |0><0| - |1><1| = diag(1, -1).
-I2 = np.eye(2, dtype=np.complex128)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z, "identity": I2}
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Single-qubit basics, sigma_z = |0><0| - |1><1| = diag(1, -1). Read-only, as is
+# the name table: the observables built from them are shared (as_observable).
+I2 = _read_only(np.eye(2, dtype=np.complex128))
+SIGMA_X = _read_only(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+SIGMA_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
+SIGMA_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=np.complex128))
+PAULI = MappingProxyType({"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z, "identity": I2})
 
 TRACE_TOL = 1e-10
 GROUPING_TOL = 1e-8  # relative eigenvalue gap below which Observable merges projectors
 
 
-@lru_cache(maxsize=16)
 def trace_index(m: int, n: int, k: int) -> np.ndarray:
     """Read-only flat index ``idx[g, a, a', r]`` of shape
     ``(C(m, k), n**k, n**k, n**max(m-k, 0))``, empty for k > m.
@@ -52,8 +60,18 @@ def trace_index(m: int, n: int, k: int) -> np.ndarray:
     ``partial_trace(x, shape, group)``. Both index vectors are slices of the
     ``(n,)*m`` tensor of basis indices: ``r``'s row index with the group's
     axes at 0, and ``a``'s offset with every other axis at 0. Built once per
-    shape: ``8 C(m, k) n**(m+k)`` bytes (0.8 MB at m=12, n=2, k=1).
+    shape: ``8 C(m, k) n**(m+k)`` bytes (0.8 MB at m=12, n=2, k=1). ``m`` and ``n``
+    are checked as :class:`NetworkShape` checks them, and ``k`` must be an integer
+    >= 0, before the cache is asked.
     """
+    shape = NetworkShape(m, n)
+    if not _is_int(k) or k < 0:
+        raise ValidationError(f"k must be an integer >= 0, got {k!r}")
+    return _trace_index(shape.m, shape.n, int(k))
+
+
+@lru_cache(maxsize=16)
+def _trace_index(m: int, n: int, k: int) -> np.ndarray:
     d = n ** m
     index = np.arange(d).reshape((n,) * m)
     groups = list(itertools.combinations(range(m), k))
@@ -66,7 +84,6 @@ def trace_index(m: int, n: int, k: int) -> np.ndarray:
     return idx
 
 
-@lru_cache(maxsize=2)
 def orbit_labels(m: int, n: int, blocks: tuple[tuple[int, ...], ...]):
     """Read-only ``(labels, sizes)``: the orbit of every entry ``labels[i * d + j]``
     under ``prod_c S(blocks[c])``, and the size of each orbit.
@@ -77,12 +94,22 @@ def orbit_labels(m: int, n: int, blocks: tuple[tuple[int, ...], ...]):
     rank as ``sum_k C(s_k + k, k + 1)``, numbering its ``C(b + n**2 - 1, b)``
     types consecutively; blocks combine in mixed radix. Rows are labelled a
     chunk at a time in the smallest unsigned letter dtype.
+
+    The blocks are checked (non-empty, of site labels, a partition of 1..m) and
+    canonicalized to plain ints before the cache is asked, so a key that equals
+    a valid one (``True == 1``, ``3.0 == 3``) is refused as a cold call refuses it.
     """
     shape = NetworkShape(m, n)
-    message = f"blocks {blocks!r} do not partition sites 1..{m}"
-    if sorted(check_sites(itertools.chain(*blocks), m, message)) != list(shape.sites()):
+    message = f"blocks {blocks!r} do not partition sites 1..{shape.m}"
+    blocks = tuple(check_sites(block, shape.m, message) for block in blocks)
+    if not all(blocks) or sorted(itertools.chain(*blocks)) != list(shape.sites()):
         raise ValidationError(message)
-    d, q = shape.total_dim, n * n
+    return _orbit_labels(shape.m, shape.n, blocks)
+
+
+@lru_cache(maxsize=2)
+def _orbit_labels(m: int, n: int, blocks: tuple[tuple[int, ...], ...]):
+    d, q = n ** m, n * n
     site_digits = np.indices((n,) * m, dtype=np.min_scalar_type(q - 1)).reshape(m, d)
     # rank_tables[k - 1][s] = C(s + k, k + 1); position 0 adds s itself
     rank_tables = [np.array([math.comb(s + k, k + 1) for s in range(q)], dtype=np.intp)
@@ -301,19 +328,21 @@ def check_projector_family(projectors, dim: int) -> None:
 
 
 class Observable:
-    """A Hermitian local observable with its grouped spectral decomposition.
+    """A Hermitian local observable with its grouped spectral decomposition,
+    immutable: it holds a copy of the matrix it was given, and every array it
+    holds is read-only, so one observable can be shared (:func:`as_observable`).
 
     Eigenvalues within ``GROUPING_TOL`` times the spectral range collapse to
     one spectral projector; ``nondegenerate`` is true when every projector
-    has rank one. ``isometries[j]`` is the read-only ``n x r_j`` matrix of
-    orthonormal eigenvectors with ``projectors[j] = V_j V_j^dagger``. The
-    family is checked at construction (:func:`check_projector_family`).
+    has rank one. ``isometries[j]`` is the ``n x r_j`` matrix of orthonormal
+    eigenvectors with ``projectors[j] = V_j V_j^dagger``. The family is
+    checked at construction (:func:`check_projector_family`).
     """
 
     __slots__ = ("matrix", "eigenvalues", "projectors", "isometries")
 
     def __init__(self, matrix):
-        a = require_hermitian(matrix, what="observable")
+        a = require_hermitian(matrix, what="observable").copy()  # the caller's stays writable
         w, v = eigh(a)
         spread = float(w[-1] - w[0])
         thr = GROUPING_TOL * spread if spread > 1e-14 else np.inf
@@ -327,16 +356,14 @@ class Observable:
         projectors = []
         isometries = []
         for g in groups:
-            vg = v[:, g]
-            vg.setflags(write=False)
+            vg = _read_only(v[:, g])
             eigenvalues.append(float(np.mean(w[g])))
-            projectors.append(vg @ vg.conj().T)
+            projectors.append(_read_only(vg @ vg.conj().T))
             isometries.append(vg)
         check_projector_family(projectors, a.shape[0])
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", _read_only(a))
         object.__setattr__(self, "eigenvalues", tuple(eigenvalues))
-        object.__setattr__(self, "projectors", tuple(p for p in projectors))
+        object.__setattr__(self, "projectors", tuple(projectors))
         object.__setattr__(self, "isometries", tuple(isometries))
 
     def __setattr__(self, *_):
@@ -351,19 +378,41 @@ class Observable:
         return all(abs(np.trace(p) - 1.0) < 1e-8 for p in self.projectors)
 
 
-def as_observable(sigma, n: int) -> Observable:
-    """The local observable ``sigma`` on C^n, the one coercion and dimension check of
-    every sigma the program takes: an :class:`Observable`, a name of :data:`PAULI`
-    (n = 2 only) or a Hermitian matrix; ``ValidationError`` unless it acts on C^n."""
+def check_observable(sigma, n: int):
+    """``sigma`` checked as a local observable on C^n, not yet built: a name of
+    :data:`PAULI` (n = 2 only), an :class:`Observable`, or a Hermitian matrix as
+    an array; ``ValidationError`` unless it is one of these and acts on C^n."""
     if isinstance(sigma, str):
         if sigma not in PAULI or n != 2:
             raise ValidationError(f"observable name {sigma!r} at n={n}: the names are "
                                   f"{', '.join(PAULI)}, for n=2 only")
-        sigma = PAULI[sigma]
-    obs = sigma if isinstance(sigma, Observable) else Observable(sigma)
-    if obs.dim != n:
-        raise ValidationError(f"observable dim {obs.dim} != n={n}")
-    return obs
+        return sigma
+    if isinstance(sigma, Observable):
+        dim = sigma.dim
+    else:
+        sigma = require_hermitian(sigma, what="observable")
+        dim = sigma.shape[0]
+    if dim != n:
+        raise ValidationError(f"observable dim {dim} != n={n}")
+    return sigma
+
+
+def as_observable(sigma, n: int) -> Observable:
+    """The local observable ``sigma`` on C^n, the one coercion and dimension check of
+    every sigma the program takes (:func:`check_observable`). A name's observable
+    is built once per process and shared, so that callers naming one sigma again
+    and again (a suite's entries, :func:`~qgossip.consensus.nogo_check`, a
+    process running many jobs) build it once."""
+    sigma = check_observable(sigma, n)
+    if isinstance(sigma, str):
+        return _pauli_observable(sigma)
+    return sigma if isinstance(sigma, Observable) else Observable(sigma)
+
+
+@cache
+def _pauli_observable(name: str) -> Observable:
+    """The observable of a checked :data:`PAULI` name (:func:`as_observable`)."""
+    return Observable(PAULI[name])
 
 
 # ---------------------------------------------------------------------------
@@ -433,23 +482,30 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
 # named example states
 # ---------------------------------------------------------------------------
 
-def basis_ket(digits: str, n: int) -> np.ndarray:
-    """Computational basis ket from a digit string, site 1 leftmost."""
-    vals = []
-    for ch in digits:
-        if not ch.isdigit() or int(ch) >= n:
-            raise ValidationError(f"digit {ch!r} invalid for local dimension {n}")
-        vals.append(int(ch))
+def _basis_index(digits: str, n: int) -> int:
+    """The basis index of a digit string, site 1 leftmost; ``ValidationError`` at
+    the first character that is not a digit below ``n``."""
     idx = 0
-    for v in vals:
-        idx = idx * n + v
-    ket = np.zeros(n ** len(vals), dtype=np.complex128)
-    ket[idx] = 1.0
+    for ch in digits:
+        if not ch.isdecimal() or int(ch) >= n:  # int() reads decimals only: not "²"
+            raise ValidationError(f"digit {ch!r} invalid for local dimension {n}")
+        idx = idx * n + int(ch)
+    return idx
+
+
+def _unit_ket(dim: int, index: int) -> np.ndarray:
+    ket = np.zeros(dim, dtype=np.complex128)
+    ket[index] = 1.0
     return ket
 
 
+def basis_ket(digits: str, n: int) -> np.ndarray:
+    """Computational basis ket from a digit string, site 1 leftmost."""
+    return _unit_ket(n ** len(digits), _basis_index(digits, n))
+
+
 def _named_three_qubit(name: str) -> DensityOperator:
-    shape = NetworkShape(3, 2)
+    """One of the states "rhoA".."rhoF", by its checked name."""
     k0 = np.array([1.0, 0.0], dtype=np.complex128)
     k1 = np.array([0.0, 1.0], dtype=np.complex128)
     plus_unnorm = k0 + k1
@@ -468,37 +524,56 @@ def _named_three_qubit(name: str) -> DensityOperator:
     elif name == "rhoE":
         e000 = basis_ket("000", 2)
         mat = np.outer(e000, e000)
-    elif name == "rhoF":
+    else:  # rhoF
         ghz = basis_ket("000", 2) + basis_ket("111", 2)
         mat = np.outer(ghz, ghz) / 2.0
-    else:
-        raise ValidationError(f"unknown named state {name!r}")
-    return DensityOperator.trusted(mat, shape)
+    return DensityOperator.trusted(mat, NetworkShape(3, 2))
+
+
+def _check_mixture_weight(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"p must lie in [0, 1], got {p}")
 
 
 def rho_g(p: float, m: int = 3, n: int = 2) -> DensityOperator:
     """``p |0...0><0...0| + (1-p) |n-1...><...|`` on m sites."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must lie in [0, 1], got {p}")
+    _check_mixture_weight(p)
     shape = NetworkShape(m, n)
-    lo = basis_ket("0" * m, n)
-    hi = basis_ket(str(n - 1) * m, n)
+    d = shape.total_dim
+    lo, hi = _unit_ket(d, 0), _unit_ket(d, d - 1)  # all digits 0, all digits n-1
     mat = p * np.outer(lo, lo) + (1.0 - p) * np.outer(hi, hi)
     return DensityOperator.trusted(mat, shape)
 
 
-def named_state(spec: str, shape: NetworkShape | None = None) -> DensityOperator:
-    """Build a state from a CLI-style specifier.
+@dataclass(frozen=True)
+class StateSpec:
+    """A checked state specifier (:func:`parse_state`): the shape of the state it
+    names, ``build()``, which builds that state and cannot then fail a check, and
+    the seed of a "random:<seed>" state (``None`` for the other forms)."""
 
-    Accepted forms: "rhoA".."rhoF" (three qubits), "rhoG" or "rhoG:<p>"
-    (defaults p=0.3, three qubits unless ``shape`` overrides m), a digit
-    string like "1010" (shape inferred as qubits unless given), or
-    "random:<seed>" (requires ``shape``).
+    shape: NetworkShape
+    build: Callable[[], DensityOperator]
+    seed: int | None = None
+
+
+def _basis_state(index: int, shape: NetworkShape) -> DensityOperator:
+    return DensityOperator.from_ket(_unit_ket(shape.total_dim, index), shape)
+
+
+def parse_state(spec: str, shape: NetworkShape | None = None) -> StateSpec:
+    """Check a state specifier of :func:`named_state` without building the state.
+
+    Accepted forms: "rhoA".."rhoF" (three qubits), "rhoG" or "rhoG:<p>" with
+    ``p`` in [0, 1] (defaults p=0.3, three qubits unless ``shape`` overrides m),
+    a digit string like "1010" of digits below n (shape inferred as qubits
+    unless given, whose m is then its length), or "random:<seed>" with a
+    non-negative integer seed (requires ``shape``). Anything else raises
+    ``ValidationError``.
     """
     if spec in ("rhoA", "rhoB", "rhoC", "rhoD", "rhoE", "rhoF"):
         if shape is not None and (shape.m, shape.n) != (3, 2):
             raise ValidationError(f"{spec} is a three-qubit state, got shape {shape}")
-        return _named_three_qubit(spec)
+        return StateSpec(NetworkShape(3, 2), partial(_named_three_qubit, spec))
     if spec == "rhoG" or spec.startswith("rhoG:"):
         p = 0.3
         if ":" in spec:
@@ -506,9 +581,9 @@ def named_state(spec: str, shape: NetworkShape | None = None) -> DensityOperator
                 p = float(spec.split(":", 1)[1])
             except ValueError as exc:
                 raise ValidationError(f"bad rhoG parameter in {spec!r}") from exc
-        m = shape.m if shape is not None else 3
-        n = shape.n if shape is not None else 2
-        return rho_g(p, m=m, n=n)
+        _check_mixture_weight(p)
+        target = shape if shape is not None else NetworkShape(3, 2)
+        return StateSpec(target, partial(rho_g, p, target.m, target.n))
     if spec.startswith("random:"):
         if shape is None:
             raise ValidationError("random:<seed> needs an explicit network shape")
@@ -516,12 +591,20 @@ def named_state(spec: str, shape: NetworkShape | None = None) -> DensityOperator
             seed = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ValidationError(f"bad seed in {spec!r}") from exc
-        return random_density(shape, seed)
+        if seed < 0:  # the words of numpy's own refusal of the seed
+            raise ValidationError("expected non-negative integer")
+        return StateSpec(shape, partial(random_density, shape, seed), seed)
     if spec and all(ch.isdigit() for ch in spec):
         n = shape.n if shape is not None else 2
         if shape is not None and len(spec) != shape.m:
             raise ValidationError(
                 f"basis string {spec!r} has {len(spec)} digits but m={shape.m}")
         target = shape if shape is not None else NetworkShape(len(spec), n)
-        return DensityOperator.from_ket(basis_ket(spec, n), target)
+        return StateSpec(target, partial(_basis_state, _basis_index(spec, n), target))
     raise ValidationError(f"unrecognized state specifier {spec!r}")
+
+
+def named_state(spec: str, shape: NetworkShape | None = None) -> DensityOperator:
+    """Build a state from a CLI-style specifier: :func:`parse_state` checks it (its
+    docstring lists the forms), then the state is built."""
+    return parse_state(spec, shape).build()

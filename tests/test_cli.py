@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from importlib.resources import files
 from pathlib import Path
@@ -367,6 +370,75 @@ def test_spectrum_builds_no_dense_superoperator(tmp_path, monkeypatch):
     assert cli.main(["spectrum", scn, "--out-dir", str(out)]) == 0
     payload = json.loads((out / "scn_spectrum.json").read_text())
     assert payload["fixed_space_dimension"] == payload["unit_eigenvalue_count"] == 35
+
+
+def fig3_variant(tmp_path, **overrides) -> str:
+    doc = json.loads(Path(FIG3).read_text())
+    doc.update(overrides)
+    p = tmp_path / "fig3_variant.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("sigma", ["x", {"real": [[1, 0], [0, -1]]}])
+@pytest.mark.parametrize("initial_state", ["1010", "random:31"])
+def test_spectrum_builds_no_state_and_no_observable(tmp_path, monkeypatch, initial_state,
+                                                    sigma):
+    # the certificate depends on the graph, the weights and alpha alone: the
+    # initial state and sigma are checked at load and never built
+    import qgossip.states as states
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a state or observable was built on the spectrum path")
+    monkeypatch.setattr(states.DensityOperator, "trusted", forbidden)
+    monkeypatch.setattr(states, "random_density", forbidden)
+    monkeypatch.setattr(states.Observable, "__init__", forbidden)
+    states._pauli_observable.cache_clear()
+    scn = fig3_variant(tmp_path, initial_state=initial_state, sigma=sigma)
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", scn, "--out-dir", str(out)]) == 0
+    assert (out / "fig3_spectrum.json").is_file()
+    for lazy in ("rho0", "obs"):  # the patches do catch a build
+        with pytest.raises(AssertionError, match="was built"):
+            getattr(load_scenario(scn), lazy)
+
+
+MALFORMED_SCENARIOS = {
+    "digit-at-n": ({"initial_state": "1020"},
+                   "$.initial_state: digit '2' invalid for local dimension 2"),
+    "short-basis-string": ({"initial_state": "101"},
+                           "$.initial_state: basis string '101' has 3 digits but m=4"),
+    "negative-seed": ({"initial_state": "random:-1"},
+                      "$.initial_state: expected non-negative integer"),
+    "unknown-sigma": ({"sigma": "w"}, "$.sigma: observable name 'w' at n=2: the names "
+                                      "are x, y, z, identity, for n=2 only"),
+    "non-hermitian-sigma": ({"sigma": {"real": [[0, 1], [0, 0]]}},
+                            "$.sigma: observable is not Hermitian: "
+                            "max |x - x^dagger| = 1.000e+00 > 1.0e-09"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SCENARIOS))
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "correspond", "ensemble"])
+def test_a_malformed_scenario_exits_1_at_load(tmp_path, capsys, command, case):
+    # every run checks the state and sigma at load, whether or not it builds them
+    overrides, message = MALFORMED_SCENARIOS[case]
+    out = tmp_path / "out"
+    assert cli.main([command, fig3_variant(tmp_path, **overrides), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error (validation): {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["negative-seed", "non-hermitian-sigma"])
+def test_a_malformed_scenario_exits_1_from_the_module_entry_point(tmp_path, case):
+    overrides, message = MALFORMED_SCENARIOS[case]
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "qgossip.cli", "spectrum",
+                           fig3_variant(tmp_path, **overrides), "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (1, f"error (validation): {message}\n")
+    assert not out.exists()
 
 
 def test_spectrum_runs_without_the_fixed_point_basis(tmp_path, monkeypatch):

@@ -133,6 +133,8 @@ def test_sigma_as_bare_list_is_built_once(tmp_path):
     with mock.patch.object(scenario_module, "as_observable",
                            wraps=scenario_module.as_observable) as built:
         scn = qg.load_scenario(write_doc(tmp_path, doc))
+        assert built.call_count == 0  # checked at load, built at the first read
+        assert scn.obs is scn.obs
     assert built.call_count == 1
     np.testing.assert_allclose(scn.obs.matrix, qg.PAULI["x"], atol=0)
 
@@ -160,6 +162,46 @@ def test_random_state_seed_is_reported(tmp_path):
     assert scn.seeds() == [12, 31]
     np.testing.assert_array_equal(scn.rho0.matrix,
                                   qg.random_density(scn.shape, 31).matrix)
+
+
+def test_the_state_and_sigma_are_checked_at_load_and_built_at_first_read(tmp_path,
+                                                                       monkeypatch):
+    built = []
+
+    def counting(build):
+        def wrapped(*args):
+            built.append(build.__name__)
+            return build(*args)
+        return wrapped
+    monkeypatch.setattr(qg.states, "random_density", counting(qg.random_density))
+    monkeypatch.setattr(qg.states.Observable, "__init__", counting(qg.Observable.__init__))
+    doc = base_doc()
+    doc["initial_state"] = "random:31"
+    doc["sigma"] = {"real": [[0, 1], [1, 0]]}
+    scn = qg.load_scenario(write_doc(tmp_path, doc))
+    assert built == []
+    assert scn.rho0 is scn.rho0 and scn.obs is scn.obs
+    assert built == ["random_density", "__init__"]
+    np.testing.assert_array_equal(scn.rho0.matrix, qg.random_density(scn.shape, 31).matrix)
+    np.testing.assert_array_equal(scn.obs.matrix, qg.PAULI["x"])
+    doc["initial_state"] = "rhoG:1.5"
+    with pytest.raises(qg.ScenarioError, match=r"\$\.initial_state: p must lie in \[0, 1\]"):
+        qg.load_scenario(write_doc(tmp_path, doc))
+    doc["initial_state"] = "100"
+    doc["sigma"] = {"real": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    with pytest.raises(qg.ScenarioError, match=r"\$\.sigma: observable dim 3 != n=2"):
+        qg.load_scenario(write_doc(tmp_path, doc))
+    assert len(built) == 2  # the two checks above built nothing
+
+
+def test_a_suite_is_checked_before_any_state_is_built(tmp_path, monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("a state was built before the suite was checked")
+    monkeypatch.setattr(qg.states, "_named_three_qubit", forbidden)
+    doc = {"schema": 1, "suite": [{"state": "rhoA", "sigma": "z"},
+                                  {"state": "rhoB", "sigma": "w"}]}
+    with pytest.raises(qg.ScenarioError, match=r"\$\.suite\[1\]\.sigma"):
+        scenario_module.load_suite(write_doc(tmp_path, doc))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ import pytest
 
 import qgossip as qg
 from qgossip import gossip
+from qgossip import states as states_module
 from qgossip.consensus import ssc_gap
 from qgossip.linalg import PSD_TOL
 from qgossip.rng import complex_ginibre, make_rng
-from qgossip.states import (as_observable, basis_index_map, check_projector_family,
-                            conjugate_by_basis_map, is_permutation_invariant,
-                            local_expectations, local_hermitian_basis,
-                            local_reduced_states, orbit_labels, trace_index)
+from qgossip.states import (as_observable, basis_index_map, check_observable,
+                            check_projector_family, conjugate_by_basis_map,
+                            is_permutation_invariant, local_expectations,
+                            local_hermitian_basis, local_reduced_states, orbit_labels,
+                            parse_state, trace_index)
 from reference import (apply, gossip_superoperator, permutation_unitary, swap_unitary,
                        transposition, von_neumann_entropy)
 
@@ -217,6 +219,22 @@ def test_gathered_reduced_states_match_partial_traces(k, m, n):
             np.testing.assert_allclose(z[i - 1], dense, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("args", [(3.0, 2, 1), (3, 2.0, 1), (True, 2, 1), (3, 2, True),
+                                  (3, 2, 1.0), (3, 2, -1), (3, 2, "1")])
+def test_trace_index_refuses_what_is_not_an_integer(args):
+    # checked before the cache is asked: after a warm-up as on a cold cache
+    states_module._trace_index.cache_clear()
+    with pytest.raises(qg.ValidationError) as cold:
+        trace_index(*args)
+    trace_index(3, 2, 1)
+    with pytest.raises(qg.ValidationError) as warm:
+        trace_index(*args)
+    assert str(warm.value) == str(cold.value)
+    assert trace_index(np.int64(3), np.int8(2), np.int16(1)) is trace_index(3, 2, 1)
+    with pytest.raises(qg.ResourceLimitError):
+        trace_index(100, 2, 1)
+
+
 def test_trace_index_of_more_sites_than_the_network_is_empty():
     # a 1-site network has no site pair: the pair index is empty, not an error
     idx = trace_index(1, 2, 2)
@@ -415,10 +433,16 @@ def test_observable_rejects_non_hermitian():
 @pytest.mark.parametrize("blocks", [((1, 2),), ((1, 2), (2, 3)), ((0, 1, 2),),
                                     ((1.0, 2, 3),), ((True, 2, 3),), ((1, 2, "3"),)])
 def test_orbit_labels_needs_a_partition_of_the_sites(blocks):
-    # the check runs on a cache miss, and (True, 2, 3) keys as (1, 2, 3) does
-    orbit_labels.cache_clear()
-    with pytest.raises(qg.ValidationError, match="do not partition sites 1..3"):
+    # the check runs before the cache is asked: (True, 2, 3) keys as (1, 2, 3)
+    # does, and it is refused alike on a cold cache and after a warm-up
+    states_module._orbit_labels.cache_clear()
+    with pytest.raises(qg.ValidationError, match="do not partition sites 1..3") as cold:
         orbit_labels(3, 2, blocks)
+    orbit_labels(3, 2, ((1, 2, 3),))
+    orbit_labels(3, 2, ((1, 2), (3,)))
+    with pytest.raises(qg.ValidationError) as warm:
+        orbit_labels(3, 2, blocks)
+    assert str(warm.value) == str(cold.value)
 
 
 def test_as_observable_named_and_matrix():
@@ -430,6 +454,57 @@ def test_as_observable_named_and_matrix():
         as_observable("z", 3)
     with pytest.raises(qg.ValidationError):
         as_observable("nope", 2)
+
+
+@pytest.mark.parametrize("sigma, n", [("z", 3), ("nope", 2), (SZ, 3),
+                                      (np.array([[0, 1], [0, 0]]), 2),
+                                      (np.array([[np.nan, 0], [0, 1]]), 2),
+                                      (np.ones((2, 3)), 2)])
+def test_check_observable_refuses_what_as_observable_refuses(sigma, n):
+    with pytest.raises(ValueError) as checked:  # a ValidationError or DimensionError
+        check_observable(sigma, n)
+    with pytest.raises(ValueError) as built:
+        as_observable(sigma, n)
+    assert (checked.type, str(checked.value)) == (built.type, str(built.value))
+
+
+def test_check_observable_builds_nothing(monkeypatch):
+    obs = qg.Observable(SX)
+
+    def forbidden(*_args):
+        raise AssertionError("check_observable built an observable")
+    monkeypatch.setattr(qg.Observable, "__init__", forbidden)
+    assert check_observable("y", 2) == "y"
+    assert check_observable(obs, 2) is obs
+    np.testing.assert_array_equal(check_observable([[1, 0], [0, -1]], 2), SZ)
+
+
+def test_a_named_observable_is_built_once_and_read_only():
+    for name, matrix in qg.PAULI.items():
+        obs = as_observable(name, 2)
+        assert obs is as_observable(name, 2)
+        fresh = qg.Observable(matrix)
+        assert obs.eigenvalues == fresh.eigenvalues
+        arrays = (obs.matrix, *obs.projectors, *obs.isometries)
+        fresh_arrays = (fresh.matrix, *fresh.projectors, *fresh.isometries)
+        assert len(arrays) == len(fresh_arrays)
+        for a, b in zip(arrays, fresh_arrays):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+    # nor can the constants the shared observables were built from change
+    assert not any(matrix.flags.writeable for matrix in qg.PAULI.values())
+    with pytest.raises(TypeError):
+        qg.PAULI["z"] = SX
+
+
+def test_observable_copies_before_it_freezes():
+    s = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+    obs = qg.Observable(s)
+    assert s.flags.writeable and obs.matrix is not s
+    s[0, 0] = 5.0
+    assert obs.matrix[0, 0] == 1.0
+    qg.classify(qg.named_state("rhoC"), s)
+    assert s.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +640,9 @@ def test_orbit_count_is_the_number_of_joint_types(m, n):
 def test_orbit_labels_are_shared_and_validated():
     blocks = ((1, 2), (3,))
     assert orbit_labels(3, 2, blocks) is orbit_labels(3, 2, blocks)
-    assert orbit_labels.cache_info().maxsize == 2
+    # numpy integers are labels, canonicalized to the same key
+    assert orbit_labels(np.int64(3), 2, ((np.int8(1), 2), (3,))) is orbit_labels(3, 2, blocks)
+    assert states_module._orbit_labels.cache_info().maxsize == 2
     for bad in (((1, 2),), ((1, 2), (2, 3)), ((1, 2, 3, 4),)):
         with pytest.raises(qg.ValidationError):
             orbit_labels(3, 2, bad)
@@ -674,6 +751,53 @@ def test_named_state_lookup_and_digits():
     np.testing.assert_array_equal(seeded.matrix, qg.random_density(shape, 5).matrix)
     with pytest.raises(qg.ValidationError):
         qg.named_state("rhoZZ")
+
+
+BAD_STATE_SPECS = {
+    "random:-1": "expected non-negative integer",
+    "random:x": "bad seed",
+    "1020": "digit '2' invalid for local dimension 2",
+    "10²0": "digit '²' invalid for local dimension 2",
+    "101": "has 3 digits but m=4",
+    "rhoG:1.5": r"p must lie in \[0, 1\]",
+    "rhoG:nan": r"p must lie in \[0, 1\]",
+    "rhoG:x": "bad rhoG parameter",
+    "rhoA": "three-qubit state",
+    "rhoQ": "unrecognized state specifier",
+}
+
+
+@pytest.mark.parametrize("spec", list(BAD_STATE_SPECS))
+def test_named_state_and_parse_state_share_one_check(spec):
+    shape, message = qg.NetworkShape(4, 2), BAD_STATE_SPECS[spec]
+    for check in (qg.named_state, parse_state):
+        with pytest.raises(qg.ValidationError, match=message):
+            check(spec, shape)
+
+
+def test_parse_state_builds_nothing_and_names_the_shape_of_the_state(monkeypatch):
+    cases = [("rhoA", None, (3, 2)), ("rhoF", qg.NetworkShape(3, 2), (3, 2)),
+             ("rhoG", None, (3, 2)), ("rhoG:0.7", qg.NetworkShape(4, 3), (4, 3)),
+             ("random:5", qg.NetworkShape(3, 2), (3, 2)), ("0110", None, (4, 2)),
+             ("2010", qg.NetworkShape(4, 3), (4, 3))]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("parse_state built a state")
+    with monkeypatch.context() as patch:
+        patch.setattr(qg.DensityOperator, "trusted", forbidden)
+        patch.setattr(states_module, "random_density", forbidden)
+        parsed = [parse_state(spec, shape) for spec, shape, _ in cases]
+    assert [state.seed for state in parsed] == [None] * 4 + [5, None, None]
+    for spec, shape, (m, n) in cases:  # parsed anew: a spec binds its builder at parse
+        state = parse_state(spec, shape)
+        assert state.shape == qg.NetworkShape(m, n) == state.build().shape
+        np.testing.assert_array_equal(state.build().matrix, qg.named_state(spec, shape).matrix)
+
+
+def test_rho_g_on_more_than_ten_levels():
+    # the all-(n-1) basis state is the last one, not a digit string
+    rho = qg.named_state("rhoG:0.25", qg.NetworkShape(1, 11))
+    np.testing.assert_array_equal(np.diag(rho.matrix).real, [0.25] + [0.0] * 9 + [0.75])
 
 
 def test_rho_g_mixes_extremal_basis_states():
