@@ -26,7 +26,7 @@ from .linalg import (NetworkShape, eigh, frobenius_distance, kron, kron_all,
                      partial_trace)
 from .scenario import RunManifest, Scenario, load_scenario
 from .states import (DensityOperator, Observable, PAULI, basis_ket, lift_local,
-                     named_state, random_density, random_hermitian, rho_g,
-                     site_average, twirl, twirl_matrix)
+                     named_state, random_density, rho_g, site_average, twirl,
+                     twirl_matrix)
 
 __version__ = "0.1.0"

@@ -77,7 +77,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .consensus import smc_defect_rows, sym_kets
-from .errors import ConsistencyError, ResourceLimitError, ValidationError
+from .errors import ConsistencyError, DimensionError, ResourceLimitError, ValidationError
 from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
                      _is_int, _is_real, check_sites, require_hermitian, sq_distance_rows)
 from .rng import draw_index, make_rng, trial_rng
@@ -112,6 +112,16 @@ def _check_steps(steps) -> None:
         raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
 
 
+def _check_edge(e, m: int) -> tuple[int, int]:
+    """``e`` as a sorted pair of distinct site labels in 1..m, else ``ValidationError``."""
+    if not isinstance(e, (list, tuple, np.ndarray)) or len(e) != 2:
+        raise ValidationError(f"edge {e!r} must be a pair of site labels")
+    pair = tuple(sorted(check_sites(e, m, f"edge {e!r} outside sites 1..{m}")))
+    if pair[0] == pair[1]:
+        raise ValidationError(f"edge {e!r} must join two distinct sites")
+    return pair
+
+
 class InteractionGraph:
     """Undirected interaction graph on sites 1..m with positive edge weights.
 
@@ -130,11 +140,7 @@ class InteractionGraph:
         norm_edges = []
         seen = set()
         for e in edges:
-            if not isinstance(e, (list, tuple, np.ndarray)) or len(e) != 2:
-                raise ValidationError(f"edge {e!r} must be a pair of site labels")
-            pair = tuple(sorted(check_sites(e, shape.m, f"edge {e!r} outside sites 1..{shape.m}")))
-            if pair[0] == pair[1]:
-                raise ValidationError(f"edge {e!r} must join two distinct sites")
+            pair = _check_edge(e, shape.m)
             if pair in seen:
                 raise ValidationError(f"duplicate edge {pair}")
             seen.add(pair)
@@ -317,20 +323,36 @@ def gossip_update(x: np.ndarray, shape: NetworkShape, edges, weights, alpha: flo
                   out: np.ndarray | None = None) -> np.ndarray:
     """One gossip step ``(1 - alpha) x + alpha sum_e q_e U_e x U_e^dagger``.
 
-    ``x`` is a ``d x d`` matrix on ``shape`` and ``edges`` are site pairs
-    ``(j, k)``. Reshaped to the ``(n,)*2m`` tensor, ``U_jk x U_jk^dagger`` is
-    ``x`` with its axes ``(j, k)`` and ``(m+j, m+k)`` exchanged, a transposed
-    view. Each edge copies that view into one scratch ``d x d`` matrix (a
-    plain copy costs less than a ufunc reading the view, which buffers the
-    short strided runs of small shapes), scales it by ``alpha q_e`` and adds
-    it to the result, so no index is built and nothing is allocated per
-    edge. The ensemble, which applies a different edge on each trial row, and
-    the superoperators keep the flat gathers of :func:`_flat_gathers`.
+    ``x`` is a ``d x d`` matrix on ``shape`` (else ``DimensionError``); ``edges``
+    are pairs ``(j, k)`` of distinct site labels, each with a real weight ``q_e``,
+    and ``alpha`` is in (0, 1) (else ``ValidationError``). Reshaped to the
+    ``(n,)*2m`` tensor, ``U_jk x U_jk^dagger`` is ``x`` with its axes ``(j, k)``
+    and ``(m+j, m+k)`` exchanged, a transposed view. Each edge copies that view
+    into one scratch ``d x d`` matrix (a plain copy costs less than a ufunc
+    reading the view, which buffers the short strided runs of small shapes),
+    scales it by ``alpha q_e`` and adds it to the result, so no index is built
+    and nothing is allocated per edge. The ensemble, which applies a different
+    edge on each trial row, and the superoperators keep the flat gathers of
+    :func:`_flat_gathers`.
 
     A single edge of weight 1.0 gives exactly ``(1 - alpha) x + alpha U x
     U^dagger``; no edges give a copy of ``x``. The result is written into
     ``out`` (which must not overlap ``x``) when it is given, and returned.
     """
+    check_alpha(alpha)
+    x = np.asarray(x)
+    if x.shape != (shape.total_dim,) * 2:
+        raise DimensionError(f"matrix shape {x.shape} on a network of total dim {shape.total_dim}")
+    pairs = [_check_edge(e, shape.m) for e in edges]
+    if len(weights) != len(pairs) or not all(map(_is_real, weights)):
+        raise ValidationError(f"expected a real weight for each of {len(pairs)} edges, "
+                              f"got {list(weights)!r}")
+    return _gossip_update(x, shape, pairs, weights, alpha, out)
+
+
+def _gossip_update(x: np.ndarray, shape: NetworkShape, edges, weights, alpha: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`gossip_update` unchecked, for the trajectory loops and their graph's edges."""
     if not len(edges):
         if out is None:
             return x.copy()
@@ -444,8 +466,8 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
             for r in range(k):
                 edges, weights = ((graph.edges, graph.weights) if idx is None
                                   else ((graph.edges[idx[r]],), (1.0,)))
-                gossip_update(buf[r].reshape(d, d), shape, edges, weights, config.alpha,
-                              out=buf[r + 1].reshape(d, d))
+                _gossip_update(buf[r].reshape(d, d), shape, edges, weights, config.alpha,
+                               out=buf[r + 1].reshape(d, d))
             edges_used += [None] * k if idx is None else [graph.edges[i] for i in idx[:k].tolist()]
         first = 1 if k else 0
         lo, hi = t + first, t + k + 1
@@ -844,7 +866,7 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
         target = float(np.einsum("ij,ji->", s_mat, rho0.matrix).real)
         mat = rho0.matrix.copy()
         for _ in range(steps):
-            mat = gossip_update(mat, shape, graph.edges, graph.weights, alpha)
+            mat = _gossip_update(mat, shape, graph.edges, graph.weights, alpha)
             drift = max(drift, abs(
                 float(np.einsum("ij,ji->", s_mat, mat).real) - target))
         star = twirl_matrix(rho0.matrix, shape)
@@ -884,12 +906,14 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
     """
     shape = graph.shape
     s_mat = require_hermitian(s_operator, what="dual fixed-point candidate")
+    if s_mat.shape[0] != shape.total_dim:
+        raise ValidationError("S does not match the network dimension")
     check_alpha(alpha)
     _check_steps(steps)
     if shape.m > 1 and not graph.edges:
         raise ValidationError("the dual fixed-point check needs at least one edge")
     sweep = [[e] for e in graph.edges] or [[]]  # one site: no edge
-    defect = max(float(np.abs(gossip_update(s_mat, shape, step, [1.0], alpha) - s_mat).max())
+    defect = max(float(np.abs(_gossip_update(s_mat, shape, step, [1.0], alpha) - s_mat).max())
                  for step in sweep)
     s_ok = defect <= 1e-12
 
@@ -898,7 +922,7 @@ def dual_fixed_point_check(graph: InteractionGraph, alpha: float, s_operator,
         x = lift_local(as_observable(sigma, shape.n).matrix, 1, shape)
         target = twirl_matrix(x, shape)
         for t in range(steps):
-            x = gossip_update(x, shape, sweep[t % len(sweep)], [1.0], alpha)
+            x = _gossip_update(x, shape, sweep[t % len(sweep)], [1.0], alpha)
         iter_dev = float(np.max(np.abs(x - target)))
     return DualFixedPointReport(s_invariant=s_ok, max_invariance_defect=defect,
                                 iteration_deviation=iter_dev, ok=s_ok and iter_dev <= 1e-8)

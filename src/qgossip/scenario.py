@@ -20,10 +20,11 @@ Validation errors name the offending field. Every run writes a manifest
 output file references it: CSV files carry a leading ``# manifest:`` comment
 line, JSON files a "manifest" key. Identical scenario + seed produce
 byte-identical output; wall time lives only in the manifest. CSV floats are
-printed with 17 significant digits. JSON (results and manifests) is exactly
-``json.dumps(doc, indent=2, sort_keys=True)``, floats by their shortest
-round-trip ``repr``, written by one small encoder that joins each list of
-floats in one pass. Neither writer accepts a NaN or an infinity.
+printed with 17 significant digits. JSON (results and manifests) is written
+by the standard library, ``json.dumps(doc, indent=2, sort_keys=True)``, floats
+by their shortest round-trip ``repr``; only the spectrum's listing, a
+top-level :class:`RepeatedRows`, is spliced in from its own text, each
+distinct row formatted once. Neither writer accepts a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -127,11 +127,9 @@ class Scenario:
     shape: NetworkShape
     graph: InteractionGraph
     config: GossipConfig
-    initial_state_spec: str
     out_directory: str
     stem: str
     sha256: str
-    path: str
     state: StateSpec = field(repr=False, compare=False)
     sigma: object = field(repr=False, compare=False)
 
@@ -193,10 +191,9 @@ def load_scenario(path) -> Scenario:
     out_dir = _optional(outputs, "directory", str, "outputs", default=".")
     stem = _optional(outputs, "stem", str, "outputs", default=p.stem)
 
-    state_spec, state, _sigma, sigma = _read_specs(data, "initial_state", shape, "$")
-    return Scenario(shape=shape, graph=graph, config=config,
-                    initial_state_spec=state_spec, out_directory=out_dir,
-                    stem=stem, sha256=sha, path=str(p), state=state, sigma=sigma)
+    _, state, _, sigma = _read_specs(data, "initial_state", shape, "$")
+    return Scenario(shape=shape, graph=graph, config=config, out_directory=out_dir,
+                    stem=stem, sha256=sha, state=state, sigma=sigma)
 
 
 def load_suite(path) -> list[tuple[str, DensityOperator, object, Observable]]:
@@ -279,11 +276,11 @@ class RepeatedRows:
 
 
 def _repeated_rows(obj: RepeatedRows, indent: str) -> str:
-    """The text :func:`_json_text` writes for ``obj``: each distinct row
-    formatted once through one ``%r`` row template, and its text repeated.
-    Rows that are not equal-length, non-empty lists or tuples of exact
-    ``float`` values raise TypeError, a float subclass too, whose ``%r``
-    (``np.float64(...)``) is not ``float.__repr__``."""
+    """The JSON text of ``obj``'s expanded list, as ``json.dumps`` indents it
+    after ``indent``: each distinct row formatted once through one ``%r`` row
+    template, and its text repeated. Rows that are not equal-length, non-empty
+    lists or tuples of exact ``float`` values raise TypeError, a float subclass
+    too, whose ``%r`` (``np.float64(...)``) is not ``float.__repr__``."""
     rows = obj.rows
     if not rows:
         return "[]"
@@ -300,42 +297,25 @@ def _repeated_rows(obj: RepeatedRows, indent: str) -> str:
     return "[" + inner + _finite(body[:-len(sep)]) + indent + "]"
 
 
-def _json_text(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte,
-    for dicts with str keys, lists, tuples, str, int, float, bool and None, and
-    of the expanded list for a :class:`RepeatedRows`.
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+_PLACEHOLDER = "RepeatedRows"
 
-    A list of floats is joined in one pass through ``float.__repr__``, json's
-    own spelling of a finite float, and a :class:`RepeatedRows` formats each
-    distinct row once (:func:`_repeated_rows`). A NaN or an infinity raises
-    ConsistencyError; any other type, or a non-str key, raises TypeError.
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _finite(float.__repr__(obj))
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-                                   for k, v in sorted(obj.items())])
-        return "{" + inner + body + indent + "}"
-    if isinstance(obj, RepeatedRows):
-        return _repeated_rows(obj, indent)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        try:
-            body = _finite(("," + inner).join(map(float.__repr__, obj)))
-        except TypeError:  # not all floats
-            body = ("," + inner).join([_json_text(v, inner) for v in obj])
-        return "[" + inner + body + indent + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+def _write_document(path: Path, doc: dict):
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`` and a newline,
+    each top-level :class:`RepeatedRows` encoded as a placeholder string, then
+    spliced in as its expanded list: only a top-level item starts with a newline
+    and exactly two spaces, and no JSON string holds a raw newline, so no other
+    value matches. A NaN or an infinity raises ConsistencyError."""
+    listings = {k: v for k, v in doc.items() if isinstance(v, RepeatedRows)}
+    try:
+        text = _ENCODER.encode({**doc, **dict.fromkeys(listings, _PLACEHOLDER)})
+    except ValueError as exc:
+        raise ConsistencyError("refusing to write a non-finite value") from exc
+    for key, rows in listings.items():
+        item = "\n  " + _ENCODER.encode(key) + ": "
+        text = text.replace(item + f'"{_PLACEHOLDER}"', item + _repeated_rows(rows, "\n  "))
+    path.write_text(text + "\n")
 
 
 def write_json(path: Path, payload: dict, manifest_name: str | None = None):
@@ -343,8 +323,8 @@ def write_json(path: Path, payload: dict, manifest_name: str | None = None):
     doc = dict(payload)
     if manifest_name is not None:
         doc["manifest"] = manifest_name
-    path.write_text(_json_text(doc) + "\n")
+    _write_document(path, doc)
 
 
 def write_manifest(path: Path, manifest: RunManifest):
-    path.write_text(_json_text(manifest.as_dict()) + "\n")
+    _write_document(path, manifest.as_dict())

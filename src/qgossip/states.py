@@ -472,12 +472,6 @@ def random_density(shape: NetworkShape, seed: int) -> DensityOperator:
     return DensityOperator.trusted(gg / np.trace(gg).real, shape)
 
 
-def random_hermitian(dim: int, seed: int) -> np.ndarray:
-    """Hermitian matrix ``(G + G^dagger)/2`` with Ginibre ``G``."""
-    g = complex_ginibre(make_rng(seed), dim)
-    return (g + g.conj().T) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # named example states
 # ---------------------------------------------------------------------------

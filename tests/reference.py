@@ -24,6 +24,7 @@ import numpy as np
 import qgossip as qg
 from qgossip import gossip
 from qgossip.consensus import matrix_smc_defect, sym_kets
+from qgossip.rng import complex_ginibre, make_rng
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels)
 
@@ -78,6 +79,12 @@ def orbit_blocks(graph, alpha):
             for rows in (np.flatnonzero(labels == o) for o in range(len(sizes)))]
 
 
+def random_hermitian(dim, seed):
+    """Hermitian matrix ``(G + G^dagger)/2`` with Ginibre ``G``."""
+    g = complex_ginibre(make_rng(seed), dim)
+    return (g + g.conj().T) / 2.0
+
+
 def von_neumann_entropy(rho):
     """Base-e von Neumann entropy of a ``DensityOperator``; eigenvalues below
     1e-15 contribute nothing."""
@@ -111,8 +118,9 @@ def scatter_update(x, shape, edges, weights, alpha, out=None):
 
 def evolve_per_step(rho0, graph, config, sigma):
     """``evolve`` as a loop of single steps: record, check, stop test, then one
-    ``gossip.gossip_update`` (looked up at each step, so a patched update is
-    seen) on the edge ``next(edge_schedule(graph, config))``. Returns the
+    ``gossip.gossip_update`` (whose core ``gossip._gossip_update`` is looked up
+    at each step, so a patched core is seen) on the edge
+    ``next(edge_schedule(graph, config))``. Returns the
     record and the final state; raises what ``evolve`` raises, at the same
     step."""
     shape = rho0.shape

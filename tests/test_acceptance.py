@@ -15,7 +15,7 @@ import qgossip as qg
 import qgossip.cli as cli
 from qgossip.rng import trial_rng
 from qgossip.states import Observable
-from reference import orbit_blocks
+from reference import orbit_blocks, random_hermitian
 
 SZ = qg.PAULI["z"]
 
@@ -203,7 +203,7 @@ def test_criterion_6_hierarchy_and_witnesses():
     shape_q = qg.NetworkShape(2, 3)
     obs_z = Observable(SZ)
     proj3 = qg.sym_projector(obs_z, 3)
-    sigma_q = Observable(qg.random_hermitian(3, 4242))
+    sigma_q = Observable(random_hermitian(3, 4242))
     assert sigma_q.nondegenerate
 
     batch = []

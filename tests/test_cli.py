@@ -608,6 +608,19 @@ def test_certificate_failure_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     assert "certificate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+def test_a_non_finite_result_maps_to_exit_2(tmp_path, monkeypatch, capsys, bad):
+    # no well-formed run yields one, so the report is given one on its way
+    # to the JSON writer
+    real = cli.classify
+    monkeypatch.setattr(cli, "classify",
+                        lambda *args: dataclasses.replace(real(*args), ssc_gap=bad))
+    out = tmp_path / "report.json"
+    assert cli.main(["classify", "--state", "rhoB", "--sigma", "z", "--out", str(out)]) == 2
+    assert "refusing to write a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # correspond
 # ---------------------------------------------------------------------------

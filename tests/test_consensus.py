@@ -11,7 +11,7 @@ import qgossip as qg
 from qgossip import consensus
 from qgossip.consensus import ssc_gap, sym_kets, sym_overlap_rows
 from qgossip.states import Observable, as_observable, local_reduced_states
-from reference import kron_sym_projector
+from reference import kron_sym_projector, random_hermitian
 
 SZ = qg.PAULI["z"]
 SX = qg.PAULI["x"]
@@ -147,11 +147,11 @@ def test_sym_projector_is_idempotent(sigma, max_m):
 
 def _overlap_sigma(n, kind, seed):
     if kind == "random":
-        return qg.random_hermitian(n, seed)
+        return random_hermitian(n, seed)
     if n == 2:
         return qg.PAULI[kind]
     # a degenerate qutrit, one rank-2 group, in a random eigenbasis
-    _, u = np.linalg.eigh(qg.random_hermitian(3, seed))
+    _, u = np.linalg.eigh(random_hermitian(3, seed))
     return u @ np.diag([1.0, 1.0, -0.5]) @ u.conj().T
 
 
@@ -165,7 +165,7 @@ def test_ket_overlap_matches_dense_sym_projector(case, seed):
     # the product-ket overlap and K K^dagger against the Kronecker-built Pi_sym
     m, n, kind = case
     obs = Observable(_overlap_sigma(n, kind, seed))
-    x = qg.random_hermitian(n ** m, seed + 1)
+    x = random_hermitian(n ** m, seed + 1)
     kets = sym_kets(obs, m)
     assert kets.shape == (n ** m, sum(v.shape[1] ** m for v in obs.isometries))
     pi_sym = kron_sym_projector(obs, m)
@@ -217,7 +217,7 @@ def dense_lift_pairwise_gap(rho, sigma):
 
 
 def _oracle_sigmas(n):
-    sigmas = {"random": qg.random_hermitian(n, 17 + n),
+    sigmas = {"random": random_hermitian(n, 17 + n),
               "degenerate": np.diag([1.0, 1.0] + [0.0] * (n - 2))}
     if n == 2:
         sigmas.update((name, qg.PAULI[name]) for name in ("x", "y", "z"))

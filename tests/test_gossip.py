@@ -23,7 +23,7 @@ from qgossip.scenario import load_scenario
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels, twirl_matrix)
 from reference import (apply, conjugate, evolve_per_step, gossip_superoperator, orbit_blocks,
-                       scatter_update, swap_unitary, transposition)
+                       random_hermitian, scatter_update, swap_unitary, transposition)
 
 SZ = qg.PAULI["z"]
 
@@ -148,6 +148,8 @@ ALPHA_ENTRY_POINTS = {
         path_graph(2), a, qg.random_density(qg.NetworkShape(2, 2), 1),
         eps=1e-10, num_trials=1, horizon=1, seed=1),
     "classical_gossip_step": lambda a: qg.classical_gossip_step([0.0, 1.0], (1, 2), a),
+    "gossip_update": lambda a: qg.gossip_update(np.eye(4), qg.NetworkShape(2, 2), [(1, 2)],
+                                                [1.0], a),
     "run_classical": lambda a: qg.run_classical([0.0, 1.0], path_graph(2), a, [(1, 2)]),
     "s_average_check": lambda a: qg.s_average_check(
         qg.site_average(SZ, qg.NetworkShape(2, 2)), path_graph(2), a, []),
@@ -286,15 +288,15 @@ def test_evolve_twirls_a_fixed_number_of_times(monkeypatch):
 
 
 def inject_fault(monkeypatch, fault):
-    """Make every evolve step apply ``fault`` to the state gossip_update writes."""
-    update = gossip_module.gossip_update
+    """Make every evolve step apply ``fault`` to the state _gossip_update writes."""
+    update = gossip_module._gossip_update
 
     def faulty(*args, **kwargs):
         new = update(*args, **kwargs)
         new[...] = fault(new)
         return new
 
-    monkeypatch.setattr(gossip_module, "gossip_update", faulty)
+    monkeypatch.setattr(gossip_module, "_gossip_update", faulty)
 
 
 def test_evolve_rejects_a_step_that_moves_the_twirl(monkeypatch):
@@ -556,7 +558,7 @@ def test_evolve_record_matches_a_dense_replay(g, strategy, alpha, data):
     shape = g.shape
     seeds = [data.draw(st.integers(0, 2 ** 31)) for _ in range(3)]
     rho = qg.random_density(shape, seeds[0])
-    sigma = qg.random_hermitian(shape.n, seeds[1])
+    sigma = random_hermitian(shape.n, seeds[1])
     cfg = qg.GossipConfig(alpha=alpha, strategy=strategy, steps=6, seed=seeds[2])
     rec, _ = qg.evolve(rho, g, cfg, sigma)
     s_mat = qg.site_average(sigma, shape)
@@ -575,8 +577,8 @@ def test_evolve_record_matches_a_dense_replay(g, strategy, alpha, data):
 def block_and_step_runs(rho, g, cfg, sigma, per_block, fault=None, at=None):
     """``(block route, per-step reference)``, each its ``(record, final matrix)``
     or its ConsistencyError message. ``evolve`` takes ``per_block`` steps a
-    block; ``fault`` replaces the state of the ``at``-th gossip_update call."""
-    update = gossip_module.gossip_update
+    block; ``fault`` replaces the state of the ``at``-th _gossip_update call."""
+    update = gossip_module._gossip_update
     budget = (per_block + 1) * 16 * g.shape.total_dim ** 2
     results = []
     for route in (lambda: qg.evolve(rho, g, cfg, sigma), lambda: evolve_per_step(rho, g, cfg, sigma)):
@@ -589,7 +591,7 @@ def block_and_step_runs(rho, g, cfg, sigma, per_block, fault=None, at=None):
             return new
 
         with mock.patch.object(gossip_module, "RECORD_BLOCK_BYTES", budget), \
-                mock.patch.object(gossip_module, "gossip_update", patched):
+                mock.patch.object(gossip_module, "_gossip_update", patched):
             try:
                 rec, final = route()
             except qg.ConsistencyError as exc:
@@ -621,7 +623,7 @@ def test_block_record_matches_the_per_step_loop(g, strategy, alpha, steps, per_b
     # that lands inside a block, and a faulty step reported at the same step
     seeds = [data.draw(st.integers(0, 2 ** 31)) for _ in range(3)]
     rho = qg.random_density(g.shape, seeds[0])
-    sigma = qg.random_hermitian(g.shape.n, seeds[1])
+    sigma = random_hermitian(g.shape.n, seeds[1])
     cfg = qg.GossipConfig(alpha=alpha, strategy=strategy, steps=steps, seed=seeds[2])
     block, step = block_and_step_runs(rho, g, cfg, sigma, per_block)
     assert_same_run(block, step)
@@ -717,6 +719,26 @@ def test_update_without_edges_is_the_identity():
     x = make_rng(7).standard_normal((2, 2)) + 0j
     out = qg.gossip_update(x, qg.NetworkShape(1, 2), [], [], 0.4)
     assert out is not x and np.array_equal(out, x)
+
+
+@pytest.mark.parametrize("edges, weights, error", [
+    ([(0, 2)], [1.0], "outside sites 1..3"), ([(2, 2)], [1.0], "two distinct sites"),
+    ([(1, 5)], [1.0], "outside sites 1..3"), ([(1.0, 2)], [1.0], "outside sites 1..3"),
+    ([(1, 2, 3)], [1.0], "pair of site labels"), ([(1, 2), (2, 3)], [1.0], "each of 2 edges"),
+    ([(1, 2)], ["1"], "real weight")],
+    ids=["site_0", "one_site", "site_5", "float_label", "triple", "short_weights", "str_weight"])
+def test_update_rejects_what_is_no_edge_of_the_shape(edges, weights, error):
+    # a missing site, a row axis paired with a column axis, an axis past the
+    # tensor, a float label, a triple and a short weight list never reach the
+    # axis exchange
+    with pytest.raises(qg.ValidationError, match=error):
+        qg.gossip_update(np.eye(8), qg.NetworkShape(3, 2), edges, weights, 0.4)
+
+
+@pytest.mark.parametrize("x", [np.eye(4), np.eye(8).ravel(), "abc"])
+def test_update_rejects_a_matrix_of_another_shape(x):
+    with pytest.raises(qg.DimensionError):
+        qg.gossip_update(x, qg.NetworkShape(3, 2), [(1, 2)], [1.0], 0.4)
 
 
 @settings(max_examples=20, deadline=None)
@@ -1177,6 +1199,10 @@ def test_s_average_check_validates_inputs():
     with pytest.raises(qg.ValidationError):
         qg.s_average_check(qg.site_average(SZ, split.shape), split, 0.5,
                            [qg.random_density(split.shape, 0)])
+    for check in (lambda s: qg.s_average_check(s, g, 0.5, samples),
+                  lambda s: qg.dual_fixed_point_check(g, 0.5, s)):
+        with pytest.raises(qg.ValidationError, match="S does not match the network dimension"):
+            check(np.eye(4))
     # step counts are nonnegative integers: -3 is not zero steps, nor 2.0 a TypeError
     for bad in (-3, 2.0, True):
         with pytest.raises(qg.ValidationError, match="steps must be a nonnegative integer"):

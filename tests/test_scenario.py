@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import qgossip as qg
 from qgossip import scenario as scenario_module
-from qgossip.scenario import (OUT_DIR_ENV, RepeatedRows, RunManifest, _json_text,
-                              resolve_out_dir, write_csv, write_json, write_manifest)
+from qgossip.scenario import (OUT_DIR_ENV, RepeatedRows, RunManifest, resolve_out_dir,
+                              write_csv, write_json, write_manifest)
 
 FIG3 = files("qgossip") / "scenarios" / "fig3.json"
 
@@ -281,57 +281,62 @@ JSON_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
 JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", "\n", 'a "b" \\c\nd', "ünï©ødé ✓ 𝄞"])
 JSON_SCALARS = (st.none() | st.booleans() | JSON_FLOATS | JSON_STRINGS
                 | st.integers() | st.integers(2**63, 2**80))
-# lists of equal-length float rows (lists or tuples) take the one-format path;
-# ragged rows, and rows holding an int or a numpy float64, must not
+# the rows a RepeatedRows lists: equal-length float rows, lists or tuples
 FLOAT_ROWS = st.integers(1, 3).flatmap(lambda w: st.lists(
     st.lists(JSON_FLOATS, min_size=w, max_size=w) | st.tuples(*[JSON_FLOATS] * w),
     min_size=1, max_size=4))
-MIXED_ROWS = st.lists(st.lists(JSON_FLOATS | st.integers() | JSON_FLOATS.map(np.float64),
-                               max_size=3), min_size=1, max_size=4)
 JSON_DOCS = st.recursive(
-    JSON_SCALARS | st.lists(JSON_FLOATS, max_size=6) | FLOAT_ROWS | MIXED_ROWS,
+    JSON_SCALARS | st.lists(JSON_FLOATS, max_size=6) | FLOAT_ROWS,
     lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=3).map(tuple)
                   | st.dictionaries(JSON_STRINGS, kids, max_size=5)),
     max_leaves=30)
 
 
-@settings(max_examples=300, deadline=None)
-@given(JSON_DOCS)
-def test_json_text_is_json_dumps(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-
-
 @settings(max_examples=200, deadline=None)
-@given(rows=FLOAT_ROWS, data=st.data())
-def test_repeated_rows_are_json_dumps_of_the_expanded_list(rows, data):
+@given(rows=FLOAT_ROWS, key=JSON_STRINGS, manifest=st.none() | JSON_STRINGS,
+       others=st.dictionaries(JSON_STRINGS, JSON_DOCS, max_size=5), data=st.data())
+def test_repeated_rows_are_json_dumps_of_the_expanded_list(tmp_path_factory, rows, key, others,
+                                                          manifest, data):
+    # the listing lands first, last or in between among drawn values, beside
+    # two decoys of its placeholder: the same key nested, and a top-level string
     counts = data.draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
-    doc = {"rows": RepeatedRows(rows, counts), "tail": [0.5]}
-    expanded = {"rows": [r for r, c in zip(rows, counts) for _ in range(c)], "tail": [0.5]}
-    assert _json_text(doc) == json.dumps(expanded, indent=2, sort_keys=True, allow_nan=False)
+    placeholder = scenario_module._PLACEHOLDER
+    doc = {**others, key + "!": {key: placeholder}, key + "?": placeholder}
+    expanded = {**doc, key: [list(r) for r, c in zip(rows, counts) for _ in range(c)]}
+    doc[key] = RepeatedRows(rows, counts)
+    if manifest is not None:
+        expanded["manifest"] = manifest
+    p = tmp_path_factory.mktemp("json") / "out.json"
+    write_json(p, doc, manifest)
+    assert p.read_text() == json.dumps(expanded, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def test_repeated_rows_reject_what_they_cannot_list():
-    assert _json_text(RepeatedRows([], [])) == "[]"
-    with pytest.raises(qg.ConsistencyError):
-        _json_text(RepeatedRows([[0.5, float("nan")]], [2]))
+def test_repeated_rows_reject_what_they_cannot_list(tmp_path):
+    p = tmp_path / "out.json"
+    write_json(p, {"a": RepeatedRows([], [])})
+    assert p.read_text() == '{\n  "a": []\n}\n'
     for rows in ([[1.0], [1.0, 2.0]], [[1, 2.0]], [[np.float64(1.0)]], [1.0]):
         with pytest.raises(TypeError):
-            _json_text(RepeatedRows(rows, [1] * len(rows)))
+            write_json(p, {"a": RepeatedRows(rows, [1] * len(rows))})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("place", [lambda v: v, lambda v: {"a": v},
-                                   lambda v: [0.5, v, 1.5], lambda v: {"a": [["s"], [1, v]]}],
-                         ids=["top", "dict_value", "float_list", "nested_list"])
-def test_json_text_rejects_non_finite(bad, place):
+@pytest.mark.parametrize("place", [lambda v: v, lambda v: {"b": v}, lambda v: [0.5, v, 1.5],
+                                   lambda v: [["s"], [1, v]],
+                                   lambda v: RepeatedRows([[0.5, 1.5], [0.5, v]], [1, 2])],
+                         ids=["top", "dict_value", "float_list", "nested_list", "repeated_rows"])
+def test_json_text_rejects_non_finite(bad, place, tmp_path):
     with pytest.raises(qg.ConsistencyError):
-        _json_text(place(bad))
+        write_json(tmp_path / "bad.json", {"a": place(bad)}, "m.json")
 
 
-@pytest.mark.parametrize("doc", [np.int64(3), {"a": [1.0, np.int64(3)]}, {1: "a"}, {"a": {2}}])
-def test_json_text_rejects_unsupported_types(doc):
+# np.int64 is no int subclass; a RepeatedRows is listed only as a top-level value
+@pytest.mark.parametrize("doc", [{"a": np.int64(3)}, {"a": [1.0, np.int64(3)]}, {"a": {2}},
+                                 {"a": [RepeatedRows([[1.0]], [1])]},
+                                 {"a": {"b": RepeatedRows([[1.0]], [1])}}])
+def test_json_text_rejects_unsupported_types(doc, tmp_path):
     with pytest.raises(TypeError):
-        _json_text(doc)
+        write_json(tmp_path / "bad.json", doc)
 
 
 def test_write_manifest_round_trip(tmp_path):
@@ -347,8 +352,9 @@ def test_write_manifest_round_trip(tmp_path):
 
 
 def test_write_manifest_rejects_non_finite(tmp_path):
-    manifest = RunManifest(scenario_hash="ab" * 32, tool_version="0.1.0",
-                           command="evolve", seeds=[7], wall_time_s=float("nan"),
-                           termination="steps_exhausted")
-    with pytest.raises(qg.ConsistencyError):
-        write_manifest(tmp_path / "run_manifest.json", manifest)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        manifest = RunManifest(scenario_hash="ab" * 32, tool_version="0.1.0",
+                               command="evolve", seeds=[7], wall_time_s=bad,
+                               termination="steps_exhausted")
+        with pytest.raises(qg.ConsistencyError):
+            write_manifest(tmp_path / "run_manifest.json", manifest)

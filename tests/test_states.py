@@ -18,8 +18,8 @@ from qgossip.states import (as_observable, basis_index_map, check_observable,
                             is_permutation_invariant, local_expectations,
                             local_hermitian_basis, local_reduced_states, orbit_labels,
                             parse_state, trace_index)
-from reference import (apply, gossip_superoperator, permutation_unitary, swap_unitary,
-                       transposition, von_neumann_entropy)
+from reference import (apply, gossip_superoperator, permutation_unitary, random_hermitian,
+                       swap_unitary, transposition, von_neumann_entropy)
 
 SZ = qg.PAULI["z"]
 SX = qg.PAULI["x"]
@@ -379,10 +379,10 @@ def test_random_density_properties_and_determinism():
 
 
 def test_random_hermitian_properties():
-    h = qg.random_hermitian(5, 11)
+    h = random_hermitian(5, 11)
     assert h.shape == (5, 5)
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
-    np.testing.assert_array_equal(h, qg.random_hermitian(5, 11))
+    np.testing.assert_array_equal(h, random_hermitian(5, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +536,7 @@ def test_twirl_is_idempotent_projection():
 def test_twirl_preserves_symmetric_expectations():
     shape = qg.NetworkShape(3, 2)
     rho = qg.random_density(shape, 102)
-    s = qg.site_average(qg.random_hermitian(2, 103), shape)
+    s = qg.site_average(random_hermitian(2, 103), shape)
     np.testing.assert_allclose(np.trace(s @ qg.twirl(rho).matrix).real,
                                np.trace(s @ rho.matrix).real, atol=1e-12)
 
@@ -655,7 +655,7 @@ def test_ssc_gap_is_exact_near_symmetric_states():
     shape = qg.NetworkShape(6, 2)
     assert ssc_gap(qg.rho_g(0.3, m=6)) <= 1e-15
     star = qg.twirl_matrix(qg.random_density(shape, 110).matrix, shape)
-    h = qg.random_hermitian(shape.total_dim, 111)
+    h = random_hermitian(shape.total_dim, 111)
     near = qg.DensityOperator.trusted(star + 1e-12 * h, shape)
     want = 1e-12 * qg.frobenius_distance(h, qg.twirl_matrix(h, shape))
     assert ssc_gap(near) == pytest.approx(want, rel=1e-3)
@@ -675,7 +675,7 @@ def test_twirl_is_exact_beyond_eight_sites():
 
 def test_twirl_observable_of_lift_is_site_average():
     shape = qg.NetworkShape(3, 2)
-    sig = qg.random_hermitian(2, 107)
+    sig = random_hermitian(2, 107)
     got = qg.twirl_matrix(qg.lift_local(sig, 1, shape), shape)
     np.testing.assert_allclose(got, qg.site_average(sig, shape), atol=1e-13)
 
@@ -684,7 +684,7 @@ def test_twirl_observable_duality():
     # Tr[T(Q) rho] == Tr[Q T(rho)]: the twirl of an observable is twirl_matrix
     shape = qg.NetworkShape(3, 2)
     rho = qg.random_density(shape, 108)
-    q = qg.random_hermitian(8, 109)
+    q = random_hermitian(8, 109)
     lhs = np.trace(qg.twirl_matrix(q, shape) @ rho.matrix)
     rhs = np.trace(q @ qg.twirl(rho).matrix)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -710,7 +710,7 @@ def test_channel_duality_random_sweep():
     rng = make_rng(111)
     for _ in range(20):
         rho = qg.random_density(shape, int(rng.integers(0, 10 ** 6)))
-        x = qg.random_hermitian(4, int(rng.integers(0, 10 ** 6)))
+        x = random_hermitian(4, int(rng.integers(0, 10 ** 6)))
         lhs = np.trace(x @ _one_edge_update(rho.matrix, 0.3))
         rhs = np.trace(_one_edge_dual(x, 0.3) @ rho.matrix)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
