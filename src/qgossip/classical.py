@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CertificateError, ConsistencyError, ValidationError
 from .gossip import (ALL_EDGE_STRATEGIES, GossipConfig, InteractionGraph,
                      TrajectoryRecord, check_alpha, evolve)
-from .linalg import check_sites
+from .linalg import _numeric, check_sites
 from .states import DensityOperator
 
 MEAN_TOL = 1e-13
@@ -31,7 +31,7 @@ W_MONOTONE_TOL = 1e-12
 
 def as_value_array(x0) -> np.ndarray:
     """Coerce node values to float shape (m, d); scalars become d=1."""
-    a = np.asarray(x0, dtype=float)
+    a = _numeric(x0, float)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2 or a.shape[0] < 1:

@@ -13,6 +13,7 @@ import functools
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ def cmd_classify(args) -> int:
         state = named_state(args.state, shape)
         entries = [(args.state, state, args.sigma, as_observable(args.sigma, state.shape.n))]
     results = [{"state": state_spec, "sigma": sigma_spec,
-                "report": classify(state, obs, tol).as_dict()}
+                "report": asdict(classify(state, obs, tol))}
                for state_spec, state, sigma_spec, obs in entries]
 
     for item in results:
@@ -205,7 +206,7 @@ def cmd_correspond(args) -> int:
 
 def cmd_nogo(args) -> int:
     report = nogo_check(args.n)
-    payload = dict(report.as_dict())
+    payload = asdict(report)
     payload["tool_version"] = TOOL_VERSION
     verdict = "feasible" if report.feasible else "infeasible"
     print(f"nogo: n={report.n} lambda_max={report.lambda_max:.12f} ({verdict})")
@@ -230,7 +231,7 @@ def cmd_ensemble(args) -> int:
         eps=args.eps, num_trials=args.trials, horizon=args.horizon, seed=seed)
     manifest_name = _finish_manifest(out_dir, stem, scenario, "ensemble",
                                      started, "completed")
-    payload = dict(experiment.as_dict())
+    payload = asdict(experiment)
     payload["tool_version"] = TOOL_VERSION
     write_json(out_dir / f"{stem}_ensemble.json", payload, manifest_name)
     print(f"ensemble: {experiment.successes}/{experiment.num_trials} trials "

@@ -19,7 +19,7 @@ numerical fault.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class ConsensusReport:
     smc_defect: float
     sigma_nondegenerate: bool
     tolerance: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_sigma_ec(rho: DensityOperator, sigma, tol: float = DEFAULT_TOL):
@@ -356,9 +353,6 @@ class NogoReport:
     lambda_max: float
     feasible: bool
     triple_pauli_fixed_dim: int | None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def nogo_check(n: int) -> NogoReport:

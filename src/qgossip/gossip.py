@@ -70,7 +70,7 @@ import itertools
 import math
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -79,13 +79,14 @@ import numpy as np
 from .consensus import smc_defect_rows, sym_kets
 from .errors import ConsistencyError, DimensionError, ResourceLimitError, ValidationError
 from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
-                     _is_int, _is_real, check_sites, require_hermitian, sq_distance_rows)
+                     _is_int, _is_real, check_sites, frobenius_distance, require_hermitian,
+                     sq_distance_rows)
 from .rng import draw_index, make_rng, trial_rng
 # conjugate_by_basis_map is unused here, but perfbench/spans.py wraps this
 # module's binding of it as its gossip.step layer
 from .states import (DensityOperator, as_observable, conjugate_by_basis_map,  # noqa: F401
                      is_permutation_invariant, lift_local, local_expectation_rows,
-                     local_expectations, local_hermitian_basis, orbit_labels,
+                     local_expectations, local_reduced_states, orbit_labels,
                      site_average, twirl_matrix)
 
 ALL_EDGE_STRATEGIES = ("synchronous", "expected")  # every step applies every edge
@@ -122,6 +123,14 @@ def _check_edge(e, m: int) -> tuple[int, int]:
     return pair
 
 
+def _listed(items, what: str) -> list:
+    """``items`` as a list, else ``ValidationError`` for what cannot be iterated."""
+    try:
+        return list(items)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, got {items!r}") from None
+
+
 class InteractionGraph:
     """Undirected interaction graph on sites 1..m with positive edge weights.
 
@@ -139,7 +148,7 @@ class InteractionGraph:
                  weights: Sequence[float] | None = None):
         norm_edges = []
         seen = set()
-        for e in edges:
+        for e in _listed(edges, "edges"):
             pair = _check_edge(e, shape.m)
             if pair in seen:
                 raise ValidationError(f"duplicate edge {pair}")
@@ -148,9 +157,10 @@ class InteractionGraph:
         if weights is None:
             w = [1.0 / len(norm_edges)] * len(norm_edges) if norm_edges else []
         else:
+            weights = _listed(weights, "edge weights")
             if any(not _is_real(x) or not 0.0 < x <= 1.0 for x in weights):
                 raise ValidationError(
-                    f"edge weights must be real numbers in (0, 1], got {list(weights)!r}")
+                    f"edge weights must be real numbers in (0, 1], got {weights!r}")
             w = [float(x) for x in weights]
             if len(w) != len(norm_edges):
                 raise ValidationError(
@@ -826,7 +836,9 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
     ``S`` must be Hermitian and permutation invariant. The check projects S
     onto the span of single-site lifts: decomposable means
     ``S = (1/m) sum_i sigma^(i)`` for some local sigma (residual below
-    ``DECOMPOSITION_TOL``; the recovered sigma is returned). For
+    ``DECOMPOSITION_TOL``; the recovered sigma is returned). The projection's
+    sigma is ``m r - (m-1) (Tr r / n) I`` for S's mean one-site marginal
+    ``r = (1/m) sum_i Tr_{!=i}(S) / n**(m-1)`` (:func:`local_reduced_states`). For
     decomposable S each sample state is driven by the synchronous map and
     the limiting local expectations must all equal ``Tr[S rho_0]`` (reported as
     ``limit_deviation``, measured both on the evolved state and on the exact
@@ -847,16 +859,12 @@ def s_average_check(s_operator, graph: InteractionGraph, alpha: float,
     if not graph.is_connected():
         raise ValidationError("the consensus check needs a connected graph")
 
-    basis = local_hermitian_basis(shape.n)
-    columns = [site_average(b, shape).ravel() for b in basis]
-    a = np.stack([np.concatenate([c.real, c.imag]) for c in columns], axis=1)
-    b_vec = s_mat.ravel()
-    b = np.concatenate([b_vec.real, b_vec.imag])
-    coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.linalg.norm(a @ coeffs - b))
-    decomposable = residual <= DECOMPOSITION_TOL
-    probe = sum(c * bm for c, bm in zip(coeffs, basis))
+    m, n = shape.m, shape.n
+    r = local_reduced_states(s_mat, shape).mean(axis=0) / n ** (m - 1)
+    probe = m * r - (m - 1) * (np.trace(r) / n) * np.eye(n)
     probe = (probe + probe.conj().T) / 2.0
+    residual = frobenius_distance(s_mat, site_average(probe, shape))
+    decomposable = residual <= DECOMPOSITION_TOL
     sigma = probe if decomposable else None
 
     drift = limit_dev = limit_mismatch = 0.0
@@ -957,9 +965,6 @@ class ConvergenceExperiment:
     empirical_probability: float
     max_final_sq_distance: float
     max_distance_increase: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def probability_one_convergence_experiment(

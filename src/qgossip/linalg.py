@@ -36,9 +36,18 @@ PSD_TOL = 1e-10
 EIG_RECONSTRUCTION_TOL = 1e-10
 
 
+def _numeric(x, dtype, convert=np.asarray) -> np.ndarray:
+    """``convert(x, dtype=dtype)``, with ``ValidationError`` for what numpy cannot
+    convert (a string, a ragged nesting, a dict or other non-numeric object)."""
+    try:
+        return convert(x, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot convert to {np.dtype(dtype)}: {exc}") from None
+
+
 def as_operator(x) -> np.ndarray:
     """Coerce ``x`` to a square complex128 matrix."""
-    a = np.asarray(x, dtype=np.complex128)
+    a = _numeric(x, np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -230,8 +239,8 @@ def sq_distance_rows(x: np.ndarray, y: np.ndarray, scratch: np.ndarray,
 def frobenius_distance(a, b) -> float:
     """``||a - b||_F`` for same-shaped matrices: the one-row case of
     :func:`sq_distance_rows`, so it equals a row of any block bit for bit."""
-    am = np.ascontiguousarray(a, dtype=np.complex128)
-    bm = np.ascontiguousarray(b, dtype=np.complex128)
+    am = _numeric(a, np.complex128, np.ascontiguousarray)
+    bm = _numeric(b, np.complex128, np.ascontiguousarray)
     if am.shape != bm.shape:
         raise DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
     x = am.reshape(1, -1).view(np.float64)

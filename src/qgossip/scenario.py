@@ -220,9 +220,6 @@ class RunManifest:
     wall_time_s: float
     termination: str
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def resolve_out_dir(scenario_dir: str, cli_override: str | None) -> Path:
     """Output directory precedence: CLI flag, environment, scenario, cwd. The
@@ -327,4 +324,4 @@ def write_json(path: Path, payload: dict, manifest_name: str | None = None):
 
 
 def write_manifest(path: Path, manifest: RunManifest):
-    _write_document(path, manifest.as_dict())
+    _write_document(path, asdict(manifest))

@@ -375,7 +375,7 @@ class Observable:
 
     @property
     def nondegenerate(self) -> bool:
-        return all(abs(np.trace(p) - 1.0) < 1e-8 for p in self.projectors)
+        return all(v.shape[1] == 1 for v in self.isometries)
 
 
 def check_observable(sigma, n: int):

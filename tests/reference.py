@@ -17,6 +17,9 @@ one-matrix forms of the record kernels and draws one edge per step.
 :func:`scatter_update` is the gossip step as one basis-map scatter per edge
 (``states.conjugate_by_basis_map`` of ``states.basis_index_map``), the
 bitwise oracle for the transposed views of :func:`qgossip.gossip_update`.
+
+:func:`site_average_fit` is the dense least-squares fit of a site average,
+the oracle for the closed form of :func:`qgossip.s_average_check`.
 """
 
 import numpy as np
@@ -26,7 +29,7 @@ from qgossip import gossip
 from qgossip.consensus import matrix_smc_defect, sym_kets
 from qgossip.rng import complex_ginibre, make_rng
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
-                            orbit_labels)
+                            local_hermitian_basis, orbit_labels)
 
 
 def permutation_unitary(order, shape):
@@ -83,6 +86,22 @@ def random_hermitian(dim, seed):
     """Hermitian matrix ``(G + G^dagger)/2`` with Ginibre ``G``."""
     g = complex_ginibre(make_rng(seed), dim)
     return (g + g.conj().T) / 2.0
+
+
+def site_average_fit(s, shape):
+    """The least-squares ``sigma`` of ``min ||S - (1/m) sum_i sigma^(i)||_F`` as a
+    dense fit: ``S`` in the real span of the site averages of the ``n**2``
+    generalized Gell-Mann matrices, their real and imaginary parts stacked into
+    a ``2 d**2 x n**2`` matrix for ``np.linalg.lstsq``. Returns ``(sigma,
+    residual)``, with sigma's Hermitian part; the oracle for the closed form of
+    :func:`qgossip.s_average_check`."""
+    basis = local_hermitian_basis(shape.n)
+    columns = [qg.site_average(b, shape).ravel() for b in basis]
+    a = np.stack([np.concatenate([c.real, c.imag]) for c in columns], axis=1)
+    b = np.concatenate([np.ravel(s).real, np.ravel(s).imag])
+    coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
+    sigma = sum(c * bm for c, bm in zip(coeffs, basis))
+    return (sigma + sigma.conj().T) / 2.0, float(np.linalg.norm(a @ coeffs - b))
 
 
 def von_neumann_entropy(rho):

@@ -1,5 +1,6 @@
 """Tests for gossip channels, trajectories, superoperators, and certificates."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -23,7 +24,8 @@ from qgossip.scenario import load_scenario
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels, twirl_matrix)
 from reference import (apply, conjugate, evolve_per_step, gossip_superoperator, orbit_blocks,
-                       random_hermitian, scatter_update, swap_unitary, transposition)
+                       random_hermitian, scatter_update, site_average_fit, swap_unitary,
+                       transposition)
 
 SZ = qg.PAULI["z"]
 
@@ -1221,6 +1223,25 @@ def test_s_average_check_single_site_is_exact():
     assert rep.limit_deviation == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(mn=st.sampled_from([(m, 2) for m in range(1, 5)] + [(m, 3) for m in range(1, 4)]),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 0.3, 1.0, 4.0]))
+def test_s_average_check_sigma_is_the_least_squares_fit(mn, seed, scale):
+    # S = site_average(sigma), plus a scaled twirl of a random Hermitian: an
+    # invariant part that is not a site average, except at m = 1
+    shape = qg.NetworkShape(*mn)
+    s = qg.site_average(random_hermitian(shape.n, seed), shape)
+    if scale:
+        s = s + scale * twirl_matrix(random_hermitian(shape.total_dim, seed + 1), shape)
+    sigma, residual = site_average_fit(s, shape)
+    rep = qg.s_average_check(s, path_graph(*mn), 0.5, [])
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(s)))
+    assert rep.decomposable == (residual <= gossip_module.DECOMPOSITION_TOL)
+    assert abs(rep.residual - residual) <= tol
+    if rep.decomposable:
+        assert np.max(np.abs(rep.sigma - sigma)) <= tol
+
+
 def test_dual_fixed_point_check():
     g = path_graph(3)
     rep = qg.dual_fixed_point_check(g, 0.5, qg.site_average(SZ, g.shape), sigma=SZ)
@@ -1619,7 +1640,7 @@ def test_ensemble_pool_matches_the_benchmark_reference(tmp_path):
                 eps=workloads.ENSEMBLE_EPS, num_trials=workloads.ENSEMBLE_TRIALS[m],
                 horizon=workloads.ENSEMBLE_HORIZON, seed=scenario.config.seed)
             key = f"{m}/{k}"
-            problems[key] = workloads.check_ensemble(exp.as_dict(), key, reference)
+            problems[key] = workloads.check_ensemble(dataclasses.asdict(exp), key, reference)
     assert len(problems) == len(reference["ensemble"]) == 96
     assert {key: p for key, p in problems.items() if p} == {}
 

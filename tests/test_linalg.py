@@ -70,6 +70,30 @@ def test_as_operator_rejects_nonsquare():
         as_operator(np.zeros(4))
 
 
+_SHAPE = qg.NetworkShape(2, 2)
+
+
+# values numpy cannot convert, and edges or weights that are no sequence, are
+# bad input: ValidationError, not numpy's ValueError or Python's TypeError
+@pytest.mark.parametrize("call", [
+    lambda: qg.DensityOperator("abc", _SHAPE),
+    lambda: qg.Observable([["a"]]),
+    lambda: qg.twirl_matrix("x", _SHAPE),
+    lambda: qg.lift_local("x", 1, _SHAPE),
+    lambda: qg.frobenius_distance("a", "b"),
+    lambda: qg.run_classical(["a", "b"], qg.InteractionGraph(_SHAPE, [(1, 2)]), 0.5, []),
+    lambda: qg.classical_gossip_step([[1], [2, 3]], (1, 2), 0.5),
+    lambda: qg.InteractionGraph(_SHAPE, None),
+    lambda: qg.InteractionGraph(_SHAPE, 5),
+    lambda: qg.InteractionGraph(_SHAPE, [(1, 2)], 5),
+], ids=["density_operator", "observable", "twirl_matrix", "lift_local", "frobenius_distance",
+        "run_classical", "classical_gossip_step", "graph_edges_none", "graph_edges_int",
+        "graph_weights_int"])
+def test_conversion_failures_raise_validation_error(call):
+    with pytest.raises(qg.ValidationError):
+        call()
+
+
 def test_hermiticity_defect_and_gate():
     assert hermiticity_defect(SZ) == 0.0
     skew = np.array([[0, 1], [0, 0]], dtype=np.complex128)
