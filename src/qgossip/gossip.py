@@ -50,17 +50,22 @@ the record kernels' one-row case, so a row's record does not depend on the
 block.
 
 The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
-steps all trials of a chunk at once, as one ``(trials, d**2)`` array, on
-:func:`evolve`'s pattern: edges drawn a block at a time, one gather, an
-in-place mix and one :func:`sq_distance_rows` per time step into a row of
-the block's distances, and one rise check per block. Every swap's flat
-gather, the edge table of small shapes and the per-step index of large ones,
-comes from :func:`_flat_gathers`. A chunk's working arrays fit in
-``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is one trial. The whole-chunk arrays
-(states, gathers, gather index, tiled twirl and, with an edge table, row
-offsets) start on 64-byte boundaries (:func:`_aligned_empty`), so no vector
-load of a step's passes straddles two cache lines and a chunk's speed does
-not depend on where the allocator put it.
+steps all trials of a chunk at once, as one ``(trials, d**2)`` ``float64``
+array of deviations ``R(rho_t) - R(twirl(rho_0))``, ``R(a) = Re a + Im a``,
+on :func:`evolve`'s pattern: edges drawn a block at a time, one gather, an
+in-place mix and one :func:`linalg.row_dots` per time step into a row of the
+block's distances, and one rise check per block. ``R`` maps Hermitian
+matrices one to one onto real ones and keeps the Frobenius norm, a swap acts
+on ``R(rho)`` by the same gather, and every swap fixes ``R`` of the twirl
+(checked before any trial runs), so a row's squared norm is the squared
+distance to the twirl. Every swap's flat gather, the edge table of small
+shapes and the per-step index of large ones, comes from :func:`_flat_gathers`.
+A chunk's working arrays fit in ``ENSEMBLE_CHUNK_BYTES`` (4 MiB), or it is
+one trial. The whole-chunk arrays (deviations, gathers, gather index and,
+with an edge table, row offsets) start on 64-byte boundaries
+(:func:`_aligned_empty`), so no vector load of a step's passes straddles two
+cache lines and a chunk's speed does not depend on where the allocator put
+it.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ from .consensus import smc_defect_rows, sym_kets
 from .errors import ConsistencyError, DimensionError, ResourceLimitError, ValidationError
 from .linalg import (MAX_LISTED_EIGENVALUES, MAX_SUPEROP_DIM, MAX_TOTAL_DIM, NetworkShape,
                      _is_int, _is_real, check_sites, frobenius_distance, require_hermitian,
-                     sq_distance_rows)
+                     row_dots, sq_distance_rows)
 from .rng import draw_index, make_rng, trial_rng
 # conjugate_by_basis_map is unused here, but perfbench/spans.py wraps this
 # module's binding of it as its gossip.step layer
@@ -981,36 +986,49 @@ def probability_one_convergence_experiment(
     Per-trial randomness comes from the documented sub-seed splitting rule,
     so results are reproducible and trials independent.
 
-    Trials run a chunk at a time, each chunk as one ``(trials, d**2)`` array
-    that takes one array step per time step. Trial ``k``'s edges are the
-    blocks :func:`edge_schedule` yields for ``trial_rng(seed, k)``, a block of
-    steps at a time. A step gathers every trial's entries through its edge's
-    swap (a transposition is its own inverse, so the gather is
-    ``U x U^dagger``), mixes in place, and writes all squared distances, in
-    one :func:`sq_distance_rows` against the twirl tiled to the chunk's rows
-    (a difference, then one :func:`linalg.row_dots` per trial row, so a
-    trial's distance does not depend on the chunk), into the step's row of
-    the block's distances. After each block one difference along the steps
-    gives the largest rise and the first one above ``CONTRACTION_TOL``, in
-    step order and then trial order. Chunks run in trial order; a chunk stops
-    at its first rise, later chunks stop at that rise's step, and the error
-    names the earliest rise of the run, at its lowest trial, whatever the
-    chunk size. The gather index comes from :func:`_flat_gathers`, with
-    trial r's row offset ``r d**2`` added so the gather reads its own row of
-    the states. When a table of every edge's flat gather fits in a quarter of
-    ``ENSEMBLE_CHUNK_BYTES``, each step copies its rows of the table and adds
-    a ``(trials, d**2)`` array of the offsets, a same-shape add; otherwise it
-    builds the index from the step's rows of the edges' :func:`_swap_maps`
-    and adds the offsets as a ``(trials, 1)`` column.
-    Half the budget holds the table and the chunk's states, gathers, gather
-    indices, twirl rows and, with a table, offsets: 64 bytes per trial and
-    entry of ``rho`` with a table, 56 without; the other half holds the edge
-    draws and distances, 16 bytes per trial and step. The states, gathers,
-    gather index, twirl rows and offsets array start on 64-byte boundaries
+    Trials run a chunk at a time, each chunk as one ``(trials, d**2)``
+    ``float64`` array of deviations ``y = R(rho_t) - R(rho*)``, with
+    ``R(a) = Re a + Im a``, that takes one array step per time step. ``R`` is
+    one to one from Hermitian matrices onto real ones (the inverse is
+    ``(r + r^T)/2 + i (r - r^T)/2``) and keeps the Frobenius norm, and a swap
+    acts on ``R(rho)`` by the same gather as on ``rho``. Every entry of
+    ``rho*`` is its orbit's mean, so every swap fixes ``R(rho*)`` bit for bit;
+    before any trial runs this is checked on every edge, through the step
+    kernel's axis transposes (:func:`_swap_axes`), and a twirl that some swap
+    moves raises ConsistencyError. So ``y`` takes the step of ``rho`` at half
+    its bytes, and its squared norm is the squared distance, with no twirl to
+    subtract. ``y_0`` is built once, and the complex twirl is freed before the
+    work arrays are allocated.
+
+    Trial ``k``'s edges are the blocks :func:`edge_schedule` yields for
+    ``trial_rng(seed, k)``, a block of steps at a time. A step gathers every
+    trial's entries through its edge's swap (a transposition is its own
+    inverse, so the gather is ``U y U^T``), mixes in place, and writes all
+    squared distances, one :func:`linalg.row_dots` of each trial row with
+    itself (so a trial's distance does not depend on the chunk), into the
+    step's row of the block's distances. After each block one difference
+    along the steps gives the largest rise and the first one above
+    ``CONTRACTION_TOL``, in step order and then trial order. Chunks run in
+    trial order; a chunk stops at its first rise, later chunks stop at that
+    rise's step, and the error names the earliest rise of the run, at its
+    lowest trial, whatever the chunk size. The gather index comes from
+    :func:`_flat_gathers`, with trial r's row offset ``r d**2`` added so the
+    gather reads its own row of the deviations. When a table of every edge's
+    flat gather fits in a quarter of ``ENSEMBLE_CHUNK_BYTES``, each step
+    copies its rows of the table and adds a ``(trials, d**2)`` array of the
+    offsets, a same-shape add; otherwise it builds the index from the step's
+    rows of the edges' :func:`_swap_maps` and adds the offsets as a
+    ``(trials, 1)`` column.
+    Half the budget holds the table and the chunk's deviations, gathers,
+    gather indices and, with a table, offsets: 32 bytes per trial and entry
+    of ``rho`` with a table, 24 without; the other half holds the edge draws
+    and distances, 16 bytes per trial and step. The deviations, gathers,
+    gather index and offsets array start on 64-byte boundaries
     (:func:`_aligned_empty`); the arithmetic is the same wherever they lie,
     only its time is not. When one trial's state does not fit, a chunk is a
-    single trial, whose state, gather, gather index and twirl take 3.5
-    complex ``d x d`` matrices besides ``rho_0``.
+    single trial, whose deviation, gather and gather index and the start row
+    ``y_0`` take 32 bytes per entry of ``rho``, 2 complex ``d x d`` matrices
+    besides ``rho_0``.
 
     A disconnected graph gets the ``UserWarning`` that :func:`evolve` gives: no
     trial can reach ``twirl(rho_0)`` there.
@@ -1031,14 +1049,23 @@ def probability_one_convergence_experiment(
     bmaps = _swap_maps(shape.m, shape.n, graph.edges)
     table = _flat_gathers(bmaps) if 8 * len(bmaps) * dd <= ENSEMBLE_CHUNK_BYTES // 4 else None
     trial_bytes = ENSEMBLE_CHUNK_BYTES // 2 - (0 if table is None else table.nbytes)
-    chunk = min(num_trials, max(1, trial_bytes // ((56 if table is None else 64) * dd)))
+    chunk = min(num_trials, max(1, trial_bytes // ((24 if table is None else 32) * dd)))
     block = min(horizon, max(1, ENSEMBLE_CHUNK_BYTES // (2 * 16 * chunk)))
-    star = _aligned_empty((chunk, 2 * dd), np.float64)
-    star[:] = twirl_matrix(rho0.matrix, shape).reshape(1, dd).view(np.float64)
-    x = _aligned_empty((chunk, dd), np.complex128)
-    g = _aligned_empty((chunk, dd), np.complex128)
+    star = twirl_matrix(rho0.matrix, shape)
+    star = np.add(star.real, star.imag)  # R(rho*); the complex twirl is freed here
+    # y steps as R(rho_t) - R(rho*) only while every swap fixes R(rho*), and a
+    # twirl that some swap moves would never raise y's distance: check it here
+    bits = star.view(np.uint64).reshape((shape.n,) * (2 * shape.m))
+    for j, k in graph.edges:
+        if not np.array_equal(bits.transpose(_swap_axes(shape.m, j, k)), bits):
+            raise ConsistencyError(f"twirl(rho_0) is not fixed by the swap of edge {(j, k)}")
+    y0 = np.add(rho0.matrix.real, rho0.matrix.imag)
+    y0 -= star
+    del star, bits
+    y = _aligned_empty((chunk, dd), np.float64)
+    g = _aligned_empty((chunk, dd), np.float64)
     index = _aligned_empty((chunk, dd), np.intp)
-    # trial r reads its entries from row r of x; with a table the offsets are
+    # trial r reads its entries from row r of y; with a table the offsets are
     # a (chunk, d**2) array, so adding them to the copied index is no broadcast
     offsets = np.arange(chunk)[:, None] * dd
     if table is not None:
@@ -1046,7 +1073,7 @@ def probability_one_convergence_experiment(
         offsets[:] = rows_at
     edges = np.empty((block, chunk), dtype=np.intp)
     dist = np.empty((block + 1, chunk))  # row 0: the distances before the block's steps
-    flat = x.reshape(-1)
+    flat = y.reshape(-1)
 
     successes, worst_final, worst_rise = 0, 0.0, 0.0
     first_rise = None  # (step, trial, rise): the earliest, at the lowest trial
@@ -1056,10 +1083,9 @@ def probability_one_convergence_experiment(
         end = horizon if first_rise is None else first_rise[0]
         schedules = [edge_schedule(graph, config, trial_rng(seed, trial), block)
                      for trial in range(lo, lo + k)]
-        xs, gs, index_k, offsets_k, star_k = x[:k], g[:k], index[:k], offsets[:k], star[:k]
-        xs_f, gs_f = xs.view(np.float64), gs.view(np.float64)
-        xs[:] = rho0.matrix.reshape(1, dd)
-        sq_distance_rows(xs_f, star_k, gs_f, dist[0, :k])
+        ys, gs, index_k, offsets_k = y[:k], g[:k], index[:k], offsets[:k]
+        ys[:] = y0.reshape(1, dd)
+        row_dots(ys, ys, dist[0, :k])
         for t0 in range(0, end, block):
             steps = min(block, end - t0)
             for j, trial_edges in enumerate(schedules):
@@ -1072,10 +1098,10 @@ def probability_one_convergence_experiment(
                     table.take(step_edges, axis=0, out=index_k, mode="clip")
                 index_k += offsets_k
                 flat.take(index_k, out=gs, mode="clip")
-                xs *= 1.0 - alpha
+                ys *= 1.0 - alpha
                 gs *= alpha
-                xs += gs
-                sq_distance_rows(xs_f, star_k, gs_f, step_dist)
+                ys += gs
+                row_dots(ys, ys, step_dist)
             rise = np.diff(dist[:steps + 1, :k], axis=0)
             up = np.flatnonzero(rise > CONTRACTION_TOL)
             if len(up):

@@ -20,6 +20,11 @@ bitwise oracle for the transposed views of :func:`qgossip.gossip_update`.
 
 :func:`site_average_fit` is the dense least-squares fit of a site average,
 the oracle for the closed form of :func:`qgossip.s_average_check`.
+
+:func:`real_form` is the real encoding ``R(x) = Re x + Im x`` of a Hermitian
+matrix that the ensemble's trial rows hold, and :func:`from_real_form` its
+decode ``(r + r^T)/2 + i (r - r^T)/2``, which gives a Hermitian matrix for
+every real ``r``.
 """
 
 import numpy as np
@@ -102,6 +107,18 @@ def site_average_fit(s, shape):
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     sigma = sum(c * bm for c, bm in zip(coeffs, basis))
     return (sigma + sigma.conj().T) / 2.0, float(np.linalg.norm(a @ coeffs - b))
+
+
+def real_form(x):
+    """``R(x) = Re x + Im x``, one real array for a Hermitian ``x``."""
+    return x.real + x.imag
+
+
+def from_real_form(r):
+    """The Hermitian matrix ``(r + r^T)/2 + i (r - r^T)/2`` whose real form is
+    ``r``, in r's precision (``clongdouble`` for a ``longdouble`` r)."""
+    rt = np.swapaxes(r, -1, -2)
+    return (r + rt) / 2 + 1j * ((r - rt) / 2)
 
 
 def von_neumann_entropy(rho):

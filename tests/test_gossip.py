@@ -19,13 +19,14 @@ import qgossip as qg
 from qgossip import gossip as gossip_module
 from qgossip import states as states_module
 from qgossip.consensus import ssc_gap
+from qgossip.linalg import row_dots
 from qgossip.rng import draw_index, make_rng, trial_rng
 from qgossip.scenario import load_scenario
 from qgossip.states import (basis_index_map, conjugate_by_basis_map, local_expectations,
                             orbit_labels, twirl_matrix)
-from reference import (apply, conjugate, evolve_per_step, gossip_superoperator, orbit_blocks,
-                       random_hermitian, scatter_update, site_average_fit, swap_unitary,
-                       transposition)
+from reference import (apply, conjugate, evolve_per_step, from_real_form, gossip_superoperator,
+                       orbit_blocks, random_hermitian, real_form, scatter_update,
+                       site_average_fit, swap_unitary, transposition)
 
 SZ = qg.PAULI["z"]
 
@@ -1287,20 +1288,60 @@ def test_probability_one_experiment_is_deterministic():
     assert a.successes == b.successes
 
 
+@settings(max_examples=40, deadline=None)
+@given(g=weighted_graphs([(m, 2) for m in range(2, 6)] + [(2, 3), (3, 3)]),
+       hermitian=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+def test_real_form_encodes_hermitian_matrices(g, hermitian, seed):
+    # R(x) = Re x + Im x, the form of the ensemble's trial rows, on random
+    # Hermitians and random densities, both Hermitian bit for bit
+    m, n, d = g.shape.m, g.shape.n, g.shape.total_dim
+    x = random_hermitian(d, seed) if hermitian else qg.random_density(g.shape, seed).matrix
+    assert np.array_equal(x, x.conj().T)
+    r = real_form(x)
+
+    def swap(a, j, k):
+        tensor = a.reshape((n,) * (2 * m))
+        return tensor.transpose(gossip_module._swap_axes(m, j, k)).reshape(d, d)
+
+    # a swap only moves entries, so it commutes with R bit for bit
+    for j, k in g.edges:
+        assert real_form(swap(x, j, k)).tobytes() == swap(r, j, k).tobytes()
+    # every entry of the twirl is its orbit's mean, so every transposition
+    # fixes R(twirl(x)) bit for bit
+    rt = real_form(qg.twirl_matrix(x, g.shape))
+    for j, k in itertools.combinations(range(1, m + 1), 2):
+        assert swap(rt, j, k).tobytes() == rt.tobytes()
+    # R rounds each entry once, and the decode rounds the sum or difference of
+    # two such once more (the halving is exact), so each part of an entry errs
+    # by at most u (1 + u) (max(|Re x|, |Im x|) + |that part|)
+    u = np.finfo(np.float64).eps / 2
+    back = from_real_form(r)
+    big = np.maximum(abs(x.real), abs(x.imag))
+    for part in (np.real, np.imag):
+        assert np.all(abs(part(back) - part(x)) <= u * (1 + u) * (big + abs(part(x))))
+    # ||R(x)||_F = ||x||_F: row_dots sums d**2 squares of once-rounded entries
+    # and np.vdot 2 d**2 squares, so they agree within gamma(3 d**2 + 3)
+    sq = float(np.vdot(x, x).real)
+    row = r.reshape(1, -1)
+    count = 3 * d * d + 3
+    assert abs(float(row_dots(row, row)[0]) - sq) <= count * u / (1 - count * u) * sq
+
+
 def per_trial_experiment(graph, alpha, rho0, eps, num_trials, horizon, seed):
-    """Reference: one trial at a time, ``edge_schedule``, ``gossip_update`` and
-    ``np.vdot`` at every step. Returns the experiment's three statistics and
-    every trial's final state."""
+    """Reference: one trial at a time, ``edge_schedule``, ``gossip_update``'s
+    axis transposes on the real ``d x d`` deviation ``y = R(rho_t) - R(T)``
+    (``real_form``, ``T = twirl(rho_0)``) and ``np.vdot`` at every step.
+    Returns the experiment's three statistics and every trial's final ``y``."""
     config = qg.GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
-    star = qg.twirl_matrix(rho0.matrix, rho0.shape)
+    y0 = real_form(rho0.matrix) - real_form(qg.twirl_matrix(rho0.matrix, rho0.shape))
     successes, worst_final, worst_rise, finals = 0, 0.0, 0.0, []
     for trial in range(num_trials):
         schedule = qg.edge_schedule(graph, config, trial_rng(seed, trial))
-        mat = rho0.matrix.copy()
-        dist = float(np.vdot(mat - star, mat - star).real)
+        mat = y0.copy()
+        dist = float(np.vdot(mat, mat))
         for idx in itertools.islice(schedule, horizon):
             mat = qg.gossip_update(mat, graph.shape, [graph.edges[idx]], [1.0], alpha)
-            new_dist = float(np.vdot(mat - star, mat - star).real)
+            new_dist = float(np.vdot(mat, mat))
             worst_rise = max(worst_rise, new_dist - dist)
             dist = new_dist
         worst_final = max(worst_final, dist)
@@ -1310,17 +1351,18 @@ def per_trial_experiment(graph, alpha, rho0, eps, num_trials, horizon, seed):
 
 
 def batched_final_states(horizon, *args, **kwargs):
-    """The experiment and its trials' final states, one ``rho.ravel()`` per
-    row in trial order, as each chunk's last :func:`sq_distance_rows` call
-    measures them (a chunk without a rise calls it ``horizon + 1`` times)."""
-    real, calls, finals = gossip_module.sq_distance_rows, itertools.count(1), []
+    """The experiment and its trials' final deviations ``R(rho_T) - R(T)``,
+    one ``d**2`` row per trial in trial order, as each chunk's last distance
+    call (the ensemble's binding of :func:`row_dots`) measures them; a chunk
+    without a rise makes ``horizon + 1`` of them."""
+    real, calls, finals = gossip_module.row_dots, itertools.count(1), []
 
-    def measure(x, *rest):
+    def measure(y, *rest):
         if next(calls) % (horizon + 1) == 0:
-            finals.append(x.view(np.complex128).copy())
-        return real(x, *rest)
+            finals.append(y.copy())
+        return real(y, *rest)
 
-    with mock.patch.object(gossip_module, "sq_distance_rows", measure):
+    with mock.patch.object(gossip_module, "row_dots", measure):
         exp = qg.probability_one_convergence_experiment(*args, horizon=horizon, **kwargs)
     return exp, np.concatenate(finals)
 
@@ -1335,13 +1377,13 @@ def test_batched_experiment_matches_the_per_trial_loop(g, alpha, trials, horizon
     rho = qg.random_density(g.shape, data.draw(st.integers(0, 1000)))
     successes, worst_final, worst_rise, finals = per_trial_experiment(
         g, alpha, rho, eps, trials, horizon, seed)
-    # the states agree bit for bit, whatever the chunk: chunks of one trial and
-    # one-step draw blocks, or of two trials, change nothing, since every
+    # the deviations agree bit for bit, whatever the chunk: chunks of one trial
+    # and one-step draw blocks, or of two trials, change nothing, since every
     # trial's arithmetic is independent of its chunk
     dd = g.shape.total_dim ** 2
     runs = []
     for budget in (gossip_module.ENSEMBLE_CHUNK_BYTES, 1,
-                   2 * (2 * 64 + 8 * len(g.edges)) * dd):
+                   2 * (2 * 32 + 8 * len(g.edges)) * dd):
         with mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
             exp, states = batched_final_states(horizon, g, alpha, rho, eps=eps,
                                                num_trials=trials, seed=seed)
@@ -1351,7 +1393,7 @@ def test_batched_experiment_matches_the_per_trial_loop(g, alpha, trials, horizon
         runs.append(exp)
     exp = runs[0]
     assert runs[1] == runs[2] == exp
-    # the distances are sums of 2 d**2 squares taken in another order, so they
+    # the distances are sums of d**2 squares taken in another order, so they
     # differ by a few ulps of their size
     diff = rho.matrix - qg.twirl_matrix(rho.matrix, g.shape)
     ulps = 1e-14 * float(np.vdot(diff, diff).real)
@@ -1360,7 +1402,8 @@ def test_batched_experiment_matches_the_per_trial_loop(g, alpha, trials, horizon
     assert exp.max_distance_increase == pytest.approx(worst_rise, rel=0, abs=1e-20 + ulps)
 
 
-MIX_ROUNDINGS = 3  # c: (1 - alpha), its product with x and the sum round x's part
+MIX_ROUNDINGS = 3  # c: (1 - alpha), its product with y and the sum round y's part
+ENCODE_ROUNDINGS = 3  # y_0 = R(rho_0) - R(T): R(rho_0), R(T) and their difference
 
 
 @pytest.mark.parametrize("g, alpha, trials, horizon, seed", [
@@ -1372,8 +1415,8 @@ MIX_ROUNDINGS = 3  # c: (1 - alpha), its product with x and the sum round x's pa
 ])
 def test_ensemble_states_replay_in_extended_precision(g, alpha, trials, horizon, seed):
     # the ensemble's float64 mix against the exact map, replayed in clongdouble
-    # through axis transposes. A step rounds each real part of (1 - alpha) x
-    # c times and of alpha g fewer, so it adds at most gamma ||x_t||_F to the
+    # through axis transposes. A step rounds each entry of (1 - alpha) y c
+    # times and of alpha g fewer, so it adds at most gamma ||y_t||_F to the
     # error, gamma = c u / (1 - c u). Every exact map is Frobenius
     # non-expansive, so after T steps the error is at most
     # ((1 + gamma)**T - 1) ||rho_0||_F, about c T u ||rho_0||_F; the replay's
@@ -1388,11 +1431,23 @@ def test_ensemble_states_replay_in_extended_precision(g, alpha, trials, horizon,
     start = rho.matrix.astype(np.clongdouble).reshape((n,) * (2 * m))
     star = sum(start.transpose(list(p) + [m + s for s in p])
                for p in itertools.permutations(range(m))) / math.factorial(m)
+    # the rows decode to rho_t - herm(T) for the float64 twirl T, which every
+    # swap fixes bit for bit, so the exact map fixes it too
+    twirled = qg.twirl_matrix(rho.matrix, g.shape)
+    assert all(np.array_equal(twirled.reshape((n,) * (2 * m)).transpose(
+        gossip_module._swap_axes(m, j, k)), twirled.reshape((n,) * (2 * m))) for j, k in g.edges)
+    twirled = twirled.astype(np.clongdouble)
+    herm_twirl = (twirled + twirled.conj().T) / 2
     config = qg.GossipConfig(alpha=alpha, strategy="random", steps=horizon, seed=seed)
     a = np.longdouble(alpha)
     gamma = sum(MIX_ROUNDINGS * v / (1 - MIX_ROUNDINGS * v) for v in (u, u_ext))
-    bound = math.expm1(horizon * math.log1p(gamma)) * np.linalg.norm(rho.matrix)
-    assert bound <= 1.01 * MIX_ROUNDINGS * horizon * (u + u_ext) * np.linalg.norm(rho.matrix)
+    norm = np.linalg.norm(rho.matrix)
+    bound = math.expm1(horizon * math.log1p(gamma)) * norm
+    assert bound <= 1.01 * MIX_ROUNDINGS * horizon * (u + u_ext) * norm
+    # y_0's encoding error: each of its three roundings errs by at most u times
+    # a matrix no larger than rho_0 in norm; herm(T), the decode and the
+    # subtraction below round once each in longdouble
+    encode = (ENCODE_ROUNDINGS * u / (1 - ENCODE_ROUNDINGS * u) + 3 * u_ext) * norm
     far = []
     for trial, final in enumerate(finals):
         x = start
@@ -1403,18 +1458,20 @@ def test_ensemble_states_replay_in_extended_precision(g, alpha, trials, horizon,
             for s in (j - 1, m + j - 1):
                 axes[s], axes[s + k - j] = axes[s + k - j], axes[s]
             x = (1 - a) * x + a * x.transpose(axes)
-        error = np.linalg.norm((final.astype(np.clongdouble) - x.reshape(-1)).astype(complex))
-        assert error <= bound
+        decoded = from_real_form(final.astype(np.longdouble).reshape(d, d))
+        error = np.linalg.norm((decoded - (x.reshape(d, d) - herm_twirl)).astype(complex))
+        assert error <= bound + encode
         far.append(float(np.linalg.norm((x - star).astype(complex))))
     # no trial has reached the twirl, where every mix would agree
-    assert min(far) > 1e6 * bound
+    assert min(far) > 1e6 * (bound + encode)
     # the reported distance: the states' error, the float64 twirl's own error and
-    # the rounding of a sum of 2 d**2 squares
+    # the rounding of a sum of d**2 squares
     star_error = np.linalg.norm(
         (qg.twirl_matrix(rho.matrix, g.shape) - star.reshape(d, d)).astype(complex))
-    sums = (2 * d * d + 2) * u / (1 - (2 * d * d + 2) * u)
+    sums = (d * d + 2) * u / (1 - (d * d + 2) * u)
     reported = math.sqrt(exp.max_final_sq_distance)
-    assert abs(reported - max(far)) <= bound + star_error + sums * (reported + max(far))
+    assert abs(reported - max(far)) <= (bound + encode + star_error
+                                        + sums * (reported + max(far)))
 
 
 @pytest.mark.parametrize("bad", [{"eps": float("nan")}, {"eps": -1e-3}, {"eps": float("inf")},
@@ -1462,26 +1519,28 @@ def test_batched_edge_draws_are_the_schedule_stream():
 
 
 def test_experiment_rejects_a_rising_distance(monkeypatch):
-    # a wrong target: the distance starts at 0 and rises on the first step
+    # a wrong target, one that no swap fixes: the invariance check refuses it
+    # before any trial runs
     with monkeypatch.context() as patch:
         patch.setattr(gossip_module, "twirl_matrix", lambda mat, shape: mat.copy())
         g = path_graph(3)
         rho = qg.random_density(g.shape, 5)
-        with pytest.raises(qg.ConsistencyError, match=r"increased by .* in trial 0$"):
+        with pytest.raises(qg.ConsistencyError,
+                           match=r"^twirl\(rho_0\) is not fixed by the swap of edge \(1, 2\)$"):
             qg.probability_one_convergence_experiment(
                 g, 0.5, rho, eps=1e-10, num_trials=4, horizon=10, seed=3)
 
     # rises injected at chosen (step, trial) places are reported in step order,
     # then trial order, under the default budget, one-step blocks of one-trial
-    # chunks, and two-trial chunks whose blocks of 288 steps end inside the run
+    # chunks, and two-trial chunks whose blocks of 160 steps end inside the run
     horizon = 300
     dd = g.shape.total_dim ** 2
     budgets = {"default": gossip_module.ENSEMBLE_CHUNK_BYTES, "one": 1,
-               "two": 2 * (2 * 64 + 8 * len(g.edges)) * dd}
+               "two": 2 * (2 * 32 + 8 * len(g.edges)) * dd}
     block = budgets["two"] // (2 * 16 * 2)  # steps per draw block of a two-trial chunk
-    assert block == 288
-    real = gossip_module.sq_distance_rows
-    with mock.patch.object(gossip_module, "sq_distance_rows", wraps=real) as measured, \
+    assert block == 160
+    real = gossip_module.row_dots
+    with mock.patch.object(gossip_module, "row_dots", wraps=real) as measured, \
             mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budgets["two"]):
         qg.probability_one_convergence_experiment(
             g, 0.5, rho, eps=1e-10, num_trials=4, horizon=horizon, seed=3)
@@ -1496,19 +1555,19 @@ def test_experiment_rejects_a_rising_distance(monkeypatch):
             started.append(trial)
             return trial_rng(seed, trial)
 
-        def rising(x, y, scratch, out=None):
-            res = real(x, y, scratch, out)
+        def rising(y, b, out=None):
+            res = real(y, b, out)
             if started:  # a chunk makes its trials' streams, then measures its start
                 chunk.update(lo=started[0], step=0)
                 started.clear()
             else:
                 chunk["step"] += 1
             for (at, trial), extra in rises.items():
-                if at == chunk["step"] and 0 <= trial - chunk["lo"] < len(x):
+                if at == chunk["step"] and 0 <= trial - chunk["lo"] < len(y):
                     res[trial - chunk["lo"]] += extra
             return res
 
-        with mock.patch.object(gossip_module, "sq_distance_rows", rising), \
+        with mock.patch.object(gossip_module, "row_dots", rising), \
                 mock.patch.object(gossip_module, "trial_rng", new_chunk), \
                 mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
             with pytest.raises(qg.ConsistencyError) as err:
@@ -1535,16 +1594,17 @@ def test_experiment_rejects_a_rising_distance(monkeypatch):
 
 @pytest.mark.parametrize("m", [8, 9])
 def test_single_trial_chunk_allocates_little(m):
-    # one trial's state, gather and gather index (2.5 complex matrices) and
-    # the twirl take 56 bytes per entry of rho; numpy's reduction buffers and
-    # the small arrays stay within 256 KiB
+    # one trial's deviation, gather and gather index and the start row y_0
+    # take 32 bytes per entry of rho (2 complex matrices), and the twirl is
+    # freed before they are allocated; numpy's reduction buffers and the
+    # small arrays stay within 256 KiB
     g = path_graph(m)
     rho = qg.random_density(g.shape, m)
     # warm the orbit labels and the swap basis maps outside the measurement
     qg.probability_one_convergence_experiment(
         g, 0.5, rho, eps=1e-10, num_trials=1, horizon=1, seed=m)
     dd = g.shape.total_dim ** 2
-    assert gossip_module.ENSEMBLE_CHUNK_BYTES < 2 * 40 * dd * 2  # one trial a chunk
+    assert gossip_module.ENSEMBLE_CHUNK_BYTES < 2 * 24 * dd * 2  # one trial a chunk
     tracemalloc.start()
     try:
         qg.probability_one_convergence_experiment(
@@ -1552,7 +1612,7 @@ def test_single_trial_chunk_allocates_little(m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 56 * dd + 2 ** 18
+    assert peak <= 32 * dd + 2 ** 18
 
 
 @pytest.mark.parametrize("shape, dtype", [((3, 5), np.complex128), ((7, 64), np.intp),
@@ -1573,15 +1633,15 @@ def test_swap_map_route_matches_the_edge_table_with_several_trials_a_chunk():
     g = qg.InteractionGraph(qg.NetworkShape(5, 2), list(itertools.combinations(range(1, 6), 2)))
     rho = qg.random_density(g.shape, 21)
     dd = g.shape.total_dim ** 2
-    budget = 2 * 2 * 56 * dd
+    budget = 2 * 2 * 24 * dd
     assert 8 * len(g.edges) * dd > budget // 4
 
     def run():
         return qg.probability_one_convergence_experiment(
             g, 0.4, rho, eps=1e-6, num_trials=5, horizon=60, seed=17)
 
-    with mock.patch.object(gossip_module, "sq_distance_rows",
-                           wraps=gossip_module.sq_distance_rows) as measured, \
+    with mock.patch.object(gossip_module, "row_dots",
+                           wraps=gossip_module.row_dots) as measured, \
             mock.patch.object(gossip_module, "_flat_gathers",
                               wraps=gossip_module._flat_gathers) as built, \
             mock.patch.object(gossip_module, "ENSEMBLE_CHUNK_BYTES", budget):
@@ -1594,7 +1654,7 @@ def test_swap_map_route_matches_the_edge_table_with_several_trials_a_chunk():
 def test_benchmark_ensemble_shapes_run_as_one_chunk(tmp_path):
     # a chunk split at one of the benchmark's shapes costs a whole extra pass
     # over the horizon; every distance call must measure all of a job's trials,
-    # on arrays whose vector loads do not straddle cache lines
+    # on rows whose vector loads do not straddle cache lines
     workloads = _perfbench_workloads()
     scenario_path = tmp_path / "job.json"
     edges = {}
@@ -1603,16 +1663,16 @@ def test_benchmark_ensemble_shapes_run_as_one_chunk(tmp_path):
         scenario = load_scenario(scenario_path)
         edges[m] = len(scenario.graph.edges)
         trials = workloads.ENSEMBLE_TRIALS[m]
-        with mock.patch.object(gossip_module, "sq_distance_rows",
-                               wraps=gossip_module.sq_distance_rows) as measured:
+        with mock.patch.object(gossip_module, "row_dots",
+                               wraps=gossip_module.row_dots) as measured:
             qg.probability_one_convergence_experiment(
                 scenario.graph, scenario.config.alpha, scenario.rho0,
                 eps=workloads.ENSEMBLE_EPS, num_trials=trials,
                 horizon=workloads.ENSEMBLE_HORIZON, seed=scenario.config.seed)
         assert measured.call_count == workloads.ENSEMBLE_HORIZON + 1
         assert {len(c.args[0]) for c in measured.call_args_list} == {trials}
-        # the states, the tiled twirl and the gathers start on cache lines
-        assert {a.ctypes.data % 64 for c in measured.call_args_list for a in c.args[:3]} == {0}
+        # the deviations start on cache lines
+        assert {c.args[0].ctypes.data % 64 for c in measured.call_args_list} == {0}
     assert edges == {3: 3, 4: 4, 5: 6}
     assert workloads.ENSEMBLE_TRIALS == {3: 35, 4: 30, 5: 20}
 
@@ -1661,40 +1721,40 @@ def _fig3(m=None, n=None, edges=None, state=None, sigma=None, alpha=None):
 
 # Each case: (scenario or perfbench pool m, trials, horizon, successes, largest
 # final squared distance, sha256 prefixes of rho_0 and of every trial's final
-# state in trial order), recorded before the ensemble's work arrays were
-# aligned. The states come from elementwise products, sums and gathers only,
-# so given rho_0 their bytes do not depend on the BLAS, and a change to how a
-# step rounds changes the hash; the CI determinism diff only compares two runs
-# of the same commit. The distances are BLAS dots, whose last bits follow the
-# dot kernel's summation order: as sums of squares they agree to a relative
-# 1e-10, and the largest rise, a difference of them, only stays below
-# CONTRACTION_TOL. The pool's random rho_0 is a BLAS product G G^dagger, so
+# deviation R(rho_T) - R(T) in trial order), recorded when the trials first
+# carried real deviation rows. The deviations come from elementwise products,
+# sums and gathers only, so given rho_0 their bytes do not depend on the
+# BLAS, and a change to how a step rounds changes the hash; the CI
+# determinism diff only compares two runs of the same commit. The distances
+# are BLAS dots, whose last bits follow the dot kernel's summation order: as
+# sums of squares they agree to a relative 1e-10, and the largest rise, a
+# difference of them, only stays below CONTRACTION_TOL. The pool's random rho_0 is a BLAS product G G^dagger, so
 # with another dot kernel it is another state and only its counts are pinned.
 PINNED_ENSEMBLES = {
     # fig3's default run: 200 trials, horizon 500
-    "fig3": (_fig3(), 200, 500, 200, 4.622231866529366e-33,
-             "f884032da3a5cb67", "386aecf83ca62a6e"),
+    "fig3": (_fig3(), 200, 500, 200, 3.209888138542706e-33,
+             "f884032da3a5cb67", "12b72d33a5932b6f"),
     # m = 7 with 12 edges: the swap-map route, two trials a chunk
     "fig3-m7": (_fig3(m=7, edges=[[i, i + 1] for i in range(1, 7)] + [[1, 7]]
                       + [[i, i + 2] for i in range(1, 6)], state="1010101"),
-                4, 30, 0, 0.0019643070916507506, "808507f37331ee9c", "7ebf18bf6673fdf0"),
+                4, 30, 0, 0.0019643070916507497, "808507f37331ee9c", "eba52ffe61254a64"),
     # the CI's m = 5 shape at alpha = 0.3, where a step's products are not
     # exact in binary: from a basis state, so its hash holds on every BLAS
     "fig3-m5": (_fig3(m=5, edges=[[1, 2], [2, 3], [3, 4], [4, 5], [1, 5], [1, 3]],
                       state="10101", alpha=0.3),
-                20, 400, 20, 2.767937710798667e-23, "d5d784a8ccc035a4", "55dd431265ab0d29"),
+                20, 400, 20, 2.767954383887502e-23, "d5d784a8ccc035a4", "f7c680ee41043a94"),
     "fig3-n3": (_fig3(n=3, state="2010", sigma={"real": [[1, 0, 0], [0, 0, 0], [0, 0, -1]]}),
-                3, 40, 0, 5.914274758348863e-05, "c86f7683de712023", "1242efbb9d18d463"),
+                3, 40, 0, 5.9142747583488574e-05, "c86f7683de712023", "3c72564c1a9e8091"),
     # perfbench ensemble pool entry 0 of each m
-    "pool-3": (3, 35, 400, 35, 3.214030384715094e-32, "18d32ab54d5b9c57", "b6983e666b9f4055"),
-    "pool-4": (4, 30, 400, 30, 3.002777984782868e-32, "75595ff7b6842442", "85df6b42447d5dc4"),
-    "pool-5": (5, 20, 400, 20, 1.671219411363718e-23, "48db7d9abefc519b", "e732607077321272"),
+    "pool-3": (3, 35, 400, 35, 1.1842012422687282e-33, "18d32ab54d5b9c57", "c8f234426eb1a3b1"),
+    "pool-4": (4, 30, 400, 30, 5.7608892590683555e-34, "75595ff7b6842442", "6401cdc0d25e9350"),
+    "pool-5": (5, 20, 400, 20, 1.6712194661714974e-23, "48db7d9abefc519b", "c684b3021cea54eb"),
 }
 
 
 def _run_pinned(name, tmp_path):
     """The experiment of case ``name`` and sha256 prefixes of its ``rho_0``
-    and of its trials' final states, as each chunk's last distance call
+    and of its trials' final deviations, as each chunk's last distance call
     measures them."""
     doc, trials, horizon = PINNED_ENSEMBLES[name][:3]
     if isinstance(doc, int):
@@ -1702,17 +1762,17 @@ def _run_pinned(name, tmp_path):
     scenario_path = tmp_path / "job.json"
     scenario_path.write_text(json.dumps(doc))
     scenario = load_scenario(scenario_path)
-    real = gossip_module.sq_distance_rows
+    real = gossip_module.row_dots
     calls, digest = itertools.count(1), hashlib.sha256()
 
-    def measure(x, *rest):
-        # a chunk without a rise measures its states horizon + 1 times
+    def measure(y, *rest):
+        # a chunk without a rise measures its deviations horizon + 1 times
         if next(calls) % (horizon + 1) == 0:
-            digest.update(x.tobytes())
-        return real(x, *rest)
+            digest.update(y.tobytes())
+        return real(y, *rest)
 
     rho = scenario.rho0
-    with mock.patch.object(gossip_module, "sq_distance_rows", measure):
+    with mock.patch.object(gossip_module, "row_dots", measure):
         exp = qg.probability_one_convergence_experiment(
             scenario.graph, scenario.config.alpha, rho, eps=1e-10,
             num_trials=trials, horizon=horizon, seed=scenario.config.seed)
