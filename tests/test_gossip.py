@@ -1663,15 +1663,27 @@ def test_benchmark_ensemble_shapes_run_as_one_chunk(tmp_path):
         scenario = load_scenario(scenario_path)
         edges[m] = len(scenario.graph.edges)
         trials = workloads.ENSEMBLE_TRIALS[m]
+        allocated = []
+
+        def aligned_empty(shape, dtype, _aligned_empty=gossip_module._aligned_empty):
+            allocated.append(_aligned_empty(shape, dtype))
+            return allocated[-1]
+
         with mock.patch.object(gossip_module, "row_dots",
-                               wraps=gossip_module.row_dots) as measured:
+                               wraps=gossip_module.row_dots) as measured, \
+                mock.patch.object(gossip_module, "_aligned_empty", aligned_empty):
             qg.probability_one_convergence_experiment(
                 scenario.graph, scenario.config.alpha, scenario.rho0,
                 eps=workloads.ENSEMBLE_EPS, num_trials=trials,
                 horizon=workloads.ENSEMBLE_HORIZON, seed=scenario.config.seed)
         assert measured.call_count == workloads.ENSEMBLE_HORIZON + 1
         assert {len(c.args[0]) for c in measured.call_args_list} == {trials}
-        # the deviations start on cache lines
+        # the deviations, gathers, gather index and offsets (the edge-table
+        # route) are all built on cache lines
+        dd = scenario.rho0.shape.total_dim ** 2
+        assert [(a.shape, a.dtype) for a in allocated] == [
+            ((trials, dd), np.dtype(np.float64))] * 2 + [((trials, dd), np.dtype(np.intp))] * 2
+        assert {a.ctypes.data % 64 for a in allocated} == {0}
         assert {c.args[0].ctypes.data % 64 for c in measured.call_args_list} == {0}
     assert edges == {3: 3, 4: 4, 5: 6}
     assert workloads.ENSEMBLE_TRIALS == {3: 35, 4: 30, 5: 20}
