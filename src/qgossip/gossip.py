@@ -40,14 +40,15 @@ The dense :func:`synchronous_superoperator`, whose orbit blocks the tests
 slice out, and the brute-force :func:`commutant_dimension` are kept as
 independent references for the tests.
 
-:func:`evolve` steps a trajectory into a block of states, one ``rho.ravel()``
-per row of a buffer of ``RECORD_BLOCK_BYTES`` (128 KiB, and never fewer than
-the current state and the next one), and records the whole block at once:
-one gather for every ``z`` row, one distance per row, one stacked SMC overlap
-product. Every per-row sum is :func:`linalg.row_dots`, whose result for a row
-depends on that row's entries only; the functions that measure one matrix are
-the record kernels' one-row case, so a row's record does not depend on the
-block.
+:func:`evolve` records ``rho_0`` and runs its stop test once; then every
+pass steps a block of edges into rows ``1..k`` of a buffer of
+``RECORD_BLOCK_BYTES`` (128 KiB, and never fewer than two states), one
+``rho.ravel()`` a row, records them at once (one gather for every ``z`` row,
+one distance a row, one stacked SMC overlap product), checks them in step
+order and moves row ``k`` to row 0. Every per-row sum is
+:func:`linalg.row_dots`, whose result for a row depends on that row's entries
+only; the functions that measure one matrix are the record kernels' one-row
+case, so a row's record does not depend on the block.
 
 The random-gossip ensemble (:func:`probability_one_convergence_experiment`)
 steps all trials of a chunk at once, as one ``(trials, d**2)`` ``float64``
@@ -289,11 +290,12 @@ def edge_schedule(graph: InteractionGraph, config: GossipConfig,
     "cyclic" repeats ``config.resolved_cycle_order(graph)``. Synchronous and
     expected steps touch every edge at once and yield None, as does every
     step on a graph with no edges. With ``block``, the same sequence comes
-    ``block`` steps at a time, as arrays of indices (or None): random blocks
-    are one :func:`draw_index` call each, which draws exactly what ``block``
-    single draws give. :func:`evolve` and the ensemble read their edges from
-    here, and classical replays take the edges a trajectory recorded, so
-    every engine sees the same sequence.
+    ``block`` steps at a time, as arrays of indices (or None): a random block
+    is one :func:`draw_index` call, which draws exactly what ``block`` single
+    draws give, and a cyclic block one wrap-around take of the order.
+    :func:`evolve` and the ensemble read their edges from here, and classical
+    replays take the edges a trajectory recorded, so every engine sees the
+    same sequence.
     """
     if config.strategy in ALL_EDGE_STRATEGIES or not graph.edges:
         return itertools.repeat(None)
@@ -301,10 +303,8 @@ def edge_schedule(graph: InteractionGraph, config: GossipConfig,
         order = config.resolved_cycle_order(graph)
         if block is None:
             return itertools.cycle(order)
-        # every window of `block` steps, starting anywhere in the first sweep
-        sweeps = np.tile(np.array(order, dtype=np.intp), block // len(order) + 2)
-        starts = itertools.cycle([i * block % len(order) for i in range(len(order))])
-        return (sweeps[p:p + block] for p in starts)
+        return (np.take(order, np.arange(t, t + block), mode="wrap")
+                for t in itertools.count(0, block))
     rng = make_rng(config.seed) if rng is None else rng
     cum = np.cumsum(graph.weights)
     return (draw_index(rng, cum, size=block) for _ in itertools.count())
@@ -437,20 +437,20 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     raises ConsistencyError naming the step; ``stop_gap`` ends the run at the
     first step whose gap is below it.
 
-    States advance a block at a time in one complex ``(rows, d**2)`` buffer
-    of ``RECORD_BLOCK_BYTES``, or of two rows when one state does not fit:
-    row 0 holds the last recorded state and each further row is one
-    :func:`gossip_update` of the row before, O(d^2) per edge touched, with
-    the block's edges drawn from :func:`edge_schedule` at once. The new rows
-    are then recorded at once (``rho_0`` on its own, first): the ``z`` rows
-    from one gather (:func:`local_expectation_rows`), ``S_expect`` as row
-    means, the gaps from one :func:`sq_distance_rows` and the SMC defects
-    from one stacked product (:func:`smc_defect_rows`). Each kernel sums a
-    row with :func:`linalg.row_dots`, so it measures a row as its one-row
-    case measures a single matrix, bit for bit. The checks then run on the
-    block in step order, so an error names the step a step-by-step loop
-    would name; a stop inside a block truncates the record and returns that
-    step's state.
+    States advance in one complex ``(rows, d**2)`` buffer of
+    ``RECORD_BLOCK_BYTES``, or of two rows when one state does not fit.
+    ``rho_0`` is recorded, and its stop test run, once; then every pass draws
+    a block of edges from :func:`edge_schedule`, steps rows ``1..k``, each one
+    :func:`gossip_update` of the row before (O(d^2) per edge touched), and
+    records them at once: the ``z`` rows from one gather
+    (:func:`local_expectation_rows`), ``S_expect`` as row means, the gaps from
+    one :func:`sq_distance_rows`, the SMC defects from one stacked product
+    (:func:`smc_defect_rows`). Each kernel sums a row with
+    :func:`linalg.row_dots`, so it measures a row as its one-row case measures
+    a single matrix, bit for bit. Each step's drift and rise checks run before
+    its stop test, in step order, so an error names the step a step-by-step
+    loop would name; then row ``k``, or a stopping step's row, moves to row 0.
+    ``termination`` is read off the last step, after the loop.
     """
     shape = rho0.shape
     if graph.shape != shape:
@@ -472,48 +472,39 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     edges_used: list = []
     buf = np.empty((rows, d * d), dtype=np.complex128)
     buf[0] = rho0.matrix.ravel()
-    # buf[0] is rho_t; a block steps rows 1..k and records them (the first
-    # block takes no step and records rho_0 alone)
-    t, k, last = 0, 0, None
-    while last is None:
-        if k:
-            idx = next(schedule)
-            for r in range(k):
-                edges, weights = ((graph.edges, graph.weights) if idx is None
-                                  else ((graph.edges[idx[r]],), (1.0,)))
-                _gossip_update(buf[r].reshape(d, d), shape, edges, weights, config.alpha,
-                               out=buf[r + 1].reshape(d, d))
-            edges_used += [None] * k if idx is None else [graph.edges[i] for i in idx[:k].tolist()]
-        first = 1 if k else 0
-        lo, hi = t + first, t + k + 1
-        _record_rows(buf[first:k + 1], shape, obs.matrix, star_row, kets,
+    _record_rows(buf[:1], shape, obs.matrix, star_row, kets,
+                 z[:1], s_expect[:1], gap_arr[:1], defect_arr[:1])
+    stop_gap = config.stop_gap or 0.0  # no gap is below 0, so None never stops
+    t, last = 0, 0 if gap_arr[0] < stop_gap else steps
+    # buf[0] is rho_t; a block steps rows 1..k, records them, then checks each
+    # step's drift and rise before its stop test, in step order
+    while t < last:
+        k, idx = min(rows - 1, steps - t), next(schedule)
+        for r in range(k):
+            edges, weights = ((graph.edges, graph.weights) if idx is None
+                              else ((graph.edges[idx[r]],), (1.0,)))
+            _gossip_update(buf[r].reshape(d, d), shape, edges, weights, config.alpha,
+                           out=buf[r + 1].reshape(d, d))
+        lo, hi = t + 1, t + k + 1
+        _record_rows(buf[1:k + 1], shape, obs.matrix, star_row, kets,
                      z[lo:hi], s_expect[lo:hi], gap_arr[lo:hi], defect_arr[lo:hi])
-        # the checks of a step run before its stop test, in step order
-        u0 = max(lo, 1)
-        drift = np.abs(np.diff(s_expect[u0 - 1:hi]))
-        rise = np.diff(gap_arr[u0 - 1:hi])
-        failed = np.flatnonzero((drift > CONSERVATION_TOL) | (rise > CONTRACTION_TOL))
-        stops = [] if config.stop_gap is None else np.flatnonzero(
-            gap_arr[lo:min(hi, steps)] < config.stop_gap) + lo
-        if len(failed) and (not len(stops) or u0 + failed[0] <= stops[0]):
-            j = int(failed[0])
+        drift = np.abs(np.diff(s_expect[t:hi]))
+        rise = np.diff(gap_arr[t:hi])
+        events = np.flatnonzero((drift > CONSERVATION_TOL) | (rise > CONTRACTION_TOL)
+                                | (gap_arr[lo:hi] < stop_gap))
+        if len(events):
+            j = int(events[0])
             if drift[j] > CONSERVATION_TOL:
                 raise ConsistencyError(
-                    f"conserved quantity drifted by {drift[j]:.3e} at step {u0 + j}")
-            raise ConsistencyError(
-                f"distance to the twirl increased by {rise[j]:.3e} at step {u0 + j}")
-        if len(stops):
-            last = int(stops[0])
-            termination = f"converged_at_step_{last}"
-            del edges_used[last:]
-        elif hi == steps + 1:
-            last, termination = steps, "steps_exhausted"
-        else:
-            if k:
-                buf[0] = buf[k]
-            t += k
-            k = min(rows - 1, steps - t)
-    mat = buf[last - t].reshape(d, d).copy()
+                    f"conserved quantity drifted by {drift[j]:.3e} at step {lo + j}")
+            if rise[j] > CONTRACTION_TOL:
+                raise ConsistencyError(
+                    f"distance to the twirl increased by {rise[j]:.3e} at step {lo + j}")
+            k, last = j + 1, t + j + 1
+        edges_used += [None] * k if idx is None else [graph.edges[i] for i in idx[:k].tolist()]
+        buf[0] = buf[k]
+        t += k
+    mat = buf[0].reshape(d, d).copy()
     del buf  # the final check holds one state besides T
     drift = float(np.max(np.abs(twirl_matrix(mat, shape) - star)))
     if drift > CONSERVATION_TOL:
@@ -524,7 +515,8 @@ def evolve(rho0: DensityOperator, graph: InteractionGraph, config: GossipConfig,
     rec = TrajectoryRecord(
         strategy=config.strategy, alpha=config.alpha, edges=edges_used,
         z=z[:t_count], s_expect=s_expect[:t_count], ssc_gap=gap_arr[:t_count],
-        smc_defect=defect_arr[:t_count], termination=termination)
+        smc_defect=defect_arr[:t_count],
+        termination="steps_exhausted" if last == steps else f"converged_at_step_{last}")
     return rec, DensityOperator.trusted(mat, shape)
 
 

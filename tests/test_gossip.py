@@ -436,6 +436,28 @@ def test_stop_gap_terminates_early():
     assert rec.ssc_gap[-1] <= 1e-6
 
 
+def test_stop_at_step_0_returns_rho0():
+    # a stop_gap above rho_0's gap ends the run before any step, on every
+    # strategy: one record row, no edges, rho_0 back bit for bit
+    for g in (path_graph(3), path_graph(2, n=3)):
+        rho = qg.random_density(g.shape, 37)
+        sigma = random_hermitian(g.shape.n, 38)
+        for strategy, steps in itertools.product(gossip_module.STRATEGIES, (1, 5)):
+            cfg = qg.GossipConfig(alpha=0.5, strategy=strategy, steps=steps, seed=3)
+            gap0 = qg.evolve(rho, g, cfg, sigma)[0].ssc_gap[0]
+            stop = dataclasses.replace(cfg, stop_gap=float(np.nextafter(gap0, np.inf)))
+            (rec, final), (ref, ref_final) = (qg.evolve(rho, g, stop, sigma),
+                                              evolve_per_step(rho, g, stop, sigma))
+            assert (rec.termination, rec.steps, rec.edges) == ("converged_at_step_0", 0, [])
+            assert (ref.termination, ref.steps, ref.edges) == ("converged_at_step_0", 0, [])
+            for name in ("z", "s_expect", "ssc_gap", "smc_defect"):
+                got, want = getattr(rec, name), getattr(ref, name)
+                assert len(got) == 1 and np.array_equal(got, want)
+            assert rec.ssc_gap[0] == gap0
+            for state in (final, ref_final):
+                assert np.array_equal(state.matrix.view(np.uint64), rho.matrix.view(np.uint64))
+
+
 def test_edge_schedule_streams():
     g = path_graph(4, weights=[0.2, 0.5, 0.3])
     cum = np.cumsum(g.weights)
@@ -458,6 +480,18 @@ def test_edge_schedule_streams():
     single = qg.InteractionGraph(qg.NetworkShape(1, 2), [])
     for c in (cfg, natural):
         assert list(itertools.islice(qg.edge_schedule(single, c), 3)) == [None] * 3
+
+
+def test_cyclic_blocks_are_the_per_step_sweep():
+    # a cycle order with a repeat, cut into blocks of every size up to two
+    # sweeps and one step, so blocks start anywhere in the sweep
+    g = path_graph(4)
+    cfg = qg.GossipConfig(alpha=0.5, strategy="cyclic", steps=0, cycle_order=(2, 0, 1, 0))
+    per_step = list(itertools.islice(qg.edge_schedule(g, cfg), 60))
+    for block in range(1, 2 * 4 + 2):
+        blocks = list(itertools.islice(qg.edge_schedule(g, cfg, block=block), -(-60 // block)))
+        assert all(isinstance(b, np.ndarray) and b.shape == (block,) for b in blocks)
+        assert np.concatenate(blocks)[:60].tolist() == per_step
 
 
 def test_single_site_network_runs_identity_steps():
@@ -1286,6 +1320,21 @@ def test_probability_one_experiment_is_deterministic():
         g, 0.5, rho, eps=1e-10, num_trials=5, horizon=100, seed=9)
     assert a.max_final_sq_distance == b.max_final_sq_distance
     assert a.successes == b.successes
+
+
+def test_a_final_distance_equal_to_eps_is_a_success():
+    # success is a final squared distance at most eps: the worst trial counts
+    # at eps itself and fails one float below it
+    g = path_graph(4)
+    rho = qg.random_density(g.shape, 73)
+    run = lambda eps: qg.probability_one_convergence_experiment(
+        g, 0.5, rho, eps=eps, num_trials=12, horizon=20, seed=5)
+    eps = run(1e-10).max_final_sq_distance
+    assert eps > 0
+    at, below = run(eps), run(float(np.nextafter(eps, 0)))
+    assert at.max_final_sq_distance == below.max_final_sq_distance == eps
+    assert at.successes == 12
+    assert below.successes < 12
 
 
 @settings(max_examples=40, deadline=None)

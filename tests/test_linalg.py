@@ -312,6 +312,21 @@ def test_row_dots_rows_are_their_one_row_calls(seed, rows, width, layout):
         assert abs(dots[r] - math.fsum(terms)) <= 1e-14 * math.fsum(np.abs(terms))
 
 
+def test_row_dots_adds_its_slab_sums_in_slab_order():
+    # slab sums chosen so that their order shows: 1 + 1e16 - 1e16 is 0 but
+    # -1e16 + 1e16 + 1 is 1; and for a squared norm, 1 + 1 + 1e16 is
+    # 1e16 + 2 but 1e16 + 1 + 1 is 1e16. The last slab is a partial one
+    width = 2 * 8192 + 5
+    a, ones = np.zeros((2, width)), np.ones(width)
+    a[:, [0, 8192, 16384 + 2]] = [[1.0, 1e16, -1e16], [1.0, 1.0, 1e8]]
+    sums = [a[0, [0, 8192, 16386]], a[1, [0, 8192, 16386]] ** 2]
+    got = [row_dots(a[:1], ones)[0], row_dots(a[1:], a[1:])[0]]
+    for value, part in zip(got, sums):
+        assert value.view(np.uint64) == np.add.reduce(part).view(np.uint64)
+        assert value != np.add.reduce(part[::-1])
+    assert got == [0.0, 1e16 + 2]
+
+
 def test_row_dots_takes_leading_axes():
     a, b = _rows(3, 6, 2 * 9**4, "block")
     stacked = row_dots(a.reshape(2, 3, -1), b[0])
